@@ -109,7 +109,10 @@ def _run_probe_bench(args) -> int:
     return 0 if all(r.correct for r in rows) else 1
 
 
-def _run_fp_rate(args) -> int:
+def _filled_bloomier(args) -> tuple[BloomierFilter, set[int], random.Random, float]:
+    """A Bloomier filter holding args.n distinct seeded keys, the keys, the
+    generator that drew them (for further draws), and the space target
+    n * (lg lg(u/n) + lg(1/epsilon) + r) bits."""
     cfg = BloomierConfig.create(args.n, args.u_bits, args.r, args.epsilon)
     bf = BloomierFilter(cfg, args.seed)
     rng = random.Random(args.seed)
@@ -119,6 +122,15 @@ def _run_fp_rate(args) -> int:
         keys.add(rng.randrange(universe))
     for k in keys:
         bf.insert(k, k % ((1 << args.r) - 1) + 1)
+    bound = args.n * (
+        math.log2(math.log2(universe / args.n)) + math.log2(1 / args.epsilon) + args.r
+    )
+    return bf, keys, rng, bound
+
+
+def _run_fp_rate(args) -> int:
+    bf, keys, rng, bound = _filled_bloomier(args)
+    universe = 1 << args.u_bits
     stored_errors = sum(1 for k in keys if bf.lookup(k) == 0)
     hits = 0
     probes = 0
@@ -130,9 +142,6 @@ def _run_fp_rate(args) -> int:
         if bf.lookup(x) != 0:
             hits += 1
     fp_rate = hits / probes
-    bound = args.n * (
-        math.log2(math.log2(universe / args.n)) + math.log2(1 / args.epsilon) + args.r
-    )
     report = {
         "n": args.n,
         "fp_rate": round(fp_rate, 8),
@@ -187,19 +196,7 @@ def _run_perfect_hash_demo(args) -> int:
 def _run_space_report(args) -> int:
     report: dict = {}
     if args.component in ("bloomier", "both"):
-        cfg = BloomierConfig.create(args.n, args.u_bits, args.r, args.epsilon)
-        bf = BloomierFilter(cfg, args.seed)
-        rng = random.Random(args.seed)
-        universe = 1 << args.u_bits
-        keys: set[int] = set()
-        while len(keys) < args.n:
-            keys.add(rng.randrange(universe))
-        for k in keys:
-            bf.insert(k, 1)
-        bound = args.n * (
-            math.log2(math.log2(universe / args.n))
-            + math.log2(1 / args.epsilon) + args.r
-        )
+        bf, _keys, _rng, bound = _filled_bloomier(args)
         report["bloomier_space_bits"] = bf.space_bits()
         report["bloomier_bound_bits"] = int(bound)
         report["bloomier_C"] = round(bf.space_bits() / bound, 4)

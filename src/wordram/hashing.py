@@ -52,10 +52,6 @@ class MultiplyShiftHash:
         return 2 * (self.in_bits + self.out_bits)
 
 
-def new_universal(seed: int, in_bits: int, out_bits: int) -> MultiplyShiftHash:
-    return MultiplyShiftHash(seed, in_bits, out_bits)
-
-
 class TabulationHash:
     """Per-byte table hash from in_bits-bit keys onto {1, ..., buckets}."""
 

@@ -1,14 +1,11 @@
 """Dynamic predecessor over fixed-width integer keys.
 
-The default backend keeps keys in sorted buckets of Theta(width) size with
-an x-fast-style top structure over the bucket representatives: hash tables
-of key prefixes per level, binary-searched for the longest match.  Queries
-cost O(log width) expected; bucket splits and merges keep top updates rare.
-An update whose key falls inside the bucket the previous update touched
-skips the top search: the keys of one range-reporting update sit close.
-
-A plain sorted-list backend with identical behavior is available for audit
-runs, so structure bugs can be separated from range-reporting bugs.
+Keys live in sorted buckets of Theta(width) size with an x-fast-style top
+structure over the bucket representatives: hash tables of key prefixes per
+level, binary-searched for the longest match.  Queries cost O(log width)
+expected; bucket splits and merges keep top updates rare.  An update whose
+key falls inside the bucket the previous update touched skips the top
+search: the keys of one range-reporting update sit close.
 
 Every instance also threads all keys into a doubly linked list in
 increasing order; neighbor links are exposed separately from (and cheaper
@@ -17,7 +14,7 @@ than) counted predecessor queries.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 
 
 class _XFastTop:
@@ -122,25 +119,19 @@ class PredecessorSet:
     pred/succ increment an instrumentation counter; neighbor links do not.
     """
 
-    def __init__(self, width: int, backend: str = "buckets"):
-        if backend not in ("buckets", "sorted"):
-            raise ValueError(f"unknown backend {backend!r}")
+    def __init__(self, width: int):
         self.width = width
-        self.backend = backend
         self.query_count = 0
         # key links, one dict per direction: no container object per key
         self._prev: dict[int, int | None] = {}
         self._next: dict[int, int | None] = {}
         self._min: int | None = None
         self._max: int | None = None
-        if backend == "buckets":
-            self._top = _XFastTop(width)
-            self._buckets: dict[int, list[int]] = {}
-            self._cap = 2 * width
-            # the bucket the last update touched; a live bucket or empty
-            self._finger: list[int] = []
-        else:
-            self._keys: list[int] = []
+        self._top = _XFastTop(width)
+        self._buckets: dict[int, list[int]] = {}
+        self._cap = 2 * width
+        # the bucket the last update touched; a live bucket or empty
+        self._finger: list[int] = []
 
     def __len__(self) -> int:
         return len(self._next)
@@ -176,11 +167,7 @@ class PredecessorSet:
             raise ValueError(f"key {x} does not fit in {self.width} bits")
         if x in self._next:
             return self._prev[x], self._next[x], False
-        if self.backend == "buckets":
-            prv = self._bucket_insert(x)
-        else:
-            prv = self._pred_raw(x)
-            insort(self._keys, x)
+        prv = self._bucket_insert(x)
         nxt = self._next[prv] if prv is not None else self._min
         self._prev[x] = prv
         self._next[x] = nxt
@@ -197,10 +184,7 @@ class PredecessorSet:
     def delete(self, x: int) -> bool:
         if x not in self._next:
             return False
-        if self.backend == "buckets":
-            self._bucket_delete(x)
-        else:
-            self._keys.pop(bisect_left(self._keys, x))
+        self._bucket_delete(x)
         prv = self._prev.pop(x)
         nxt = self._next.pop(x)
         if prv is not None:
@@ -233,9 +217,6 @@ class PredecessorSet:
     # -- internals ---------------------------------------------------------
 
     def _pred_raw(self, x: int) -> int | None:
-        if self.backend == "sorted":
-            i = bisect_right(self._keys, x)
-            return self._keys[i - 1] if i else None
         rep = self._top.pred(x)
         if rep is None:
             return None

@@ -11,14 +11,18 @@ table before trusting it.  The index may be backed by an exact dictionary
 or by a Bloomier filter; arbitrary answers for unstored keys are harmless
 because of the verification step.
 
-Updates maintain, per trie order, index entries for every branching node
+An update is one predecessor update plus O(top) index writes that follow
+one rule.  Per trie order, entries are mandated for every branching node
 and (depending on the variant) for active children of branching nodes or
 for active nodes with a branching ancestor inside their natural depth-B
-subtree.  Creating or destroying a branching node can invalidate up to two
-previously stored entries per order (the entry of the chunk holding the
-next branching node below, and the child entry at the chunk boundary on
-the surviving path); these are refreshed in place, which keeps every
-mandated entry exact at all times.
+subtree; each holds the depth of its lowest branching ancestor.  A key x
+with neighbor-LCA v, whose lowest branching ancestor is a, changes three
+sets of entries: keys absent without x that hold a's depth with it (the
+order-k node that x makes branching), keys absent without x that hold v's
+depth with it, and keys that hold a's depth without x and v's depth with
+it.  ``_index_changes`` computes the three; an insert applies them
+forwards and a delete backwards, so a delete is the exact inverse of the
+insert it undoes.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ BACKEND_EXACT = "exact"
 BACKEND_BLOOMIER = "bloomier"
 BACKENDS = (BACKEND_EXACT, BACKEND_BLOOMIER)
 
+# tag fields of an encoded node name: depth <= 64 needs 7 bits, order <= 6
+# needs 3
 _DEPTH_BITS = 7
 _ORDER_BITS = 3
 _TAG_BITS = _DEPTH_BITS + _ORDER_BITS
@@ -59,7 +65,6 @@ class RangeConfig:
     capacity: int = 1 << 16
     audit: bool = False
     seed: int = 0
-    pred_backend: str = "buckets"
 
     def __post_init__(self):
         if self.width not in (8, 16, 32, 64):
@@ -203,9 +208,9 @@ class RangeReporter:
         self.top = top_order(self.w, self.B)
         self._chunks = [self.B**t for t in range(self.top + 1)]
         self._tdepth = [trie_depth(self.w, t, self.B) for t in range(self.top + 1)]
-        self.pred = PredecessorSet(self.w, config.pred_backend)
+        self.pred = PredecessorSet(self.w)
         # augmented-list keys: a (w+2)-bit doubled coordinate over 11 tag bits
-        self._sbar_pred = PredecessorSet(self.w + _TAG_BITS + 3, config.pred_backend)
+        self._sbar_pred = PredecessorSet(self.w + _TAG_BITS + 3)
         self._sbar_handle: dict[int, int] = {}
         self.nav = NavList(self.w, config.audit)
         self.table: dict[int, BranchingRecord] = {}
@@ -234,6 +239,11 @@ class RangeReporter:
     # -- encodings ----------------------------------------------------------
 
     def _enc(self, t: int, d: int, p: int) -> int:
+        """The index key of the order-t node at depth d with prefix p.
+
+        The prefix is left-aligned in a width-bit field, so that names of
+        different depths cannot collide, and depth and order follow it.
+        """
         pb = min(d * self._chunks[t], self.w)
         return ((p << (self.w - pb)) << _TAG_BITS) | (d << _ORDER_BITS) | t
 
@@ -392,65 +402,87 @@ class RangeReporter:
         self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
         self._index_insert(x, nbr, d_v, y_tag, a_depth, a_real)
 
-    def _y_coords(self, y_tag) -> tuple[bool, int]:
-        """(is_real_branching, depth in T0) of a descendant tag."""
-        if y_tag[0] == _LEAF:
-            return False, self.w
-        return True, self.table[y_tag[1]].depth
-
     def _index_insert(self, x: int, nbr: int, d_v: int, y_tag, a_depth: int,
                       a_real: bool) -> None:
-        y_real, y_d0 = self._y_coords(y_tag)
+        to_a, to_v, a_to_v = self._index_changes(x, nbr, d_v, y_tag, a_depth, a_real)
+        idx_add = self.index.add
+        for key in to_a:
+            idx_add(key, a_depth)
+        for key in to_v:
+            idx_add(key, d_v)
+        idx_set = self.index.set
+        for key in a_to_v:
+            idx_set(key, d_v)
+
+    def _index_changes(self, x: int, nbr: int, d_v: int, y_tag, a_depth: int,
+                       a_real: bool) -> tuple[list[int], list[int], list[int]]:
+        """The index entries that x's presence changes, as three key lists.
+
+        v = LCA(x, nbr) sits at depth d_v, y_tag names v's child subtree
+        other than x, and a is v's lowest branching ancestor at depth
+        a_depth (0 when v is the root); a_real says whether a branches
+        without x (it then branches with x too), so an insert and the
+        delete that undoes it pass the same arguments.
+        Returns the keys that are absent without x and hold a_depth with it
+        (the order-k node that x makes branching), the keys that are absent
+        without x and hold d_v with it, and the keys that hold a_depth
+        without x and d_v with it.
+        """
+        y_real = y_tag[0] == _NODE
+        y_d0 = self.table[y_tag[1]].depth if y_real else self.w
         fast_query = self._fast_query
         B = self.B
-        idx_add = self.index.add
-        idx_set = self.index.set
+        to_a: list[int] = []
+        to_v: list[int] = []
+        a_to_v: list[int] = []
         xc = self._leaf_code(x)
         # nbr lies under y, so its code also addresses every node on y's path
         nc = self._leaf_code(nbr)
         for ch, codes in zip(self._chunks, self._codes):
             k = d_v // ch
             yk = y_d0 // ch
-            w_real_before = (a_real and a_depth >= k * ch) or (y_real and yk == k)
+            # whether the order-k node holding v branches without x
+            w_real = not k or (a_real and a_depth >= k * ch) or (y_real and yk == k)
 
-            if k and not w_real_before:
+            if not w_real:
                 # the node may already carry a (value-identical) child entry
                 if fast_query:
                     present = k < B or (a_real and a_depth >= (k // B) * B * ch)
                 else:
                     present = k == 1 or (a_real and a_depth >= (k - 1) * ch)
                 if not present:
-                    idx_add(xc & codes[k], a_depth)
+                    to_a.append(xc & codes[k])
 
             if fast_query:
                 ns_root = (k // B) * B
                 border = min(ns_root + B - 1, len(codes) - 1)
-                # a surviving-path node inside this natural subtree was
-                # already stored iff some branching node sits between the
+                # a surviving-path node inside this natural subtree is
+                # stored without x iff some branching node sits between the
                 # subtree root and it: the deepest candidate is the lowest
                 # branching ancestor (whose chunk level is a_depth // ch)
                 had_ns_anc = ns_root == 0 or (a_real and a_depth // ch >= ns_root)
                 for dd in range(k + 1, border + 1):
-                    idx_add(xc & codes[dd], d_v)
+                    to_v.append(xc & codes[dd])
                 for dd in range(k + 1, border + 1):
                     if y_real and dd > yk:
                         break
                     if had_ns_anc or (y_real and dd == yk):
-                        idx_set(nc & codes[dd], d_v)
+                        a_to_v.append(nc & codes[dd])
                     else:
-                        idx_add(nc & codes[dd], d_v)
+                        to_v.append(nc & codes[dd])
                 if y_real and yk > border:
-                    idx_set(nc & codes[yk], d_v)
+                    a_to_v.append(nc & codes[yk])
             else:
                 code = codes[k + 1]
-                idx_add(xc & code, d_v)
+                to_v.append(xc & code)
                 if not y_real or yk > k:
-                    if w_real_before or not k or (y_real and yk == k + 1):
-                        idx_set(nc & code, d_v)
+                    if w_real or (y_real and yk == k + 1):
+                        a_to_v.append(nc & code)
                     else:
-                        idx_add(nc & code, d_v)
+                        to_v.append(nc & code)
                 if y_real and yk >= k + 2:
-                    idx_set(nc & codes[yk], d_v)
+                    a_to_v.append(nc & codes[yk])
+        return to_a, to_v, a_to_v
 
     def delete(self, x: int) -> bool:
         if x not in self.leaves:
@@ -522,52 +554,15 @@ class RangeReporter:
 
     def _index_delete(self, x: int, nbr: int, d_v: int, y_tag, a_depth: int,
                       a_real: bool) -> None:
-        y_real, y_d0 = self._y_coords(y_tag)
-        fast_query = self._fast_query
-        B = self.B
-        idx_drop = self.index.drop
+        to_a, to_v, a_to_v = self._index_changes(x, nbr, d_v, y_tag, a_depth, a_real)
         idx_set = self.index.set
-        xc = self._leaf_code(x)
-        # nbr lies under y, so its code also addresses every node on y's path
-        nc = self._leaf_code(nbr)
-        for ch, codes in zip(self._chunks, self._codes):
-            k = d_v // ch
-            yk = y_d0 // ch
-            w_stays = not k or (a_real and a_depth >= k * ch) or (y_real and yk == k)
-
-            if fast_query:
-                ns_root = (k // B) * B
-                border = min(ns_root + B - 1, len(codes) - 1)
-                has_ns_anc = ns_root == 0 or (a_real and a_depth // ch >= ns_root)
-                for dd in range(k + 1, border + 1):
-                    idx_drop(xc & codes[dd])
-                for dd in range(k + 1, border + 1):
-                    if y_real and dd > yk:
-                        break
-                    if has_ns_anc or (y_real and dd == yk):
-                        idx_set(nc & codes[dd], a_depth)
-                    else:
-                        idx_drop(nc & codes[dd])
-                if y_real and yk > border:
-                    idx_set(nc & codes[yk], a_depth)
-                if not w_stays:
-                    child_after = k < B or (a_real and a_depth >= (k // B) * B * ch)
-                    if not child_after:
-                        idx_drop(xc & codes[k])
-            else:
-                code = codes[k + 1]
-                idx_drop(xc & code)
-                if not y_real or yk > k:
-                    if w_stays or (y_real and yk == k + 1):
-                        idx_set(nc & code, a_depth)
-                    else:
-                        idx_drop(nc & code)
-                if y_real and yk >= k + 2:
-                    idx_set(nc & codes[yk], a_depth)
-                if not w_stays:
-                    child_after = k == 1 or (a_real and a_depth >= (k - 1) * ch)
-                    if not child_after:
-                        idx_drop(xc & codes[k])
+        for key in a_to_v:
+            idx_set(key, a_depth)
+        idx_drop = self.index.drop
+        for key in to_v:
+            idx_drop(key)
+        for key in to_a:
+            idx_drop(key)
 
     # -- queries ------------------------------------------------------------------
 
@@ -597,19 +592,7 @@ class RangeReporter:
     def verify_lowest_ancestor(self, rec: BranchingRecord, v: NodeName) -> bool:
         """True iff `rec` is a strict ancestor of the order-0 node `v` whose
         branching descendant on v's side lies at or below v."""
-        if rec.depth >= v.depth:
-            return False
-        if (v.prefix >> (v.depth - rec.depth)) != rec.prefix:
-            return False
-        desc = rec.desc[(v.prefix >> (v.depth - rec.depth - 1)) & 1]
-        if desc is None:
-            return False
-        if desc[0] == _LEAF:
-            dd, dp = self.w, desc[1]
-        else:
-            node = self.table[desc[1]]
-            dd, dp = node.depth, node.prefix
-        return dd >= v.depth and (dp >> (dd - v.depth)) == v.prefix
+        return self._verified_ancestor(rec.depth, v.depth, v.prefix) is rec
 
     def _verified_ancestor(self, depth: int | None, v_d: int, v_p: int):
         """Branching record at `depth` on v's path, checked to be a genuine
@@ -684,7 +667,10 @@ class RangeReporter:
         return self.nav.entry(h).value
 
     def findany(self, a: int, b: int) -> int | None:
-        """Some element of S in [a, b], or None exactly when none exists."""
+        """Some element of S in [a, b], or None exactly when none exists.
+
+        Bounds outside [0, 2**width) are clamped to the universe.
+        """
         if a > b:
             raise ValueError("empty interval")
         self._q_tb = 0
@@ -692,11 +678,18 @@ class RangeReporter:
         reads_before = self.index.reads
         preds_before = self.pred.query_count + self._sbar_pred.query_count
         try:
+            w = self.w
+            # a bound lies outside [0, 2**w); as a <= b, a negative b makes
+            # a negative too, so b >> w is only ever read for b >= 0
+            if a < 0 or b >> w:
+                a = max(a, 0)
+                b = min(b, (1 << w) - 1)
+                if a > b:
+                    return None
             if a == b:
                 return a if a in self.leaves else None
             if not self.leaves:
                 return None
-            w = self.w
             v_d = lca_depth(a, b, w)
             v_p = a >> (w - v_d)
             rec = self.table.get(self._enc0(v_d, v_p))
@@ -947,12 +940,6 @@ class RangeReporter:
             for key, value in mandated.items():
                 assert self.index._filter.lookup(key) == value + 1, \
                     "filter disagrees on a mandated key"
-
-    # -- oracle helpers for tests and the CLI -------------------------------------
-
-    def oracle_findany_empty(self, sorted_elems: list[int], a: int, b: int) -> bool:
-        i = bisect_left(sorted_elems, a)
-        return i >= len(sorted_elems) or sorted_elems[i] > b
 
     def space_bits(self) -> int:
         return self.index.space_bits()

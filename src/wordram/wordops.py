@@ -4,8 +4,7 @@ Keys are unsigned integers of at most one machine word (width in
 {8, 16, 32, 64}).  A key's root-to-leaf path in the binary trie can be
 re-chunked into tries of higher order: the trie of order ``t`` with chunk
 base ``B`` summarizes ``B**t`` consecutive bits per edge.  Nodes of any
-such trie are named by (order, depth, prefix) and pack into integers small
-enough to serve as dictionary or filter keys.
+such trie are named by (order, depth, prefix).
 
 Depth counts edges from the root, so the root has depth 0 and a leaf of
 the binary trie has depth ``width``.
@@ -14,13 +13,7 @@ the binary trie has depth ``width``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
-
-# Fixed field widths cover every supported word size (depth <= 64 needs 7
-# bits, order <= 6 needs 3 bits).
-_DEPTH_BITS = 7
-_ORDER_BITS = 3
 
 VALID_WIDTHS = (8, 16, 32, 64)
 
@@ -51,11 +44,6 @@ class NodeName(NamedTuple):
     prefix: int
 
 
-class SubtreeRole(Enum):
-    ROOT = "root"
-    INTERIOR = "interior"
-
-
 def msb(x: int) -> int:
     """Index of the highest set bit, counting from 0 at the low end."""
     if x <= 0:
@@ -75,15 +63,6 @@ def lca_depth(a: int, b: int, width: int) -> int:
     if a == b:
         raise ValueError("identical keys have no proper LCA")
     return width - 1 - msb(a ^ b)
-
-
-def key_prefix(key: int, depth: int, width: int) -> int:
-    """Leading `depth` bits of a width-bit key."""
-    return key >> (width - depth)
-
-
-def chunk_len(order: int, branch: int) -> int:
-    return branch**order
 
 
 def trie_depth(width: int, order: int, branch: int) -> int:
@@ -116,37 +95,3 @@ def map_node(name: NodeName, new_order: int, branch: int, width: int) -> NodeNam
     chunk = branch**new_order
     k = d0 // chunk
     return NodeName(new_order, k, name.prefix >> (d0 - k * chunk))
-
-
-def natural_subtree_role(depth: int, branch: int) -> SubtreeRole:
-    """Whether a node heads its natural depth-`branch` subtree or sits inside it."""
-    return SubtreeRole.ROOT if depth % branch == 0 else SubtreeRole.INTERIOR
-
-
-def node_span(depth: int, prefix: int, width: int) -> tuple[int, int]:
-    """Inclusive key interval covered by a binary-trie node."""
-    lo = prefix << (width - depth)
-    return lo, lo + (1 << (width - depth)) - 1
-
-
-def encode_node(order: int, depth: int, prefix: int, width: int, branch: int) -> int:
-    """Pack a node name into a distinct integer of at most width + 10 bits.
-
-    The prefix is left-aligned in a width-bit field so that names of
-    different depths cannot collide, then depth and order are appended.
-    """
-    pb = min(depth * branch**order, width)
-    aligned = prefix << (width - pb)
-    return (aligned << (_DEPTH_BITS + _ORDER_BITS)) | (depth << _ORDER_BITS) | order
-
-
-def decode_node(key: int, width: int, branch: int) -> NodeName:
-    order = key & ((1 << _ORDER_BITS) - 1)
-    depth = (key >> _ORDER_BITS) & ((1 << _DEPTH_BITS) - 1)
-    aligned = key >> (_DEPTH_BITS + _ORDER_BITS)
-    pb = min(depth * branch**order, width)
-    return NodeName(order, depth, aligned >> (width - pb))
-
-
-def encoded_key_bits(width: int) -> int:
-    return width + _DEPTH_BITS + _ORDER_BITS

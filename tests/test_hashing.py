@@ -7,13 +7,12 @@ from wordram.hashing import (
     MultiplyShiftHash,
     TabulationHash,
     derive_seed,
-    new_universal,
 )
 
 
 def test_determinism_across_instances():
-    a = new_universal(1234, 64, 20)
-    b = new_universal(1234, 64, 20)
+    a = MultiplyShiftHash(1234, 64, 20)
+    b = MultiplyShiftHash(1234, 64, 20)
     rng = random.Random(0)
     for _ in range(10_000):
         x = rng.getrandbits(64)
@@ -21,7 +20,7 @@ def test_determinism_across_instances():
 
 
 def test_output_width_and_zero_defined():
-    h = new_universal(7, 32, 32)
+    h = MultiplyShiftHash(7, 32, 32)
     rng = random.Random(1)
     for _ in range(1000):
         assert h(rng.getrandbits(32)) < 1 << 32
@@ -31,15 +30,15 @@ def test_output_width_and_zero_defined():
 
 def test_invalid_widths():
     with pytest.raises(ValueError):
-        new_universal(0, 16, 17)
+        MultiplyShiftHash(0, 16, 17)
     with pytest.raises(ValueError):
-        new_universal(0, 16, 0)
+        MultiplyShiftHash(0, 16, 0)
 
 
 def test_collision_rate_monte_carlo():
     # pairwise collisions over random distinct pairs stay near 2^-out
     out_bits = 12
-    h = new_universal(99, 48, out_bits)
+    h = MultiplyShiftHash(99, 48, out_bits)
     rng = random.Random(99)
     collisions = 0
     trials = 10**6
@@ -52,7 +51,7 @@ def test_collision_rate_monte_carlo():
 
 
 def test_chi_square_sanity_over_w8_domain():
-    h = new_universal(5, 8, 4)
+    h = MultiplyShiftHash(5, 8, 4)
     counts = [0] * 16
     for x in range(256):
         counts[h(x)] += 1
@@ -62,7 +61,7 @@ def test_chi_square_sanity_over_w8_domain():
 
 
 def test_representation_bits():
-    h = new_universal(3, 64, 16)
+    h = MultiplyShiftHash(3, 64, 16)
     assert h.representation_bits() == 2 * (64 + 16)
     assert h.representation_bits() <= 8 * 64  # O(word) seeds
 

@@ -6,8 +6,8 @@ import pytest
 from wordram.predecessor import PredecessorSet
 
 
-def replay(width: int, backend: str, ops: int, seed: int) -> None:
-    ps = PredecessorSet(width, backend)
+def replay(width: int, ops: int, seed: int) -> None:
+    ps = PredecessorSet(width)
     ref: list[int] = []
     rng = random.Random(seed)
     universe = 1 << width
@@ -36,17 +36,15 @@ def replay(width: int, backend: str, ops: int, seed: int) -> None:
     assert list(ps) == ref
 
 
-@pytest.mark.parametrize("backend", ["buckets", "sorted"])
 @pytest.mark.parametrize("width", [8, 64])
-def test_oracle_replay(backend, width):
-    replay(width, backend, 20_000, seed=17)
-    replay(width, backend, 20_000, seed=4)
+def test_oracle_replay(width):
+    replay(width, 20_000, seed=17)
+    replay(width, 20_000, seed=4)
 
 
-@pytest.mark.parametrize("backend", ["buckets", "sorted"])
-def test_dense_small_universe(backend):
+def test_dense_small_universe():
     # stress rebalancing with lots of duplicates and removals
-    ps = PredecessorSet(8, backend)
+    ps = PredecessorSet(8)
     ref: set[int] = set()
     rng = random.Random(3)
     for _ in range(30_000):

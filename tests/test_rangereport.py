@@ -1,3 +1,4 @@
+import copy
 import random
 from bisect import bisect_left, insort
 
@@ -131,6 +132,47 @@ def test_report_examples():
     assert list(rr.report(6, 8)) == []
 
 
+@pytest.mark.parametrize("a,b", [(5, 300), (0, 256), (-1, 5), (300, 400), (-5, -1)])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5b", 4)])
+def test_bounds_outside_universe_are_clamped(variant, branch, a, b):
+    keys = [3, 100, 200]
+    rr = make(variant=variant, branch=branch)
+    for x in keys:
+        rr.insert(x)
+    want = [x for x in keys if a <= x <= b]
+    got = rr.findany(a, b)
+    if want:
+        assert got in want
+    else:
+        assert got is None
+    assert list(rr.report(a, b)) == want
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5b", 4)])
+def test_delete_undoes_insert(variant, branch, backend):
+    rng = random.Random(29)
+    # keys below 2**15 leave the root one-sided, so a new key above it
+    # diverges at the root itself; keys anywhere make the root branch
+    for key_limit in (1 << 15, 1 << 16):
+        rr = make(width=16, branch=branch, variant=variant, backend=backend, seed=5)
+        for _ in range(80):
+            rr.insert(rng.randrange(key_limit))
+        for _ in range(16):
+            x = rng.randrange(1 << 16)
+            if x in rr:
+                continue
+            snapshot, table, dump = rr.index.snapshot(), copy.deepcopy(rr.table), rr.dump()
+            before = rr.index.writes
+            rr.insert(x)
+            inserted = rr.index.writes
+            rr.delete(x)
+            assert rr.index.snapshot() == snapshot
+            assert rr.table == table
+            assert rr.dump() == dump
+            assert rr.index.writes - inserted == inserted - before
+
+
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
 def test_core_w8_fuzz_with_audit(backend):
     rr = make(backend=backend, seed=1)
@@ -201,6 +243,22 @@ def test_verify_lowest_ancestor_public_contract():
     # a node that is not an ancestor at all
     stray = rr.table[rr._enc0(6, 0b000000)]
     assert not rr.verify_lowest_ancestor(stray, NodeName(0, 7, 0b1100000))
+
+
+@pytest.mark.parametrize("branch", [2, 4, 8])
+def test_node_encoding_injective_w8(branch):
+    rr = make(branch=branch, variant="core" if branch == 2 else "5a")
+    seen = set()
+    for t in range(rr.top + 1):
+        for d in range(rr._tdepth[t] + 1):
+            for p in range(1 << min(d * branch**t, 8)):
+                key = rr._enc(t, d, p)
+                assert key not in seen
+                seen.add(key)
+                # w + 10 tag bits: the key width the index is built for
+                assert key.bit_length() <= 8 + 10
+                if t == 0:
+                    assert rr._enc0(d, p) == key
 
 
 def test_dump_format():

@@ -18,10 +18,9 @@ from wordram.predecessor import PredecessorSet
 from wordram.rangereport import RangeConfig, RangeReporter
 
 
-@pytest.mark.parametrize("backend", ["buckets", "sorted"])
 @pytest.mark.parametrize("width", [8, 64])
-def test_predecessor_hundred_thousand_ops(backend, width):
-    ps = PredecessorSet(width, backend)
+def test_predecessor_hundred_thousand_ops(width):
+    ps = PredecessorSet(width)
     ref: list[int] = []
     rng = random.Random(width * 1000 + 1)
     universe = 1 << width

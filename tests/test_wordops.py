@@ -2,16 +2,10 @@ import pytest
 
 from wordram.wordops import (
     NodeName,
-    SubtreeRole,
     WordParams,
-    decode_node,
-    encode_node,
-    key_prefix,
     lca_depth,
     map_node,
     msb,
-    natural_subtree_role,
-    node_span,
     top_order,
     trie_depth,
 )
@@ -58,7 +52,7 @@ def test_lca_depth_exhaustive_w8():
     for a in range(256):
         for b in range(a + 1, 256):
             d = lca_depth(a, b, 8)
-            assert key_prefix(a, d, 8) == key_prefix(b, d, 8)
+            assert a >> (8 - d) == b >> (8 - d)
             assert (a >> (8 - d - 1)) & 1 != (b >> (8 - d - 1)) & 1
 
 
@@ -89,34 +83,6 @@ def test_map_node_leaf_lands_on_leaf_ragged():
     got = map_node(leaf, 2, 4, 8)
     assert got.depth == trie_depth(8, 2, 4) == 1
     assert got.prefix == 0xAB
-
-
-def test_natural_subtree_role():
-    assert natural_subtree_role(4, 2) is SubtreeRole.ROOT
-    assert natural_subtree_role(5, 2) is SubtreeRole.INTERIOR
-    assert natural_subtree_role(7, 4) is SubtreeRole.INTERIOR
-    assert natural_subtree_role(8, 4) is SubtreeRole.ROOT
-
-
-@pytest.mark.parametrize("branch", [2, 4, 8])
-def test_encode_decode_roundtrip_exhaustive_w8(branch):
-    width = 8
-    seen = set()
-    for t in range(top_order(width, branch) + 1):
-        for d in range(trie_depth(width, t, branch) + 1):
-            pb = min(d * branch**t, width)
-            for p in range(1 << pb):
-                key = encode_node(t, d, p, width, branch)
-                assert key not in seen
-                seen.add(key)
-                assert decode_node(key, width, branch) == NodeName(t, d, p)
-                assert key.bit_length() <= 2 * width + 10
-
-
-def test_node_span():
-    lo, hi = node_span(5, 0b00001, 8)
-    assert (lo, hi) == (8, 15)
-    assert node_span(0, 0, 8) == (0, 255)
 
 
 def test_top_order_and_trie_depth():
