@@ -28,7 +28,7 @@ class _Entry:
                  hint: int | None, prev: int | None, next: int | None,
                  bucket: _Bucket):
         self.kind = kind
-        self.value = value  # element key, or span coordinate for audits
+        self.value = value  # element key; None for parentheses
         self.owner = owner  # encoded branching-node key for parentheses
         self.hint = hint    # caller-supplied total-order key, audit only
         self.prev = prev

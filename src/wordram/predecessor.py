@@ -24,7 +24,8 @@ class _XFastTop:
         self.width = width
         # level L maps the leading L bits of each rep to (min, max) under it;
         # tuples of ints drop out of the cyclic collector's tracking, lists
-        # would not
+        # would not.  Tuples are replaced, never mutated, so one (rep, rep)
+        # pair is shared by every level where rep is alone under its prefix
         self._levels: list[dict[int, tuple[int, int]]] = [{} for _ in range(width + 1)]
         self._link: dict[int, list[int | None]] = {}
         self.min: int | None = None
@@ -45,12 +46,13 @@ class _XFastTop:
         if nxt is not None:
             self._link[nxt][0] = rep
         w = self.width
+        alone = (rep, rep)
         for level in range(1, w + 1):
             table = self._levels[level]
             pref = rep >> (w - level)
             entry = table.get(pref)
             if entry is None:
-                table[pref] = (rep, rep)
+                table[pref] = alone
             elif rep < entry[0]:
                 table[pref] = (rep, entry[1])
             elif rep > entry[1]:

@@ -23,6 +23,16 @@ depth with it, and keys that hold a's depth without x and v's depth with
 it.  ``_index_changes`` computes the three; an insert applies them
 forwards and a delete backwards, so a delete is the exact inverse of the
 insert it undoes.
+
+A branching record names each of its two child subtrees by one int: the
+leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``), or the
+order-0 node key of the branching child, whose low ten bits ``d << 3`` are
+never all ones; None marks an empty side of the root.  Navigation-list
+handles live only with their owners: ``leaves[x]`` holds the handle of x's
+element entry, a branching record those of its Open and Close.  The
+predecessor set over augmented-list keys finds where a new entry goes, and
+``_handle_of`` decodes a found key to its owner, so no map from keys to
+handles is kept.
 """
 
 from __future__ import annotations
@@ -51,9 +61,11 @@ _ORDER_BITS = 3
 _TAG_BITS = _DEPTH_BITS + _ORDER_BITS
 _TAG_MASK = (1 << _TAG_BITS) - 1
 
-# descendant tags
-_LEAF = 0
-_NODE = 1
+# augmented-list keys: a doubled coordinate over a rank bit, which makes a
+# Close precede an Open at the same coordinate, over the tag bits
+_RANK_BIT = 1 << _TAG_BITS
+_AUG_BITS = _TAG_BITS + 1
+_AUG_MASK = (1 << _AUG_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -90,8 +102,9 @@ class AncestorIndex:
     The exact backend is a dictionary; the compact backend is a Bloomier
     filter (values are stored shifted by one so 0 can mean "absent").
     Callers must know whether a key is present: adds require absence, sets
-    and drops require presence.  The exact backend asserts this discipline;
-    an optional mirror does the same for the filter and feeds audits.
+    and drops require presence.  The exact backend checks this discipline
+    and raises KeyError on a breach; under audit, a mirror of the filter's
+    contents does the same for the compact backend and feeds audits.
     """
 
     def __init__(self, backend: str, capacity: int, key_bits: int,
@@ -101,45 +114,46 @@ class AncestorIndex:
         self.writes = 0
         self._store: dict[int, int] | None = None
         self._filter: BloomierFilter | None = None
-        self._mirror: dict[int, int] | None = {} if (audit and backend == BACKEND_BLOOMIER) else None
         if backend == BACKEND_EXACT:
             self._store = {}
         else:
             cfg = BloomierConfig.create(capacity, key_bits, value_bits, 0.25)
             self._filter = BloomierFilter(cfg, seed)
+        # the present keys with their depths, where they are known: the
+        # exact store itself, or under audit a mirror of the filter
+        self._known: dict[int, int] | None = (
+            self._store if self._store is not None else {} if audit else None
+        )
 
     def add(self, key: int, depth: int) -> None:
         self.writes += 1
-        if self._store is not None:
-            assert key not in self._store, "add of a present key"
-            self._store[key] = depth
-            return
-        if self._mirror is not None:
-            assert key not in self._mirror, "add of a present key"
-            self._mirror[key] = depth
-        self._filter.insert(key, depth + 1)
+        known = self._known
+        if known is not None:
+            if key in known:
+                raise KeyError(f"add of a present key {key}")
+            known[key] = depth
+        if self._filter is not None:
+            self._filter.insert(key, depth + 1)
 
     def set(self, key: int, depth: int) -> None:
         self.writes += 1
-        if self._store is not None:
-            assert key in self._store, "set of an absent key"
-            self._store[key] = depth
-            return
-        if self._mirror is not None:
-            assert key in self._mirror, "set of an absent key"
-            self._mirror[key] = depth
-        self._filter.replace(key, depth + 1)
+        known = self._known
+        if known is not None:
+            if key not in known:
+                raise KeyError(f"set of an absent key {key}")
+            known[key] = depth
+        if self._filter is not None:
+            self._filter.replace(key, depth + 1)
 
     def drop(self, key: int) -> None:
         self.writes += 1
-        if self._store is not None:
-            assert key in self._store, "drop of an absent key"
-            del self._store[key]
-            return
-        if self._mirror is not None:
-            assert key in self._mirror, "drop of an absent key"
-            del self._mirror[key]
-        self._filter.delete(key)
+        known = self._known
+        if known is not None:
+            if key not in known:
+                raise KeyError(f"drop of an absent key {key}")
+            del known[key]
+        if self._filter is not None:
+            self._filter.delete(key)
 
     def get(self, key: int) -> int | None:
         self.reads += 1
@@ -149,11 +163,9 @@ class AncestorIndex:
         return raw - 1 if raw else None
 
     def snapshot(self) -> dict[int, int]:
-        if self._store is not None:
-            return dict(self._store)
-        if self._mirror is None:
+        if self._known is None:
             raise RuntimeError("snapshot needs the exact backend or audit mode")
-        return dict(self._mirror)
+        return dict(self._known)
 
     def space_bits(self) -> int:
         if self._filter is not None:
@@ -169,7 +181,7 @@ class BranchingRecord:
     depth: int                          # the order-0 node, stored as plain ints
     prefix: int                         # (one object less per node to track)
     ancestor: int | None                # encoded key of the lowest branching ancestor
-    desc: tuple                         # (left, right), each None | (_LEAF, x) | (_NODE, key)
+    desc: tuple                         # (left, right): None, a leaf code or a node key
     open_h: int = -1
     close_h: int = -1
 
@@ -211,7 +223,6 @@ class RangeReporter:
         self.pred = PredecessorSet(self.w)
         # augmented-list keys: a (w+2)-bit doubled coordinate over 11 tag bits
         self._sbar_pred = PredecessorSet(self.w + _TAG_BITS + 3)
-        self._sbar_handle: dict[int, int] = {}
         self.nav = NavList(self.w, config.audit)
         self.table: dict[int, BranchingRecord] = {}
         self.leaves: dict[int, int] = {}
@@ -254,36 +265,54 @@ class RangeReporter:
     def _leaf_code(x: int) -> int:
         return (x << _TAG_BITS) | _TAG_MASK
 
-    # augmented-list keys: coordinate, then a rank making a Close precede an
-    # Open at the same doubled coordinate, then nesting depth
+    # augmented-list keys: the doubled coordinate, then the rank bit, then
+    # the nesting depth (Open) or width minus it (Close)
     def _key_element(self, x: int) -> int:
-        return (2 * x + 1) << (_TAG_BITS + 1)
+        return (2 * x + 1) << _AUG_BITS
 
     def _key_open(self, d: int, p: int) -> int:
         lo = p << (self.w - d)
-        return ((2 * lo) << (_TAG_BITS + 1)) | (1 << _TAG_BITS) | d
+        return ((2 * lo) << _AUG_BITS) | _RANK_BIT | d
 
     def _key_close(self, d: int, p: int) -> int:
         lo = p << (self.w - d)
         hi = lo + (1 << (self.w - d)) - 1
-        return ((2 * hi + 2) << (_TAG_BITS + 1)) | (self.w - d)
+        return ((2 * hi + 2) << _AUG_BITS) | (self.w - d)
 
     # -- augmented-list maintenance ------------------------------------------
 
+    def _handle_of(self, key: int) -> int:
+        """The navigation handle of the entry with augmented-list key `key`,
+        read from the entry's owner.
+
+        The low 11 bits are 0 for an element; for a parenthesis the rank bit
+        tells an Open (depth d below it) from a Close (w - d).  The owner's
+        node key ``(lo << 10) | (d << 3)`` is ``_enc0(d, p)``, where
+        ``lo = p << (w - d)`` is the first key of its span.
+        """
+        low = key & _AUG_MASK
+        # half the coordinate: x for element x (rounded down), lo for an
+        # Open, lo + 2**(w - d) for a Close
+        c = key >> (_AUG_BITS + 1)
+        if not low:
+            return self.leaves[c]
+        if low & _RANK_BIT:
+            return self.table[(c << _TAG_BITS) | ((low ^ _RANK_BIT) << _ORDER_BITS)].open_h
+        return self.table[((c - (1 << low)) << _TAG_BITS)
+                          | ((self.w - low) << _ORDER_BITS)].close_h
+
     def _sbar_insert(self, key: int, kind: int, value: int | None = None,
                      owner: int | None = None) -> int:
+        """Insert an augmented-list entry; the owner of the entry before it
+        must already hold that entry's handle."""
         prev_key, _nxt, fresh = self._sbar_pred.insert(key)
         assert fresh, "duplicate augmented-list key"
         if prev_key is None:
-            h = self.nav.insert_first(kind, value, owner, hint=key)
-        else:
-            h = self.nav.insert_after(self._sbar_handle[prev_key], kind, value,
-                                      owner, hint=key)
-        self._sbar_handle[key] = h
-        return h
+            return self.nav.insert_first(kind, value, owner, hint=key)
+        return self.nav.insert_after(self._handle_of(prev_key), kind, value,
+                                     owner, hint=key)
 
-    def _sbar_delete(self, key: int) -> None:
-        h = self._sbar_handle.pop(key)
+    def _sbar_delete(self, key: int, h: int) -> None:
         self._sbar_pred.delete(key)
         self.nav.delete(h)
 
@@ -322,15 +351,14 @@ class RangeReporter:
         return True
 
     def _insert_first(self, x: int) -> None:
-        w = self.w
-        root = BranchingRecord(0, 0, None, _replace_side((None, None), x >> (w - 1), (_LEAF, x)))
-        root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, 0, self._root_key)
-        el = self._sbar_insert(self._key_element(x), ELEMENT, x)
-        root.close_h = self._sbar_insert(
-            self._key_close(0, 0), CLOSE, 2 * ((1 << w) - 1) + 2, self._root_key
-        )
-        self.table[self._root_key] = root
-        self.leaves[x] = el
+        root_key = self._root_key
+        root = BranchingRecord(0, 0, None, _replace_side((None, None), x >> (self.w - 1),
+                                                         self._leaf_code(x)))
+        # each entry's owner holds its handle before the next entry goes in
+        self.table[root_key] = root
+        root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, owner=root_key)
+        self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
+        root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, owner=root_key)
         idx_add = self.index.add
         for key in self._root_child_keys(x):
             idx_add(key, 0)
@@ -363,7 +391,7 @@ class RangeReporter:
             x_side = x >> (w - 1)
             y_tag = root.desc[1 - x_side]
             assert root.desc[x_side] is None and y_tag is not None
-            root.desc = _replace_side(root.desc, x_side, (_LEAF, x))
+            root.desc = _replace_side(root.desc, x_side, self._leaf_code(x))
             self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
             self._index_insert(x, nbr, 0, y_tag, a_depth=0, a_real=False)
             return
@@ -371,10 +399,10 @@ class RangeReporter:
         v_p = x >> (w - d_v)
         v_key = self._enc0(d_v, v_p)
         x_side = (x >> (w - d_v - 1)) & 1
-        lo = v_p << (w - d_v)
-        open_h = self._sbar_insert(self._key_open(d_v, v_p), OPEN, 2 * lo, v_key)
-        close_h = self._sbar_insert(self._key_close(d_v, v_p), CLOSE,
-                                    2 * (lo + (1 << (w - d_v)) - 1) + 2, v_key)
+        open_h = self._sbar_insert(self._key_open(d_v, v_p), OPEN, owner=v_key)
+        # Close(v) goes in after y's last entry, whose owner exists: never
+        # after Open(v), whose record is not in the table yet
+        close_h = self._sbar_insert(self._key_close(d_v, v_p), CLOSE, owner=v_key)
         # the innermost enclosing parenthesis pair touches the new pair
         entry = self.nav.entry
         left = entry(open_h).prev
@@ -393,11 +421,12 @@ class RangeReporter:
         y_tag = a_desc[side_a]
         assert y_tag is not None
 
-        rec = BranchingRecord(d_v, v_p, a_key, _replace_side((y_tag, y_tag), x_side, (_LEAF, x)),
+        rec = BranchingRecord(d_v, v_p, a_key,
+                              _replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
                               open_h, close_h)
-        a_rec.desc = _replace_side(a_desc, side_a, (_NODE, v_key))
-        if y_tag[0] == _NODE:
-            self.table[y_tag[1]].ancestor = v_key
+        a_rec.desc = _replace_side(a_desc, side_a, v_key)
+        if (y_tag & _TAG_MASK) != _TAG_MASK:
+            self.table[y_tag].ancestor = v_key
         self.table[v_key] = rec
         self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
         self._index_insert(x, nbr, d_v, y_tag, a_depth, a_real)
@@ -428,8 +457,9 @@ class RangeReporter:
         without x and hold d_v with it, and the keys that hold a_depth
         without x and d_v with it.
         """
-        y_real = y_tag[0] == _NODE
-        y_d0 = self.table[y_tag[1]].depth if y_real else self.w
+        y_real = (y_tag & _TAG_MASK) != _TAG_MASK
+        # a node key's low ten bits are its depth over the order-0 field
+        y_d0 = (y_tag & _TAG_MASK) >> _ORDER_BITS if y_real else self.w
         fast_query = self._fast_query
         B = self.B
         to_a: list[int] = []
@@ -506,11 +536,10 @@ class RangeReporter:
         idx_drop = self.index.drop
         for key in self._root_child_keys(x):
             idx_drop(key)
-        self._sbar_delete(self._key_element(x))
-        self._sbar_delete(self._key_open(0, 0))
-        self._sbar_delete(self._key_close(0, 0))
-        del self.table[self._root_key]
-        del self.leaves[x]
+        root = self.table.pop(self._root_key)
+        self._sbar_delete(self._key_element(x), self.leaves.pop(x))
+        self._sbar_delete(self._key_open(0, 0), root.open_h)
+        self._sbar_delete(self._key_close(0, 0), root.close_h)
         self.pred.delete(x)
 
     def _delete_nonlast(self, x: int, prev: int | None, nxt: int | None) -> None:
@@ -520,11 +549,10 @@ class RangeReporter:
         if d_v == 0:
             root = self.table[self._root_key]
             x_side = x >> (w - 1)
-            assert root.desc[x_side] == (_LEAF, x)
+            assert root.desc[x_side] == self._leaf_code(x)
             root.desc = _replace_side(root.desc, x_side, None)
             y_tag = root.desc[1 - x_side]
-            self._sbar_delete(self._key_element(x))
-            del self.leaves[x]
+            self._sbar_delete(self._key_element(x), self.leaves.pop(x))
             self.pred.delete(x)
             self._index_delete(x, nbr, 0, y_tag, a_depth=0, a_real=False)
             return
@@ -533,21 +561,20 @@ class RangeReporter:
         v_key = self._enc0(d_v, v_p)
         rec = self.table.pop(v_key)
         x_side = (x >> (w - d_v - 1)) & 1
-        assert rec.desc[x_side] == (_LEAF, x)
+        assert rec.desc[x_side] == self._leaf_code(x)
         y_tag = rec.desc[1 - x_side]
         a_key = rec.ancestor
         a_rec = self.table[a_key]
         a_desc = a_rec.desc
         a_depth = a_rec.depth
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
-        assert a_desc[side_a] == (_NODE, v_key)
+        assert a_desc[side_a] == v_key
         a_rec.desc = a_desc = _replace_side(a_desc, side_a, y_tag)
-        if y_tag[0] == _NODE:
-            self.table[y_tag[1]].ancestor = a_key
-        self._sbar_delete(self._key_open(d_v, v_p))
-        self._sbar_delete(self._key_close(d_v, v_p))
-        self._sbar_delete(self._key_element(x))
-        del self.leaves[x]
+        if (y_tag & _TAG_MASK) != _TAG_MASK:
+            self.table[y_tag].ancestor = a_key
+        self._sbar_delete(self._key_open(d_v, v_p), rec.open_h)
+        self._sbar_delete(self._key_close(d_v, v_p), rec.close_h)
+        self._sbar_delete(self._key_element(x), self.leaves.pop(x))
         self.pred.delete(x)
         a_real = a_desc[0] is not None and a_desc[1] is not None
         self._index_delete(x, nbr, d_v, y_tag, a_depth, a_real)
@@ -584,9 +611,9 @@ class RangeReporter:
         if rec is None:
             return False
         desc = rec.desc[(p >> (r0d - depth - 1)) & 1]
-        if desc is None or desc[0] == _LEAF:
+        if desc is None or (desc & _TAG_MASK) == _TAG_MASK:
             return False
-        node = self.table[desc[1]]
+        node = self.table[desc]
         return node.depth // ch == d and (node.prefix >> (node.depth - r0d)) == p
 
     def verify_lowest_ancestor(self, rec: BranchingRecord, v: NodeName) -> bool:
@@ -605,10 +632,10 @@ class RangeReporter:
         desc = rec.desc[(v_p >> (v_d - depth - 1)) & 1]
         if desc is None:
             return None
-        if desc[0] == _LEAF:
-            dd, dp = self.w, desc[1]
+        if (desc & _TAG_MASK) == _TAG_MASK:
+            dd, dp = self.w, desc >> _TAG_BITS
         else:
-            node = self.table[desc[1]]
+            node = self.table[desc]
             dd, dp = node.depth, node.prefix
         if dd < v_d or (dp >> (dd - v_d)) != v_p:
             return None
@@ -651,17 +678,17 @@ class RangeReporter:
         return None
 
     def _max_under(self, desc) -> int:
-        if desc[0] == _LEAF:
-            return desc[1]
-        rec = self.table[desc[1]]
+        if (desc & _TAG_MASK) == _TAG_MASK:
+            return desc >> _TAG_BITS
+        rec = self.table[desc]
         self._q_nav += 1
         h = self.nav.nearest_element_left(rec.close_h)
         return self.nav.entry(h).value
 
     def _min_under(self, desc) -> int:
-        if desc[0] == _LEAF:
-            return desc[1]
-        rec = self.table[desc[1]]
+        if (desc & _TAG_MASK) == _TAG_MASK:
+            return desc >> _TAG_BITS
+        rec = self.table[desc]
         self._q_nav += 1
         h = self.nav.nearest_element_right(rec.open_h)
         return self.nav.entry(h).value
@@ -792,8 +819,6 @@ class RangeReporter:
         self.nav.validate()
         self._check_sequence(elems)
         self._check_index(elems)
-        skeys = set(self._sbar_handle)
-        assert set(iter(self._sbar_pred)) == skeys
 
     def _expected_records(self, elems: list[int]):
         """Brute-force (ancestor, left desc, right desc) for every branching node."""
@@ -805,9 +830,9 @@ class RangeReporter:
 
         def top_tag(lo: int, hi: int):
             if hi - lo == 1:
-                return (_LEAF, elems[lo])
+                return self._leaf_code(elems[lo])
             d = lca_depth(elems[lo], elems[hi - 1], w)
-            return (_NODE, self._enc0(d, elems[lo] >> (w - d)))
+            return self._enc0(d, elems[lo] >> (w - d))
 
         def build(lo: int, hi: int, anc: int | None):
             d = lca_depth(elems[lo], elems[hi - 1], w)
@@ -824,7 +849,7 @@ class RangeReporter:
         if len(elems) == 1:
             side = elems[0] >> (w - 1)
             tags = [None, None]
-            tags[side] = (_LEAF, elems[0])
+            tags[side] = self._leaf_code(elems[0])
             out[root_key] = (None, tags[0], tags[1])
             return out
         d0 = lca_depth(elems[0], elems[-1], w)
@@ -839,19 +864,26 @@ class RangeReporter:
         return out
 
     def _check_sequence(self, elems: list[int]) -> None:
-        """Augmented list equals the key-sorted interleaving, parens balance,
-        every matched pair encloses an element, and runs stay short."""
+        """Augmented list equals the key-sorted interleaving, its keys read
+        back their handles through the owners, parens balance, every matched
+        pair encloses an element, and runs stay short."""
         expected = [(self._key_element(x), ELEMENT, x) for x in elems]
         for key, rec in self.table.items():
             d, p = rec.depth, rec.prefix
             expected.append((self._key_open(d, p), OPEN, key))
             expected.append((self._key_close(d, p), CLOSE, key))
         expected.sort()
+        handles = list(self.nav)
         got = []
-        for h in self.nav:
+        for h in handles:
             e = self.nav.entry(h)
             got.append((e.kind, e.value if e.kind == ELEMENT else e.owner))
         assert got == [(k, ident) for _, k, ident in expected], "list order mismatch"
+        keys = [key for key, _, _ in expected]
+        assert list(self._sbar_pred) == keys, \
+            "augmented-list keys differ from the leaf and branching tables"
+        assert [self._handle_of(key) for key in keys] == handles, \
+            "an owner does not hold its entry's handle"
 
         stack: list[tuple[int, int]] = []  # (owner, elements seen so far)
         run = 0
@@ -951,9 +983,9 @@ class RangeReporter:
         def tag(desc) -> str:
             if desc is None:
                 return "-"
-            if desc[0] == _LEAF:
-                return f"leaf:{desc[1]}"
-            node = self.table[desc[1]]
+            if (desc & _TAG_MASK) == _TAG_MASK:
+                return f"leaf:{desc >> _TAG_BITS}"
+            node = self.table[desc]
             return f"node:{node.depth}/{node.prefix:0{max(1, node.depth)}b}"
 
         lines = []

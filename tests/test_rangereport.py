@@ -446,10 +446,53 @@ def test_index_discipline_asserts_on_misuse():
     rr = make()
     rr.insert(9)
     key = next(iter(rr.index.snapshot()))
-    with pytest.raises(AssertionError):
+    with pytest.raises(KeyError):
         rr.index.add(key, 0)  # adding a present key
     absent = 1 << 40  # far outside the 8-bit name space
-    with pytest.raises(AssertionError):
+    with pytest.raises(KeyError):
         rr.index.drop(absent)
-    with pytest.raises(AssertionError):
+    with pytest.raises(KeyError):
         rr.index.set(absent, 3)
+
+
+def test_index_discipline_checked_by_the_audit_mirror():
+    rr = make(backend=BACKEND_BLOOMIER)
+    rr.insert(9)
+    snapshot = rr.index.snapshot()
+    key = next(iter(snapshot))
+    absent = 1 << 40
+    for misuse in (lambda: rr.index.add(key, 0), lambda: rr.index.drop(absent),
+                   lambda: rr.index.set(absent, 3)):
+        with pytest.raises(KeyError):
+            misuse()
+    # a rejected write leaves the filter and its mirror as they were
+    assert rr.index.snapshot() == snapshot
+    rr.check()
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5b", 4)])
+def test_sbar_keys_read_back_through_owners(variant, branch, backend):
+    rng = random.Random(37)
+    rr = make(width=16, branch=branch, variant=variant, backend=backend, seed=3)
+
+    def assert_read_back():
+        keys = list(rr._sbar_pred)
+        assert len(keys) == len(rr.nav) == len(rr) + 2 * len(rr.table)
+        for key in keys:
+            assert rr.nav.entry(rr._handle_of(key)).hint == key
+
+    # keys below 2**15 leave the root one-sided, so `high` diverges at the
+    # root itself, both when it goes in and when it comes out
+    low = rng.sample(range(1 << 15), 40)
+    high = rng.randrange(1 << 15, 1 << 16)
+    for x in low[:20] + [high] + low[20:]:
+        assert rr.insert(x)  # the first fills an empty structure
+        assert_read_back()
+    assert rr.delete(high)
+    assert_read_back()
+    rng.shuffle(low)
+    for x in low:
+        assert rr.delete(x)  # the last empties it again
+        assert_read_back()
+    assert len(rr.nav) == 0 and not rr.table
