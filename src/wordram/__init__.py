@@ -10,7 +10,7 @@ from .gtgame import BitMemory, GreaterThanScheme, probe_bounds, sweep
 from .perfecthash import PerfectHash, PerfectHashConfig, RebuildRequired
 from .predecessor import PredecessorSet
 from .rangereport import RangeConfig, RangeReporter
-from .wordops import NodeName, WordParams, lca_depth, map_node, msb
+from .wordops import NodeName, lca_depth, map_node, msb
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "RangeConfig",
     "RangeReporter",
     "RebuildRequired",
-    "WordParams",
     "lca_depth",
     "map_node",
     "msb",

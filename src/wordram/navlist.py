@@ -2,19 +2,22 @@
 
 Entries are kept in buckets of Theta(sqrt(width)) consecutive entries, with
 superbuckets of Theta(sqrt(width)) buckets above them.  Each bucket holds
-its entries' handles in list order in one plain list, plus a summary word
+its entries in list order in one plain list, plus a summary word
 with one bit per entry in that order (is it a set element).  Superbuckets
 carry one bit per bucket: does it contain at least one element.
 
 The structure answers "nearest element at or before/after this entry" by
 examining a bounded number of summary words; runs of non-element entries
 are short by construction, so the walk never inspects more than a few
-buckets.  Handles are stable integers, unaffected by splits and merges.
+buckets.  An entry is its own handle: the caller holds the entry object,
+which stays valid across splits and merges until it is deleted.
 """
 
 from __future__ import annotations
 
 import math
+
+from .wordops import ensure
 
 ELEMENT = 1
 OPEN = 2
@@ -22,26 +25,24 @@ CLOSE = 3
 
 
 class _Entry:
-    __slots__ = ("kind", "value", "owner", "hint", "prev", "next", "bucket")
+    __slots__ = ("kind", "value", "owner", "prev", "next", "bucket")
 
     def __init__(self, kind: int, value: int | None, owner: int | None,
-                 hint: int | None, prev: int | None, next: int | None,
-                 bucket: _Bucket):
+                 prev: _Entry | None, next: _Entry | None, bucket: _Bucket):
         self.kind = kind
         self.value = value  # element key; None for parentheses
         self.owner = owner  # encoded branching-node key for parentheses
-        self.hint = hint    # caller-supplied total-order key, audit only
         self.prev = prev
         self.next = next
-        self.bucket = bucket
+        self.bucket = bucket  # None once deleted
 
 
 class _Bucket:
-    __slots__ = ("handles", "summary", "sup")
+    __slots__ = ("entries", "summary", "sup")
 
-    def __init__(self, sup: _Super, handles: list[int], summary: int):
-        self.handles = handles  # entries in list order
-        self.summary = summary  # bit i set iff handles[i] is an element
+    def __init__(self, sup: _Super, entries: list[_Entry], summary: int):
+        self.entries = entries  # in list order
+        self.summary = summary  # bit i set iff entries[i] is an element
         self.sup = sup
 
 
@@ -70,71 +71,51 @@ def _lowbit(word: int) -> int:
 
 
 class NavList:
-    def __init__(self, width: int, audit: bool = False):
+    def __init__(self, width: int):
         self.width = width
-        self.audit = audit
         self.base = math.isqrt(width)
         if self.base * self.base < width:
             self.base += 1
         self.cap = 2 * self.base
-        self._entries: dict[int, _Entry] = {}
         self._head: _Super | None = None
-        self._next_id = 0
         self.n_elements = 0
         self.max_examined = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, handle: int) -> _Entry:
-        return self._entries[handle]
+        """The number of entries, counted by a walk (for audits and tests)."""
+        return sum(1 for _ in self)
 
     # -- insertion ----------------------------------------------------------
 
     def insert_first(self, kind: int, value: int | None = None,
-                     owner: int | None = None, hint: int | None = None) -> int:
+                     owner: int | None = None) -> _Entry:
         if self._head is not None:
             bucket = self._head.buckets[0]
-            return self._insert(bucket, 0, None, bucket.handles[0], kind, value, owner, hint)
+            return self._insert(bucket, 0, None, bucket.entries[0], kind, value, owner)
         sup = self._head = _Super()
         bucket = _Bucket(sup, [], 0)
         sup.buckets.append(bucket)
-        return self._insert(bucket, 0, None, None, kind, value, owner, hint)
+        return self._insert(bucket, 0, None, None, kind, value, owner)
 
-    def insert_after(self, after: int, kind: int, value: int | None = None,
-                     owner: int | None = None, hint: int | None = None) -> int:
-        prev_e = self._entries.get(after)
-        if prev_e is None:
-            raise KeyError(f"invalid handle {after}")
-        bucket = prev_e.bucket
-        return self._insert(bucket, bucket.handles.index(after) + 1, after, prev_e.next,
-                            kind, value, owner, hint)
+    def insert_after(self, after: _Entry, kind: int, value: int | None = None,
+                     owner: int | None = None) -> _Entry:
+        bucket = after.bucket
+        if bucket is None:
+            raise KeyError("insert after a deleted entry")
+        return self._insert(bucket, bucket.entries.index(after) + 1, after, after.next,
+                            kind, value, owner)
 
-    def _insert(self, bucket: _Bucket, pos: int, after: int | None, next_nb: int | None,
-                kind: int, value: int | None, owner: int | None, hint: int | None) -> int:
+    def _insert(self, bucket: _Bucket, pos: int, after: _Entry | None,
+                next_nb: _Entry | None, kind: int, value: int | None,
+                owner: int | None) -> _Entry:
         """Put a new entry at position pos of bucket, between after and next_nb."""
-        handle = self._next_id
-        self._next_id += 1
-        entries = self._entries
-
-        if self.audit and hint is not None:
-            for nb, side in ((after, "left"), (next_nb, "right")):
-                if nb is None:
-                    continue
-                other = entries[nb].hint
-                if other is None:
-                    continue
-                in_order = other < hint if side == "left" else hint < other
-                if not in_order:
-                    raise ValueError(f"ordering violation against {side} neighbor")
-
-        entries[handle] = _Entry(kind, value, owner, hint, after, next_nb, bucket)
+        e = _Entry(kind, value, owner, after, next_nb, bucket)
         if after is not None:
-            entries[after].next = handle
+            after.next = e
         if next_nb is not None:
-            entries[next_nb].prev = handle
-        handles = bucket.handles
-        handles.insert(pos, handle)
+            next_nb.prev = e
+        entries = bucket.entries
+        entries.insert(pos, e)
         summary = bucket.summary
         if kind == ELEMENT:
             self.n_elements += 1
@@ -143,9 +124,9 @@ class NavList:
                 self._refresh_sup_bit(bucket)
         else:
             bucket.summary = _bit_insert(summary, pos, 0)
-        if len(handles) > self.cap:
+        if len(entries) > self.cap:
             self._split_bucket(bucket)
-        return handle
+        return e
 
     def _refresh_sup_bit(self, bucket: _Bucket) -> None:
         sup = bucket.sup
@@ -156,16 +137,15 @@ class NavList:
             sup.summary &= ~(1 << b_pos)
 
     def _split_bucket(self, bucket: _Bucket) -> None:
-        handles = bucket.handles
-        half = len(handles) // 2
+        entries = bucket.entries
+        half = len(entries) // 2
         sup = bucket.sup
         b_pos = sup.buckets.index(bucket)
-        right = _Bucket(sup, handles[half:], bucket.summary >> half)
-        del handles[half:]
+        right = _Bucket(sup, entries[half:], bucket.summary >> half)
+        del entries[half:]
         bucket.summary &= (1 << half) - 1
-        entries = self._entries
-        for h in right.handles:
-            entries[h].bucket = right
+        for e in right.entries:
+            e.bucket = right
         sup.buckets.insert(b_pos + 1, right)
         sup.summary = _bit_insert(sup.summary, b_pos + 1, 0)
         self._refresh_sup_bit(bucket)
@@ -189,30 +169,29 @@ class NavList:
 
     # -- deletion -----------------------------------------------------------
 
-    def delete(self, handle: int) -> None:
-        entries = self._entries
-        e = entries.pop(handle, None)
-        if e is None:
-            raise KeyError(f"invalid handle {handle}")
+    def delete(self, e: _Entry) -> None:
         bucket = e.bucket
-        handles = bucket.handles
-        pos = handles.index(handle)
-        del handles[pos]
+        if bucket is None:
+            raise KeyError("delete of a deleted entry")
+        e.bucket = None
+        entries = bucket.entries
+        pos = entries.index(e)
+        del entries[pos]
         bucket.summary = summary = _bit_remove(bucket.summary, pos)
         if e.kind == ELEMENT:
             self.n_elements -= 1
             if not summary:
                 self._refresh_sup_bit(bucket)
         if e.prev is not None:
-            entries[e.prev].next = e.next
+            e.prev.next = e.next
         if e.next is not None:
-            entries[e.next].prev = e.prev
-        if len(handles) < self.base:
+            e.next.prev = e.prev
+        if len(entries) < self.base:
             self._shrink(bucket)
 
     def _shrink(self, bucket: _Bucket) -> None:
         sup = bucket.sup
-        if not bucket.handles:
+        if not bucket.entries:
             b_pos = sup.buckets.index(bucket)
             sup.buckets.pop(b_pos)
             sup.summary = _bit_remove(sup.summary, b_pos)
@@ -229,13 +208,12 @@ class NavList:
         l_pos = min(b_pos, o_pos)
         left, right = sup.buckets[l_pos], sup.buckets.pop(l_pos + 1)
         sup.summary = _bit_remove(sup.summary, l_pos + 1)
-        entries = self._entries
-        for h in right.handles:
-            entries[h].bucket = left
-        left.summary |= right.summary << len(left.handles)
-        left.handles += right.handles
+        for e in right.entries:
+            e.bucket = left
+        left.summary |= right.summary << len(left.entries)
+        left.entries += right.entries
         self._refresh_sup_bit(left)
-        if len(left.handles) > self.cap:
+        if len(left.entries) > self.cap:
             self._split_bucket(left)
         self._shrink_sup(left.sup)
 
@@ -268,18 +246,17 @@ class NavList:
 
     # -- navigation ----------------------------------------------------------
 
-    def nearest_element_left(self, handle: int) -> int | None:
-        """Nearest element entry at or before `handle` in list order."""
-        e = self._entries[handle]
+    def nearest_element_left(self, e: _Entry) -> _Entry | None:
+        """Nearest element entry at or before `e` in list order."""
         if e.kind == ELEMENT:
-            return handle
+            return e
         bucket = e.bucket
-        pos = bucket.handles.index(handle)
+        pos = bucket.entries.index(e)
         examined = 1
         mask = bucket.summary & ((1 << (pos + 1)) - 1)
         if mask:
             self._note(examined)
-            return bucket.handles[mask.bit_length() - 1]
+            return bucket.entries[mask.bit_length() - 1]
         sup = bucket.sup
         b_pos = sup.buckets.index(bucket)
         examined += 1
@@ -287,30 +264,29 @@ class NavList:
         if smask:
             hit = sup.buckets[smask.bit_length() - 1]
             self._note(examined + 1)
-            return hit.handles[hit.summary.bit_length() - 1]
+            return hit.entries[hit.summary.bit_length() - 1]
         sup = sup.prev
         while sup is not None:
             examined += 1
             if sup.summary:
                 hit = sup.buckets[sup.summary.bit_length() - 1]
                 self._note(examined + 1)
-                return hit.handles[hit.summary.bit_length() - 1]
+                return hit.entries[hit.summary.bit_length() - 1]
             sup = sup.prev
         self._note(examined)
         return None
 
-    def nearest_element_right(self, handle: int) -> int | None:
-        """Nearest element entry at or after `handle` in list order."""
-        e = self._entries[handle]
+    def nearest_element_right(self, e: _Entry) -> _Entry | None:
+        """Nearest element entry at or after `e` in list order."""
         if e.kind == ELEMENT:
-            return handle
+            return e
         bucket = e.bucket
-        pos = bucket.handles.index(handle)
+        pos = bucket.entries.index(e)
         examined = 1
         mask = bucket.summary >> pos
         if mask:
             self._note(examined)
-            return bucket.handles[pos + _lowbit(mask)]
+            return bucket.entries[pos + _lowbit(mask)]
         sup = bucket.sup
         b_pos = sup.buckets.index(bucket)
         examined += 1
@@ -318,14 +294,14 @@ class NavList:
         if smask:
             hit = sup.buckets[b_pos + 1 + _lowbit(smask)]
             self._note(examined + 1)
-            return hit.handles[_lowbit(hit.summary)]
+            return hit.entries[_lowbit(hit.summary)]
         sup = sup.next
         while sup is not None:
             examined += 1
             if sup.summary:
                 hit = sup.buckets[_lowbit(sup.summary)]
                 self._note(examined + 1)
-                return hit.handles[_lowbit(hit.summary)]
+                return hit.entries[_lowbit(hit.summary)]
             sup = sup.next
         self._note(examined)
         return None
@@ -337,52 +313,53 @@ class NavList:
     # -- iteration / audit -----------------------------------------------------
 
     def __iter__(self):
-        """Handles in list order, via the bucket hierarchy."""
+        """Entries in list order, via the bucket hierarchy."""
         sup = self._head
         while sup is not None:
             for bucket in sup.buckets:
-                yield from bucket.handles
+                yield from bucket.entries
             sup = sup.next
 
     def validate(self) -> None:
-        """Cross-check buckets, summaries, links, and size bounds."""
+        """Cross-check buckets, summaries, links, and size bounds; a breach
+        raises AssertionError, also under ``python -O``."""
         order = list(self)
-        chained: list[int] = []
-        h = order[0] if order else None
-        if h is not None:
-            while self._entries[h].prev is not None:
-                h = self._entries[h].prev
-        while h is not None:
-            chained.append(h)
-            h = self._entries[h].next
-        assert chained == order, "linked list disagrees with bucket order"
-        assert len(order) == len(self._entries)
-        assert len(set(order)) == len(order), "handle listed twice"
+        chained: list[_Entry] = []
+        e = order[0] if order else None
+        if e is not None:
+            while e.prev is not None:
+                e = e.prev
+        while e is not None:
+            chained.append(e)
+            e = e.next
+        ensure(chained == order, "linked list disagrees with bucket order")
+        ensure(len(set(order)) == len(order), "entry listed twice")
 
         sups = []
         sup = self._head
         while sup is not None:
-            assert sup.next is None or sup.next.prev is sup, "superbucket links broken"
+            ensure(sup.next is None or sup.next.prev is sup, "superbucket links broken")
             sups.append(sup)
             sup = sup.next
         n_buckets = sum(len(s.buckets) for s in sups)
         n_el = 0
         for sup in sups:
-            assert sup.buckets, "empty superbucket survived"
+            ensure(sup.buckets, "empty superbucket survived")
             if len(sups) > 1:
-                assert self.base <= len(sup.buckets) <= self.cap
+                ensure(self.base <= len(sup.buckets) <= self.cap,
+                       "superbucket size out of bounds")
             for b_pos, bucket in enumerate(sup.buckets):
-                assert bucket.sup is sup
-                assert 1 <= len(bucket.handles) <= self.cap
+                entries = bucket.entries
+                ensure(bucket.sup is sup, "bucket points at another superbucket")
+                ensure(1 <= len(entries) <= self.cap, "bucket size out of bounds")
                 if n_buckets > 1:
-                    assert len(bucket.handles) >= self.base, "undersized bucket with siblings"
-                for pos, handle in enumerate(bucket.handles):
-                    e = self._entries[handle]
-                    assert e.bucket is bucket
-                    bit = (bucket.summary >> pos) & 1
-                    assert bit == (1 if e.kind == ELEMENT else 0)
-                    n_el += bit
-                assert bucket.summary >> len(bucket.handles) == 0
-                assert ((sup.summary >> b_pos) & 1) == (1 if bucket.summary else 0)
-            assert sup.summary >> len(sup.buckets) == 0
-        assert n_el == self.n_elements
+                    ensure(len(entries) >= self.base, "undersized bucket with siblings")
+                ensure(all(e.bucket is bucket for e in entries),
+                       "entry points at another bucket")
+                summary = sum(1 << pos for pos, e in enumerate(entries) if e.kind == ELEMENT)
+                ensure(bucket.summary == summary, "bucket summary word is wrong")
+                n_el += summary.bit_count()
+                ensure(((sup.summary >> b_pos) & 1) == (summary != 0),
+                       "superbucket summary bit is wrong")
+            ensure(sup.summary >> len(sup.buckets) == 0, "superbucket summary too long")
+        ensure(n_el == self.n_elements, "element count is wrong")

@@ -127,8 +127,8 @@ class PredecessorSet:
         # key links, one dict per direction: no container object per key
         self._prev: dict[int, int | None] = {}
         self._next: dict[int, int | None] = {}
-        self._min: int | None = None
-        self._max: int | None = None
+        # a bucket's representative is its first key, so the top's min is
+        # the set's min and its max heads the last bucket
         self._top = _XFastTop(width)
         self._buckets: dict[int, list[int]] = {}
         self._cap = 2 * width
@@ -142,18 +142,19 @@ class PredecessorSet:
         return x in self._next
 
     def __iter__(self):
-        x = self._min
+        x = self._top.min
         while x is not None:
             yield x
             x = self._next[x]
 
     @property
     def min(self) -> int | None:
-        return self._min
+        return self._top.min
 
     @property
     def max(self) -> int | None:
-        return self._max
+        rep = self._top.max
+        return None if rep is None else self._buckets[rep][-1]
 
     def prev_key(self, x: int) -> int | None:
         return self._prev[x]
@@ -169,18 +170,15 @@ class PredecessorSet:
             raise ValueError(f"key {x} does not fit in {self.width} bits")
         if x in self._next:
             return self._prev[x], self._next[x], False
+        first = self._top.min
         prv = self._bucket_insert(x)
-        nxt = self._next[prv] if prv is not None else self._min
+        nxt = self._next[prv] if prv is not None else first
         self._prev[x] = prv
         self._next[x] = nxt
         if prv is not None:
             self._next[prv] = x
         if nxt is not None:
             self._prev[nxt] = x
-        if self._min is None or x < self._min:
-            self._min = x
-        if self._max is None or x > self._max:
-            self._max = x
         return prv, nxt, True
 
     def delete(self, x: int) -> bool:
@@ -193,10 +191,6 @@ class PredecessorSet:
             self._next[prv] = nxt
         if nxt is not None:
             self._prev[nxt] = prv
-        if self._min == x:
-            self._min = nxt
-        if self._max == x:
-            self._max = prv
         return True
 
     # -- counted queries --------------------------------------------------
@@ -213,7 +207,7 @@ class PredecessorSet:
             return x
         p = self._pred_raw(x)
         if p is None:
-            return self._min
+            return self._top.min
         return self._next[p]
 
     # -- internals ---------------------------------------------------------

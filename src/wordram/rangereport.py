@@ -28,11 +28,11 @@ A branching record names each of its two child subtrees by one int: the
 leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``), or the
 order-0 node key of the branching child, whose low ten bits ``d << 3`` are
 never all ones; None marks an empty side of the root.  Navigation-list
-handles live only with their owners: ``leaves[x]`` holds the handle of x's
-element entry, a branching record those of its Open and Close.  The
-predecessor set over augmented-list keys finds where a new entry goes, and
-``_handle_of`` decodes a found key to its owner, so no map from keys to
-handles is kept.
+entries, which are their own handles, live only with their owners:
+``leaves[x]`` holds x's element entry, a branching record its Open and
+Close.  The predecessor set over augmented-list keys finds where a new
+entry goes, and ``_handle_of`` decodes a found key to its owner, so no map
+from keys to entries is kept.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bloomier import BloomierConfig, BloomierFilter
-from .navlist import CLOSE, ELEMENT, OPEN, NavList
+from .navlist import CLOSE, ELEMENT, OPEN, NavList, _Entry
 from .predecessor import PredecessorSet
-from .wordops import NodeName, lca_depth, top_order, trie_depth
+from .wordops import VALID_WIDTHS, NodeName, ensure, lca_depth, top_order, trie_depth
 
 VARIANT_CORE = "core"
 VARIANT_FAST_UPDATE = "5a"
@@ -79,7 +79,7 @@ class RangeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width not in (8, 16, 32, 64):
+        if self.width not in VALID_WIDTHS:
             raise ValueError(f"unsupported width {self.width}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
@@ -182,8 +182,8 @@ class BranchingRecord:
     prefix: int                         # (one object less per node to track)
     ancestor: int | None                # encoded key of the lowest branching ancestor
     desc: tuple                         # (left, right): None, a leaf code or a node key
-    open_h: int = -1
-    close_h: int = -1
+    open_h: _Entry | None = None
+    close_h: _Entry | None = None
 
     @property
     def name(self) -> NodeName:
@@ -223,9 +223,9 @@ class RangeReporter:
         self.pred = PredecessorSet(self.w)
         # augmented-list keys: a (w+2)-bit doubled coordinate over 11 tag bits
         self._sbar_pred = PredecessorSet(self.w + _TAG_BITS + 3)
-        self.nav = NavList(self.w, config.audit)
+        self.nav = NavList(self.w)
         self.table: dict[int, BranchingRecord] = {}
-        self.leaves: dict[int, int] = {}
+        self.leaves: dict[int, _Entry] = {}
         index_cap = 4 * config.capacity * (self.top + 2)
         if config.variant == VARIANT_FAST_QUERY:
             index_cap *= self.B
@@ -281,9 +281,9 @@ class RangeReporter:
 
     # -- augmented-list maintenance ------------------------------------------
 
-    def _handle_of(self, key: int) -> int:
-        """The navigation handle of the entry with augmented-list key `key`,
-        read from the entry's owner.
+    def _handle_of(self, key: int) -> _Entry:
+        """The navigation entry with augmented-list key `key`, read from its
+        owner.
 
         The low 11 bits are 0 for an element; for a parenthesis the rank bit
         tells an Open (depth d below it) from a Close (w - d).  The owner's
@@ -302,17 +302,17 @@ class RangeReporter:
                           | ((self.w - low) << _ORDER_BITS)].close_h
 
     def _sbar_insert(self, key: int, kind: int, value: int | None = None,
-                     owner: int | None = None) -> int:
+                     owner: int | None = None) -> _Entry:
         """Insert an augmented-list entry; the owner of the entry before it
-        must already hold that entry's handle."""
+        must already hold that entry."""
         prev_key, _nxt, fresh = self._sbar_pred.insert(key)
-        assert fresh, "duplicate augmented-list key"
+        if not fresh:
+            raise AssertionError("duplicate augmented-list key")
         if prev_key is None:
-            return self.nav.insert_first(kind, value, owner, hint=key)
-        return self.nav.insert_after(self._handle_of(prev_key), kind, value,
-                                     owner, hint=key)
+            return self.nav.insert_first(kind, value, owner)
+        return self.nav.insert_after(self._handle_of(prev_key), kind, value, owner)
 
-    def _sbar_delete(self, key: int, h: int) -> None:
+    def _sbar_delete(self, key: int, h: _Entry) -> None:
         self._sbar_pred.delete(key)
         self.nav.delete(h)
 
@@ -404,15 +404,14 @@ class RangeReporter:
         # after Open(v), whose record is not in the table yet
         close_h = self._sbar_insert(self._key_close(d_v, v_p), CLOSE, owner=v_key)
         # the innermost enclosing parenthesis pair touches the new pair
-        entry = self.nav.entry
-        left = entry(open_h).prev
-        if left is not None and entry(left).kind == OPEN:
-            a_key = entry(left).owner
+        left = open_h.prev
+        if left is not None and left.kind == OPEN:
+            a_key = left.owner
         else:
-            right = entry(close_h).next
-            assert right is not None and entry(right).kind == CLOSE, \
+            right = close_h.next
+            assert right is not None and right.kind == CLOSE, \
                 "no enclosing parenthesis adjacent to the new pair"
-            a_key = entry(right).owner
+            a_key = right.owner
         a_rec = self.table[a_key]
         a_desc = a_rec.desc
         a_real = a_desc[0] is not None and a_desc[1] is not None
@@ -680,18 +679,14 @@ class RangeReporter:
     def _max_under(self, desc) -> int:
         if (desc & _TAG_MASK) == _TAG_MASK:
             return desc >> _TAG_BITS
-        rec = self.table[desc]
         self._q_nav += 1
-        h = self.nav.nearest_element_left(rec.close_h)
-        return self.nav.entry(h).value
+        return self.nav.nearest_element_left(self.table[desc].close_h).value
 
     def _min_under(self, desc) -> int:
         if (desc & _TAG_MASK) == _TAG_MASK:
             return desc >> _TAG_BITS
-        rec = self.table[desc]
         self._q_nav += 1
-        h = self.nav.nearest_element_right(rec.open_h)
-        return self.nav.entry(h).value
+        return self.nav.nearest_element_right(self.table[desc].open_h).value
 
     def findany(self, a: int, b: int) -> int | None:
         """Some element of S in [a, b], or None exactly when none exists.
@@ -795,26 +790,28 @@ class RangeReporter:
     # -- audit -----------------------------------------------------------------
 
     def check(self) -> None:
-        """Full structural audit against brute-force recomputation."""
-        w = self.w
+        """Full structural audit against brute-force recomputation; a breach
+        raises AssertionError, also under ``python -O``."""
         elems = sorted(self.leaves)
-        assert list(self.pred) == elems, "predecessor set disagrees with leaf table"
+        ensure(list(self.pred) == elems, "predecessor set disagrees with leaf table")
 
         expected = self._expected_records(elems)
-        assert set(self.table) == set(expected), (
-            f"branching table keys differ: extra={set(self.table) - set(expected)} "
-            f"missing={set(expected) - set(self.table)}"
-        )
+        if set(self.table) != set(expected):
+            raise AssertionError(
+                f"branching table keys differ: extra={set(self.table) - set(expected)} "
+                f"missing={set(expected) - set(self.table)}"
+            )
         for key, (anc, d_left, d_right) in expected.items():
             rec = self.table[key]
-            assert rec.ancestor == anc, f"ancestor mismatch at {rec.name}"
-            assert rec.desc[0] == d_left and rec.desc[1] == d_right, (
-                f"descendant mismatch at {rec.name}: {rec.desc} vs {(d_left, d_right)}"
-            )
-            assert self.nav.entry(rec.open_h).kind == OPEN
-            assert self.nav.entry(rec.open_h).owner == key
-            assert self.nav.entry(rec.close_h).kind == CLOSE
-            assert self.nav.entry(rec.close_h).owner == key
+            if rec.ancestor != anc:
+                raise AssertionError(f"ancestor mismatch at {rec.name}")
+            if rec.desc != (d_left, d_right):
+                raise AssertionError(
+                    f"descendant mismatch at {rec.name}: {rec.desc} vs {(d_left, d_right)}"
+                )
+            ensure(rec.open_h.kind == OPEN and rec.open_h.owner == key
+                   and rec.close_h.kind == CLOSE and rec.close_h.owner == key,
+                   "a record's parenthesis entries belong to another node")
 
         self.nav.validate()
         self._check_sequence(elems)
@@ -873,17 +870,14 @@ class RangeReporter:
             expected.append((self._key_open(d, p), OPEN, key))
             expected.append((self._key_close(d, p), CLOSE, key))
         expected.sort()
-        handles = list(self.nav)
-        got = []
-        for h in handles:
-            e = self.nav.entry(h)
-            got.append((e.kind, e.value if e.kind == ELEMENT else e.owner))
-        assert got == [(k, ident) for _, k, ident in expected], "list order mismatch"
+        entries = list(self.nav)
+        got = [(e.kind, e.value if e.kind == ELEMENT else e.owner) for e in entries]
+        ensure(got == [(k, ident) for _, k, ident in expected], "list order mismatch")
         keys = [key for key, _, _ in expected]
-        assert list(self._sbar_pred) == keys, \
-            "augmented-list keys differ from the leaf and branching tables"
-        assert [self._handle_of(key) for key in keys] == handles, \
-            "an owner does not hold its entry's handle"
+        ensure(list(self._sbar_pred) == keys,
+               "augmented-list keys differ from the leaf and branching tables")
+        ensure(all(self._handle_of(key) is e for key, e in zip(keys, entries)),
+               "an owner does not hold its entry")
 
         stack: list[tuple[int, int]] = []  # (owner, elements seen so far)
         run = 0
@@ -893,14 +887,14 @@ class RangeReporter:
                 stack = [(o, c + 1) for o, c in stack]
             else:
                 run += 1
-                assert run <= 2 * self.w, "element-free run exceeds 2w"
+                ensure(run <= 2 * self.w, "element-free run exceeds 2w")
                 if kind == OPEN:
                     stack.append((ident, 0))
                 else:
                     owner, count = stack.pop()
-                    assert owner == ident, "parentheses do not nest"
-                    assert count >= 1, "matched pair encloses no element"
-        assert not stack, "unbalanced parentheses"
+                    ensure(owner == ident, "parentheses do not nest")
+                    ensure(count >= 1, "matched pair encloses no element")
+        ensure(not stack, "unbalanced parentheses")
 
     def _mandated_entries(self, elems: list[int]) -> dict[int, int]:
         """Brute-force mandated index keys and their exact values."""
@@ -963,15 +957,16 @@ class RangeReporter:
     def _check_index(self, elems: list[int]) -> None:
         mandated = self._mandated_entries(elems)
         snap = self.index.snapshot()
-        assert snap == mandated, (
-            f"index mismatch: extra={ {k: v for k, v in snap.items() if k not in mandated} } "
-            f"missing={ {k: v for k, v in mandated.items() if k not in snap} } "
-            f"wrong={ {k: (snap[k], mandated[k]) for k in snap.keys() & mandated.keys() if snap[k] != mandated[k]} }"
-        )
+        if snap != mandated:
+            raise AssertionError(
+                f"index mismatch: extra={ {k: v for k, v in snap.items() if k not in mandated} } "
+                f"missing={ {k: v for k, v in mandated.items() if k not in snap} } "
+                f"wrong={ {k: (snap[k], mandated[k]) for k in snap.keys() & mandated.keys() if snap[k] != mandated[k]} }"
+            )
         if self.config.backend == BACKEND_BLOOMIER:
-            for key, value in mandated.items():
-                assert self.index._filter.lookup(key) == value + 1, \
-                    "filter disagrees on a mandated key"
+            lookup = self.index._filter.lookup
+            ensure(all(lookup(key) == value + 1 for key, value in mandated.items()),
+                   "filter disagrees on a mandated key")
 
     def space_bits(self) -> int:
         return self.index.space_bits()

@@ -12,24 +12,16 @@ the binary trie has depth ``width``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 VALID_WIDTHS = (8, 16, 32, 64)
 
 
-@dataclass(frozen=True)
-class WordParams:
-    """Key width and its exact base-2 logarithm."""
-
-    width: int
-    log_width: int
-
-    @classmethod
-    def from_width(cls, width: int) -> "WordParams":
-        if width not in VALID_WIDTHS:
-            raise ValueError(f"width must be one of {VALID_WIDTHS}, got {width}")
-        return cls(width, width.bit_length() - 1)
+def ensure(ok: bool, message: str) -> None:
+    """Raise AssertionError(message) unless ok: an audit check that, unlike
+    ``assert``, still runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
 
 
 class NodeName(NamedTuple):

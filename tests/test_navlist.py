@@ -17,7 +17,7 @@ def naive_nearest(mirror, idx, want_kind, direction):
 
 def fuzz(width: int, ops: int, seed: int, element_bias: float = 0.34) -> NavList:
     rng = random.Random(seed)
-    nl = NavList(width, audit=True)
+    nl = NavList(width)
     mirror: list[tuple[int, int]] = []
     for step in range(ops):
         if not mirror or rng.random() < 0.6:
@@ -53,7 +53,7 @@ def test_merge_of_full_neighbor_keeps_order(width):
     # deleting down to an undersized bucket next to a full one makes the
     # merged bucket transiently larger than the split threshold; the packed
     # permutation must still address every slot (regression: w=32 overflow)
-    nl = NavList(width, audit=True)
+    nl = NavList(width)
     handles = []
     last = None
     for i in range(6 * nl.cap):
@@ -96,12 +96,18 @@ def test_delete_sole_entry_empties_structure():
 
 
 def test_invalid_handles():
+    # a deleted entry is a stale handle: using it raises, and leaves the
+    # structure as it was
     nl = NavList(8)
-    with pytest.raises(KeyError):
-        nl.delete(99)
     h = nl.insert_first(OPEN)
+    stale = nl.insert_after(h, ELEMENT, value=1)
+    nl.delete(stale)
     with pytest.raises(KeyError):
-        nl.insert_after(h + 100, ELEMENT)
+        nl.delete(stale)
+    with pytest.raises(KeyError):
+        nl.insert_after(stale, ELEMENT)
+    nl.validate()
+    assert list(nl) == [h]
 
 
 def test_bounded_examination_with_short_runs(width=64):

@@ -33,6 +33,7 @@ def replay(width: int, ops: int, seed: int) -> None:
             assert ps.pred(q) == (ref[i - 1] if i else None)
             j = bisect_left(ref, q)
             assert ps.succ(q) == (ref[j] if j < len(ref) else None)
+        assert (ps.min, ps.max) == ((ref[0], ref[-1]) if ref else (None, None))
     assert list(ps) == ref
 
 

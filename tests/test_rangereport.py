@@ -1,6 +1,10 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left, insort
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from wordram.rangereport import (
     RangeConfig,
     RangeReporter,
 )
-from wordram.wordops import top_order
+from wordram.wordops import VALID_WIDTHS, top_order
 
 
 def make(width=8, branch=2, variant="core", backend=BACKEND_EXACT, audit=True,
@@ -95,8 +99,7 @@ def test_two_keys_build_one_branching_node():
     key = rr._enc0(5, 10 >> 3)
     rec = rr.table[key]
     assert rec.name.depth == 5
-    left = rr.nav.entry(rec.open_h)
-    inner = rr.nav.entry(left.next)
+    inner = rec.open_h.next
     assert inner.kind == 1 and inner.value == 10
     assert rr.findany(9, 11) == 10
     assert rr.findany(11, 13) == 12
@@ -162,7 +165,9 @@ def test_delete_undoes_insert(variant, branch, backend):
             x = rng.randrange(1 << 16)
             if x in rr:
                 continue
-            snapshot, table, dump = rr.index.snapshot(), copy.deepcopy(rr.table), rr.dump()
+            # records are copied one by one: their entries compare by identity
+            table = {key: copy.copy(rec) for key, rec in rr.table.items()}
+            snapshot, dump = rr.index.snapshot(), rr.dump()
             before = rr.index.writes
             rr.insert(x)
             inserted = rr.index.writes
@@ -270,17 +275,6 @@ def test_dump_format():
     assert any(line.startswith("5/00001 ") for line in lines)
     assert all(" anc=" in line and " left=" in line and " right=" in line
                for line in lines)
-
-
-def test_navlist_ordering_violation_detected_in_audit():
-    import pytest as _pytest
-
-    rr = make(seed=14)
-    rr.insert(40)
-    rr.insert(90)
-    first = next(iter(rr.nav))
-    with _pytest.raises(ValueError, match="ordering violation"):
-        rr.nav.insert_after(first, 1, value=7, hint=1 << 60)
 
 
 def test_query_instrumentation_budgets_w64():
@@ -424,6 +418,14 @@ def test_config_validation():
         RangeConfig(width=8, capacity=0)
 
 
+def test_config_rejects_bad_widths():
+    for width in VALID_WIDTHS:
+        assert RangeConfig(width=width).width == width
+    for bad in (7, 12, 128, 0):
+        with pytest.raises(ValueError):
+            RangeConfig(width=bad)
+
+
 def test_universe_boundary_keys():
     for width in (8, 64):
         rr = make(width=width, audit=True)
@@ -455,6 +457,41 @@ def test_index_discipline_asserts_on_misuse():
         rr.index.set(absent, 3)
 
 
+_CORRUPT_AND_CHECK = """
+from wordram.rangereport import RangeConfig, RangeReporter
+
+def wipe_index(rr):
+    rr.index._store.clear()
+
+def misdirect_leaf(rr):
+    rr.leaves[3] = rr.leaves[100]
+
+print("debug", __debug__)
+for corrupt in (wipe_index, misdirect_leaf):
+    rr = RangeReporter(RangeConfig(width=8, audit=True))
+    for x in (3, 100, 200):
+        rr.insert(x)
+    corrupt(rr)
+    try:
+        rr.check()
+    except AssertionError:
+        print(corrupt.__name__, "caught")
+    else:
+        print(corrupt.__name__, "missed")
+"""
+
+
+def test_audit_raises_under_python_O():
+    # the audit must not rest on assert statements, which -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_AND_CHECK],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["debug False", "wipe_index caught", "misdirect_leaf caught"]
+
+
 def test_index_discipline_checked_by_the_audit_mirror():
     rr = make(backend=BACKEND_BLOOMIER)
     rr.insert(9)
@@ -478,9 +515,10 @@ def test_sbar_keys_read_back_through_owners(variant, branch, backend):
 
     def assert_read_back():
         keys = list(rr._sbar_pred)
-        assert len(keys) == len(rr.nav) == len(rr) + 2 * len(rr.table)
-        for key in keys:
-            assert rr.nav.entry(rr._handle_of(key)).hint == key
+        entries = list(rr.nav)
+        assert len(keys) == len(entries) == len(rr) + 2 * len(rr.table)
+        for key, e in zip(keys, entries):
+            assert rr._handle_of(key) is e
 
     # keys below 2**15 leave the root one-sided, so `high` diverges at the
     # root itself, both when it goes in and when it comes out

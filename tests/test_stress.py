@@ -47,7 +47,7 @@ def test_predecessor_hundred_thousand_ops(width):
 
 def test_navlist_hundred_thousand_insertions():
     rng = random.Random(77)
-    nl = NavList(64, audit=False)
+    nl = NavList(64)
     mirror: list[int] = []
     kinds: list[int] = []
     for step in range(100_000):
@@ -78,7 +78,7 @@ def test_navlist_hundred_thousand_insertions():
 
 def test_navlist_heavy_churn_with_deletes():
     rng = random.Random(78)
-    nl = NavList(8, audit=True)
+    nl = NavList(8)
     mirror: list[int] = []
     for step in range(40_000):
         if not mirror or rng.random() < 0.55:

@@ -2,21 +2,12 @@ import pytest
 
 from wordram.wordops import (
     NodeName,
-    WordParams,
     lca_depth,
     map_node,
     msb,
     top_order,
     trie_depth,
 )
-
-
-def test_word_params():
-    wp = WordParams.from_width(64)
-    assert wp.width == 64 and wp.log_width == 6
-    for bad in (7, 12, 128, 0):
-        with pytest.raises(ValueError):
-            WordParams.from_width(bad)
 
 
 def test_msb_examples():
