@@ -7,9 +7,10 @@ expected; bucket splits and merges keep top updates rare.  An update whose
 key falls inside the bucket the previous update touched skips the top
 search: the keys of one range-reporting update sit close.
 
-Every instance also threads all keys into a doubly linked list in
-increasing order; neighbor links are exposed separately from (and cheaper
-than) counted predecessor queries.
+The buckets are the only ordered copy of the keys.  An update returns the
+key's neighbors from its bucket position; at a bucket edge the neighbor is
+in the adjacent bucket, found through the top's links between
+representatives.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ class _XFastTop:
         self._link: dict[int, list[int | None]] = {}
         self.min: int | None = None
         self.max: int | None = None
-
-    def __len__(self) -> int:
-        return len(self._link)
-
-    def __contains__(self, rep: int) -> bool:
-        return rep in self._link
 
     def insert(self, rep: int) -> None:
         p = self.pred(rep)
@@ -85,6 +80,9 @@ class _XFastTop:
         if self.max == rep:
             self.max = prv
 
+    def prev_of(self, rep: int) -> int | None:
+        return self._link[rep][0]
+
     def next_of(self, rep: int) -> int | None:
         return self._link[rep][1]
 
@@ -116,17 +114,15 @@ class _XFastTop:
 
 
 class PredecessorSet:
-    """Ordered integer set with predecessor/successor queries and key links.
+    """Ordered integer set with predecessor/successor queries.
 
-    pred/succ increment an instrumentation counter; neighbor links do not.
+    pred/succ increment an instrumentation counter; the neighbors that
+    insert and delete return do not.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.query_count = 0
-        # key links, one dict per direction: no container object per key
-        self._prev: dict[int, int | None] = {}
-        self._next: dict[int, int | None] = {}
         # a bucket's representative is its first key, so the top's min is
         # the set's min and its max heads the last bucket
         self._top = _XFastTop(width)
@@ -135,17 +131,12 @@ class PredecessorSet:
         # the bucket the last update touched; a live bucket or empty
         self._finger: list[int] = []
 
-    def __len__(self) -> int:
-        return len(self._next)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._next
-
     def __iter__(self):
-        x = self._top.min
-        while x is not None:
-            yield x
-            x = self._next[x]
+        top = self._top
+        rep = top.min
+        while rep is not None:
+            yield from self._buckets[rep]
+            rep = top.next_of(rep)
 
     @property
     def min(self) -> int | None:
@@ -156,84 +147,22 @@ class PredecessorSet:
         rep = self._top.max
         return None if rep is None else self._buckets[rep][-1]
 
-    def prev_key(self, x: int) -> int | None:
-        return self._prev[x]
-
-    def next_key(self, x: int) -> int | None:
-        return self._next[x]
-
     # -- updates ---------------------------------------------------------
 
     def insert(self, x: int) -> tuple[int | None, int | None, bool]:
         """Add x; returns (predecessor, successor, was_new)."""
         if x >> self.width:
             raise ValueError(f"key {x} does not fit in {self.width} bits")
-        if x in self._next:
-            return self._prev[x], self._next[x], False
-        first = self._top.min
-        prv = self._bucket_insert(x)
-        nxt = self._next[prv] if prv is not None else first
-        self._prev[x] = prv
-        self._next[x] = nxt
-        if prv is not None:
-            self._next[prv] = x
-        if nxt is not None:
-            self._prev[nxt] = x
-        return prv, nxt, True
-
-    def delete(self, x: int) -> bool:
-        if x not in self._next:
-            return False
-        self._bucket_delete(x)
-        prv = self._prev.pop(x)
-        nxt = self._next.pop(x)
-        if prv is not None:
-            self._next[prv] = nxt
-        if nxt is not None:
-            self._prev[nxt] = prv
-        return True
-
-    # -- counted queries --------------------------------------------------
-
-    def pred(self, x: int) -> int | None:
-        """Largest key <= x."""
-        self.query_count += 1
-        return self._pred_raw(x)
-
-    def succ(self, x: int) -> int | None:
-        """Smallest key >= x."""
-        self.query_count += 1
-        if x in self._next:
-            return x
-        p = self._pred_raw(x)
-        if p is None:
-            return self._top.min
-        return self._next[p]
-
-    # -- internals ---------------------------------------------------------
-
-    def _pred_raw(self, x: int) -> int | None:
-        rep = self._top.pred(x)
-        if rep is None:
-            return None
-        bucket = self._buckets[rep]
-        return bucket[bisect_right(bucket, x) - 1]
-
-    def _bucket_insert(self, x: int) -> int | None:
-        """Put the new key x in its bucket; returns its predecessor."""
+        top = self._top
         bucket = self._finger
-        if bucket and bucket[0] < x < bucket[-1]:
-            i = bisect_right(bucket, x)
-        else:
-            top = self._top
+        if not (bucket and bucket[0] < x < bucket[-1]):
             rep = top.pred(x)
             if rep is not None:
                 bucket = self._buckets[rep]
-                i = bisect_right(bucket, x)
             elif top.min is None:
                 self._buckets[x] = self._finger = [x]
                 top.insert(x)
-                return None
+                return None, None, True
             else:
                 # new global minimum joins (and re-labels) the first bucket
                 rep = top.min
@@ -241,13 +170,91 @@ class PredecessorSet:
                 top.delete(rep)
                 top.insert(x)
                 self._buckets[x] = bucket
-                i = 0
+        # x's predecessor, if any, is in this bucket
+        i = bisect_left(bucket, x)
+        if i < len(bucket) and bucket[i] == x:
+            prv, nxt = self._neighbors(bucket, i)
+            return prv, nxt, False
         prv = bucket[i - 1] if i else None
+        nxt = bucket[i] if i < len(bucket) else top.next_of(bucket[0])
         bucket.insert(i, x)
         self._finger = bucket
         if len(bucket) > self._cap:
             self._split(bucket)
-        return prv
+        return prv, nxt, True
+
+    def delete(self, x: int) -> tuple[int | None, int | None, bool]:
+        """Remove x; returns (predecessor, successor, was_present)."""
+        top = self._top
+        bucket = self._finger
+        if bucket and bucket[0] <= x <= bucket[-1]:
+            rep = bucket[0]
+        else:
+            rep = top.pred(x)
+            if rep is None:
+                return None, None, False
+            bucket = self._buckets[rep]
+        i = bisect_left(bucket, x)
+        if i == len(bucket) or bucket[i] != x:
+            return None, None, False
+        prv, nxt = self._neighbors(bucket, i)
+        del bucket[i]
+        self._finger = bucket
+        if not bucket:
+            del self._buckets[rep]
+            top.delete(rep)
+        else:
+            if x == rep:
+                del self._buckets[rep]
+                top.delete(rep)
+                rep = bucket[0]
+                self._buckets[rep] = bucket
+                top.insert(rep)
+            if len(bucket) < self.width // 2:
+                nxt_rep = top.next_of(rep)
+                if nxt_rep is not None:
+                    # merge in place, so the finger stays on a live bucket
+                    bucket += self._buckets.pop(nxt_rep)
+                    top.delete(nxt_rep)
+                    if len(bucket) > self._cap:
+                        self._split(bucket)
+        return prv, nxt, True
+
+    # -- counted queries --------------------------------------------------
+
+    def pred(self, x: int) -> int | None:
+        """Largest key <= x."""
+        self.query_count += 1
+        rep = self._top.pred(x)
+        if rep is None:
+            return None
+        bucket = self._buckets[rep]
+        return bucket[bisect_right(bucket, x) - 1]
+
+    def succ(self, x: int) -> int | None:
+        """Smallest key >= x."""
+        self.query_count += 1
+        top = self._top
+        rep = top.pred(x)
+        if rep is None:
+            return top.min
+        bucket = self._buckets[rep]
+        i = bisect_left(bucket, x)
+        return bucket[i] if i < len(bucket) else top.next_of(rep)
+
+    # -- internals ---------------------------------------------------------
+
+    def _neighbors(self, bucket: list[int], i: int) -> tuple[int | None, int | None]:
+        """The keys before and after bucket[i]; at a bucket edge they are the
+        last key of the previous bucket and the next bucket's representative."""
+        top = self._top
+        if i:
+            prv = bucket[i - 1]
+        else:
+            prev_rep = top.prev_of(bucket[0])
+            prv = None if prev_rep is None else self._buckets[prev_rep][-1]
+        nxt = bucket[i + 1] if i + 1 < len(bucket) else top.next_of(bucket[0])
+        return prv, nxt
 
     def _split(self, bucket: list[int]) -> None:
         half = len(bucket) // 2
@@ -255,32 +262,3 @@ class PredecessorSet:
         del bucket[half:]
         self._buckets[right[0]] = right
         self._top.insert(right[0])
-
-    def _bucket_delete(self, x: int) -> None:
-        top = self._top
-        bucket = self._finger
-        if bucket and bucket[0] <= x <= bucket[-1]:
-            rep = bucket[0]
-        else:
-            rep = top.pred(x)
-            bucket = self._buckets[rep]
-        bucket.pop(bisect_left(bucket, x))
-        self._finger = bucket
-        if not bucket:
-            del self._buckets[rep]
-            top.delete(rep)
-            return
-        if x == rep:
-            del self._buckets[rep]
-            top.delete(rep)
-            rep = bucket[0]
-            self._buckets[rep] = bucket
-            top.insert(rep)
-        if len(bucket) < self.width // 2:
-            nxt = top.next_of(rep)
-            if nxt is not None:
-                # merge in place, so the finger stays on a live bucket
-                bucket += self._buckets.pop(nxt)
-                top.delete(nxt)
-                if len(bucket) > self._cap:
-                    self._split(bucket)

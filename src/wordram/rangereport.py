@@ -9,13 +9,17 @@ branching node, then resolve the lowest branching ancestor through a
 compressed-pointer index and verify every candidate against the branching
 table before trusting it.  The index may be backed by an exact dictionary
 or by a Bloomier filter; arbitrary answers for unstored keys are harmless
-because of the verification step.
+because of the verification step.  ``report(a, b)`` seeds from findany and
+walks the navigation list's element entries outward from the seed's entry,
+each step examining a bounded number of buckets, so it too touches no
+predecessor structure.
 
-An update is one predecessor update plus O(top) index writes that follow
-one rule.  Per trie order, entries are mandated for every branching node
-and (depending on the variant) for active children of branching nodes or
-for active nodes with a branching ancestor inside their natural depth-B
-subtree; each holds the depth of its lowest branching ancestor.  A key x
+An update is one predecessor update, which also returns the key's
+neighbors in S, plus O(top) index writes that follow one rule.  Per trie
+order, entries are mandated for every branching node and (depending on
+the variant) for active children of branching nodes or for active nodes
+with a branching ancestor inside their natural depth-B subtree; each
+holds the depth of its lowest branching ancestor.  A key x
 with neighbor-LCA v, whose lowest branching ancestor is a, changes three
 sets of entries: keys absent without x that hold a's depth with it (the
 order-k node that x makes branching), keys absent without x that hold v's
@@ -390,7 +394,8 @@ class RangeReporter:
             root = self.table[self._root_key]
             x_side = x >> (w - 1)
             y_tag = root.desc[1 - x_side]
-            assert root.desc[x_side] is None and y_tag is not None
+            if root.desc[x_side] is not None or y_tag is None:
+                raise AssertionError("a root-level divergence needs one empty root side")
             root.desc = _replace_side(root.desc, x_side, self._leaf_code(x))
             self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
             self._index_insert(x, nbr, 0, y_tag, a_depth=0, a_real=False)
@@ -409,8 +414,8 @@ class RangeReporter:
             a_key = left.owner
         else:
             right = close_h.next
-            assert right is not None and right.kind == CLOSE, \
-                "no enclosing parenthesis adjacent to the new pair"
+            if right is None or right.kind != CLOSE:
+                raise AssertionError("no enclosing parenthesis adjacent to the new pair")
             a_key = right.owner
         a_rec = self.table[a_key]
         a_desc = a_rec.desc
@@ -418,7 +423,8 @@ class RangeReporter:
         a_depth = a_rec.depth
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
         y_tag = a_desc[side_a]
-        assert y_tag is not None
+        if y_tag is None:
+            raise AssertionError("the new branching node's ancestor has an empty side")
 
         rec = BranchingRecord(d_v, v_p, a_key,
                               _replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
@@ -517,8 +523,7 @@ class RangeReporter:
         if x not in self.leaves:
             return False
         writes_before = self.index.writes
-        prev = self.pred.prev_key(x)
-        nxt = self.pred.next_key(x)
+        prev, nxt, _ = self.pred.delete(x)
         if prev is None and nxt is None:
             self._delete_last(x)
         else:
@@ -539,7 +544,6 @@ class RangeReporter:
         self._sbar_delete(self._key_element(x), self.leaves.pop(x))
         self._sbar_delete(self._key_open(0, 0), root.open_h)
         self._sbar_delete(self._key_close(0, 0), root.close_h)
-        self.pred.delete(x)
 
     def _delete_nonlast(self, x: int, prev: int | None, nxt: int | None) -> None:
         w = self.w
@@ -548,11 +552,11 @@ class RangeReporter:
         if d_v == 0:
             root = self.table[self._root_key]
             x_side = x >> (w - 1)
-            assert root.desc[x_side] == self._leaf_code(x)
+            if root.desc[x_side] != self._leaf_code(x):
+                raise AssertionError("the root's descendant on x's side is not x")
             root.desc = _replace_side(root.desc, x_side, None)
             y_tag = root.desc[1 - x_side]
             self._sbar_delete(self._key_element(x), self.leaves.pop(x))
-            self.pred.delete(x)
             self._index_delete(x, nbr, 0, y_tag, a_depth=0, a_real=False)
             return
 
@@ -560,21 +564,22 @@ class RangeReporter:
         v_key = self._enc0(d_v, v_p)
         rec = self.table.pop(v_key)
         x_side = (x >> (w - d_v - 1)) & 1
-        assert rec.desc[x_side] == self._leaf_code(x)
+        if rec.desc[x_side] != self._leaf_code(x):
+            raise AssertionError("v's descendant on x's side is not x")
         y_tag = rec.desc[1 - x_side]
         a_key = rec.ancestor
         a_rec = self.table[a_key]
         a_desc = a_rec.desc
         a_depth = a_rec.depth
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
-        assert a_desc[side_a] == v_key
+        if a_desc[side_a] != v_key:
+            raise AssertionError("v's ancestor does not name v as its descendant")
         a_rec.desc = a_desc = _replace_side(a_desc, side_a, y_tag)
         if (y_tag & _TAG_MASK) != _TAG_MASK:
             self.table[y_tag].ancestor = a_key
         self._sbar_delete(self._key_open(d_v, v_p), rec.open_h)
         self._sbar_delete(self._key_close(d_v, v_p), rec.close_h)
         self._sbar_delete(self._key_element(x), self.leaves.pop(x))
-        self.pred.delete(x)
         a_real = a_desc[0] is not None and a_desc[1] is not None
         self._index_delete(x, nbr, d_v, y_tag, a_depth, a_real)
 
@@ -762,30 +767,33 @@ class RangeReporter:
     def report(self, a: int, b: int):
         """All elements of S in [a, b] in increasing order.
 
-        Seeds from findany, then walks the sorted key links in both
-        directions.  The structure must not be mutated while iterating.
+        Seeds from findany, then walks the navigation list's element entries
+        in both directions from the seed's entry; each step examines a
+        bounded number of buckets and touches no predecessor structure.  The
+        structure must not be mutated while iterating.
         """
         seed = self.findany(a, b)
         if seed is None:
             return
+        nav = self.nav
+        start = self.leaves[seed]
         left = []
-        cur = seed
-        while True:
-            p = self.pred.prev_key(cur)
-            if p is None or p < a:
+        e = start.prev
+        while e is not None:
+            e = nav.nearest_element_left(e)
+            if e is None or e.value < a:
                 break
-            left.append(p)
-            cur = p
-        for k in reversed(left):
-            yield k
+            left.append(e.value)
+            e = e.prev
+        yield from reversed(left)
         yield seed
-        cur = seed
-        while True:
-            n = self.pred.next_key(cur)
-            if n is None or n > b:
+        e = start.next
+        while e is not None:
+            e = nav.nearest_element_right(e)
+            if e is None or e.value > b:
                 break
-            yield n
-            cur = n
+            yield e.value
+            e = e.next
 
     # -- audit -----------------------------------------------------------------
 

@@ -6,6 +6,11 @@ import pytest
 from wordram.predecessor import PredecessorSet
 
 
+def delete_answer(ref: list[int], i: int) -> tuple[int | None, int | None, bool]:
+    """What deleting ref[i] returns: its neighbors in ref, and True."""
+    return (ref[i - 1] if i else None, ref[i + 1] if i + 1 < len(ref) else None, True)
+
+
 def replay(width: int, ops: int, seed: int) -> None:
     ps = PredecessorSet(width)
     ref: list[int] = []
@@ -16,23 +21,26 @@ def replay(width: int, ops: int, seed: int) -> None:
         if roll < 0.5 or not ref:
             x = rng.randrange(universe)
             prev, nxt, fresh = ps.insert(x)
+            i = bisect_left(ref, x)
             if fresh:
-                i = bisect_left(ref, x)
                 assert prev == (ref[i - 1] if i else None)
                 assert nxt == (ref[i] if i < len(ref) else None)
                 ref.insert(i, x)
             else:
-                assert x in ref
+                # a duplicate insert reports x's neighbors as they stand
+                assert ref[i] == x and (prev, nxt) == delete_answer(ref, i)[:2]
         elif roll < 0.75:
-            x = ref[rng.randrange(len(ref))]
-            assert ps.delete(x)
-            ref.pop(bisect_left(ref, x))
+            i = rng.randrange(len(ref))
+            assert ps.delete(ref[i]) == delete_answer(ref, i)
+            ref.pop(i)
         else:
             q = rng.randrange(universe)
             i = bisect_right(ref, q)
             assert ps.pred(q) == (ref[i - 1] if i else None)
             j = bisect_left(ref, q)
             assert ps.succ(q) == (ref[j] if j < len(ref) else None)
+            if i == j:
+                assert ps.delete(q) == (None, None, False)
         assert (ps.min, ps.max) == ((ref[0], ref[-1]) if ref else (None, None))
     assert list(ps) == ref
 
@@ -54,22 +62,46 @@ def test_dense_small_universe():
             ps.insert(x)
             ref.add(x)
         elif ref:
-            victim = rng.choice(sorted(ref))
-            assert ps.delete(victim)
-            ref.discard(victim)
+            keys = sorted(ref)
+            i = rng.randrange(len(keys))
+            assert ps.delete(keys[i]) == delete_answer(keys, i)
+            ref.discard(keys[i])
+            assert ps.delete(keys[i]) == (None, None, False)
     assert list(ps) == sorted(ref)
 
 
 def test_neighbor_links_and_bounds():
+    # the neighbors that insert and delete return
     ps = PredecessorSet(16)
-    for x in (5, 9, 300, 2, 77):
-        ps.insert(x)
+    assert [ps.insert(x) for x in (5, 9, 300, 2, 77)] == [
+        (None, None, True), (5, None, True), (9, None, True), (None, 5, True),
+        (9, 300, True)]
     assert ps.min == 2 and ps.max == 300
-    assert ps.next_key(5) == 9 and ps.prev_key(5) == 2
-    assert ps.prev_key(2) is None and ps.next_key(300) is None
-    assert not ps.delete(4)
-    assert ps.delete(9)
-    assert ps.next_key(5) == 77
+    assert ps.delete(4) == (None, None, False)
+    assert ps.delete(9) == (5, 77, True)
+    assert ps.delete(2) == (None, 5, True)
+    assert ps.delete(300) == (77, None, True)
+    assert (ps.min, ps.max) == (5, 77)
+
+    # at w=8 buckets split past 16 keys, so 40 keys fill several; a key at
+    # a bucket edge has its other neighbor in the adjacent bucket
+    ps = PredecessorSet(8)
+    ref = list(range(0, 200, 5))
+    for x in ref:
+        ps.insert(x)
+    reps = sorted(ps._buckets)
+    assert len(reps) > 2
+    r = reps[1]
+    last = ps._buckets[reps[0]][-1]
+    assert ps.insert(r - 1) == (last, r, True)  # the first bucket's new last key
+    insort(ref, r - 1)
+    i = ref.index(r)
+    assert ps.delete(r) == delete_answer(ref, i)  # a bucket's first key
+    ref.pop(i)
+    i = ref.index(r - 1)
+    assert ps.delete(r - 1) == delete_answer(ref, i)  # the last key before an edge
+    ref.pop(i)
+    assert list(ps) == ref
 
 
 def test_duplicate_insert_flag():
@@ -87,7 +119,10 @@ def test_query_counter_counts_only_queries():
     ps.pred(5)
     ps.succ(5)
     assert ps.query_count == 2
-    ps.prev_key(7), ps.next_key(1)
+    ps.insert(3)
+    ps.insert(3)
+    ps.delete(7)
+    ps.delete(4)
     assert ps.query_count == 2
 
 
@@ -121,9 +156,9 @@ def test_clustered_updates_against_sorted_list(width):
                     ref.insert(i, x)
         else:
             j = rng.randrange(len(ref))
-            for x in ref[j:j + 3]:
-                assert ps.delete(x)
-            del ref[j:j + 3]
+            for _ in range(min(3, len(ref) - j)):
+                assert ps.delete(ref[j]) == delete_answer(ref, j)
+                del ref[j]
         q = rng.randrange(universe)
         i = bisect_right(ref, q)
         assert ps.pred(q) == (ref[i - 1] if i else None)

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from pathlib import Path
 
 import pytest
@@ -133,6 +133,41 @@ def test_report_examples():
     assert list(rr.report(4, 9)) == [5, 9]
     assert list(rr.report(0, 255)) == [3, 5, 9]
     assert list(rr.report(6, 8)) == []
+
+
+def report_intervals(shadow, rng, n):
+    """Random intervals, and intervals whose ends sit on keys or next to
+    them, each end on its own key, with sub-intervals short and long."""
+    universe_max = (1 << 64) - 1
+    out = []
+    for _ in range(n):
+        a, b = sorted((rng.getrandbits(64), rng.getrandbits(64)))
+        out.append((a, b))
+        i = rng.randrange(len(shadow))
+        j = min(len(shadow) - 1, i + rng.choice((0, 1, 2, 30, 500)))
+        lo, hi = shadow[i], shadow[j]
+        for da, db in ((0, 0), (1, -1), (-1, 1), (1, 0), (0, 1)):
+            a, b = max(lo + da, 0), min(hi + db, universe_max)
+            if a <= b:
+                out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8), ("5b", 4)])
+def test_report_walks_many_superbuckets_w64(variant, branch):
+    rng = random.Random(41)
+    rr = make(width=64, variant=variant, branch=branch, audit=False, capacity=4096, seed=4)
+    keys = {rng.getrandbits(64) for _ in range(3000)}
+    for x in keys:
+        rr.insert(x)
+    # deletes leave parentheses whose element runs thinned out
+    for x in rng.sample(sorted(keys), 900):
+        rr.delete(x)
+        keys.discard(x)
+    shadow = sorted(keys)
+    assert len(shadow) >= 2000
+    for a, b in report_intervals(shadow, rng, 60):
+        assert list(rr.report(a, b)) == shadow[bisect_left(shadow, a):bisect_right(shadow, b)]
 
 
 @pytest.mark.parametrize("a,b", [(5, 300), (0, 256), (-1, 5), (300, 400), (-5, -1)])
@@ -329,6 +364,8 @@ def test_findany_never_touches_predecessor_structures():
         if a > b:
             a, b = b, a
         rr.findany(a, b)
+        for _ in rr.report(a, b):
+            pass
     assert rr.pred.query_count + rr._sbar_pred.query_count == before
 
 
@@ -462,18 +499,26 @@ from wordram.rangereport import RangeConfig, RangeReporter
 
 def wipe_index(rr):
     rr.index._store.clear()
+    rr.check()
 
 def misdirect_leaf(rr):
     rr.leaves[3] = rr.leaves[100]
+    rr.check()
+
+def swap_desc(rr):
+    # LCA(3, 100), at depth 1, names its leaves the wrong way round; with
+    # no audit, only the delete's own descendant check can see it
+    rec = rr.table[rr._enc0(1, 0)]
+    rec.desc = rec.desc[::-1]
+    rr.delete(100)
 
 print("debug", __debug__)
-for corrupt in (wipe_index, misdirect_leaf):
-    rr = RangeReporter(RangeConfig(width=8, audit=True))
+for corrupt in (wipe_index, misdirect_leaf, swap_desc):
+    rr = RangeReporter(RangeConfig(width=8))
     for x in (3, 100, 200):
         rr.insert(x)
-    corrupt(rr)
     try:
-        rr.check()
+        corrupt(rr)
     except AssertionError:
         print(corrupt.__name__, "caught")
     else:
@@ -489,7 +534,8 @@ def test_audit_raises_under_python_O():
         [sys.executable, "-O", "-c", _CORRUPT_AND_CHECK],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines() == ["debug False", "wipe_index caught", "misdirect_leaf caught"]
+    assert out.splitlines() == ["debug False", "wipe_index caught", "misdirect_leaf caught",
+                                "swap_desc caught"]
 
 
 def test_index_discipline_checked_by_the_audit_mirror():

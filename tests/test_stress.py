@@ -35,9 +35,10 @@ def test_predecessor_hundred_thousand_ops(width):
                 assert nxt == (ref[i] if i < len(ref) else None)
                 ref.insert(i, x)
         elif roll < 0.7:
-            x = ref[rng.randrange(len(ref))]
-            assert ps.delete(x)
-            ref.pop(bisect_left(ref, x))
+            i = rng.randrange(len(ref))
+            assert ps.delete(ref[i]) == (ref[i - 1] if i else None,
+                                         ref[i + 1] if i + 1 < len(ref) else None, True)
+            ref.pop(i)
         else:
             q = rng.randrange(universe)
             i = bisect_left(ref, q + 1)
