@@ -64,34 +64,29 @@ class BloomierFilter:
         self._mult, self._add, self._mask, self._shift = self._hash.terms()
         self._exact: dict[int, int] = {}   # colliding keys, stored verbatim
         self._hashed: dict[int, int] = {}  # hash image -> value
-        self._count = 0
 
     @property
     def live_count(self) -> int:
-        return self._count
+        return len(self._exact) + len(self._hashed)
 
     def insert(self, key: int, value: int) -> None:
         if value == 0:
             raise ValueError("value 0 means absent; use delete")
         if value >> self.config.value_bits:
             raise ValueError(f"value {value} exceeds {self.config.value_bits} bits")
-        if self._count >= self.config.max_items:
+        if len(self._exact) + len(self._hashed) >= self.config.max_items:
             raise ValueError("capacity exceeded")
         hk = ((self._mult * key + self._add) & self._mask) >> self._shift
         if hk in self._hashed:
             self._exact[key] = value
         else:
             self._hashed[hk] = value
-        self._count += 1
 
     def delete(self, key: int) -> None:
         if key in self._exact:
             del self._exact[key]
-            self._count -= 1
         else:
-            hk = ((self._mult * key + self._add) & self._mask) >> self._shift
-            if self._hashed.pop(hk, None) is not None:
-                self._count -= 1
+            self._hashed.pop(((self._mult * key + self._add) & self._mask) >> self._shift, None)
 
     def replace(self, key: int, value: int) -> None:
         """Delete followed by insert of a live key, hashing only once.

@@ -1,10 +1,10 @@
 """Small fixed-capacity dictionaries with bit-exact space accounting.
 
-A SmallDict holds short keys in a packed slot array; the slot index doubles
-as the key's associated value, so storage is one field per slot plus an
-occupancy vector with block summaries.  Slot allocation always returns the
-lowest vacant index, found by scanning full-block summary bits and then one
-occupancy word.
+A SmallDict is accounted as a packed slot array of short keys; the slot
+index doubles as the key's associated value, so storage is one field per
+slot plus an occupancy vector with block summaries.  Slot allocation always
+returns the lowest vacant index, found by scanning full-block summary bits
+and then one occupancy word.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class VacancyTracker:
 class SmallDict:
     """Capacity-j dictionary of s-bit keys; each key owns one slot in [0, j).
 
-    The packed key array is the canonical storage; a plain dict mirrors it
-    for constant-time lookups.  Capacity and key width are clamped to 4
+    The packed key array is the accounted layout; in memory a plain dict
+    holds each key with its slot.  Capacity and key width are clamped to 4
     because the sizing formulas degenerate below that.
     """
 
@@ -80,7 +80,6 @@ class SmallDict:
         self.capacity = max(4, capacity)
         self.key_bits = max(4, key_bits)
         self._vt = VacancyTracker(self.capacity, summary_block)
-        self._packed = 0
         self._slot_of: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -98,7 +97,6 @@ class SmallDict:
         if self.full:
             raise ValueError("bucket full")
         slot = self._vt.alloc()
-        self._packed |= key << (slot * self.key_bits)
         self._slot_of[key] = slot
         return slot
 
@@ -110,10 +108,6 @@ class SmallDict:
         if slot is None:
             raise KeyError(f"key {key} absent")
         self._vt.free(slot)
-        self._packed &= ~(((1 << self.key_bits) - 1) << (slot * self.key_bits))
-
-    def key_at(self, slot: int) -> int:
-        return (self._packed >> (slot * self.key_bits)) & ((1 << self.key_bits) - 1)
 
     def space_bits(self) -> int:
         """Serialized size: header, key array, occupancy vector, summaries."""

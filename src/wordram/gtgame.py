@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .wordops import ensure
+
 QUERY_HEAVY = "query-heavy"
 UPDATE_HEAVY = "update-heavy"
 STRATEGIES = (QUERY_HEAVY, UPDATE_HEAVY)
@@ -171,13 +173,13 @@ def sweep(n: int, branches, strategies, trials: int, seed: int,
                 if a != last_a or memory is None:
                     memory = BitMemory()
                     writes = scheme.update(memory, a)
-                    assert writes <= wb, f"write bound violated: {writes} > {wb}"
+                    ensure(writes <= wb, f"write bound violated: {writes} > {wb}")
                     w_max = max(w_max, writes)
                     w_sum += writes
                     n_updates += 1
                     last_a = a
                 answer, reads = scheme.query(memory, b)
-                assert reads <= rb, f"read bound violated: {reads} > {rb}"
+                ensure(reads <= rb, f"read bound violated: {reads} > {rb}")
                 r_max = max(r_max, reads)
                 r_sum += reads
                 pairs += 1

@@ -25,13 +25,12 @@ CLOSE = 3
 
 
 class _Entry:
-    __slots__ = ("kind", "value", "owner", "prev", "next", "bucket")
+    __slots__ = ("kind", "value", "prev", "next", "bucket")
 
-    def __init__(self, kind: int, value: int | None, owner: int | None,
+    def __init__(self, kind: int, value: int | None,
                  prev: _Entry | None, next: _Entry | None, bucket: _Bucket):
         self.kind = kind
-        self.value = value  # element key; None for parentheses
-        self.owner = owner  # encoded branching-node key for parentheses
+        self.value = value  # an element's key, or a parenthesis's owner key
         self.prev = prev
         self.next = next
         self.bucket = bucket  # None once deleted
@@ -78,7 +77,6 @@ class NavList:
             self.base += 1
         self.cap = 2 * self.base
         self._head: _Super | None = None
-        self.n_elements = 0
         self.max_examined = 0
 
     def __len__(self) -> int:
@@ -87,29 +85,26 @@ class NavList:
 
     # -- insertion ----------------------------------------------------------
 
-    def insert_first(self, kind: int, value: int | None = None,
-                     owner: int | None = None) -> _Entry:
+    def insert_first(self, kind: int, value: int | None = None) -> _Entry:
         if self._head is not None:
             bucket = self._head.buckets[0]
-            return self._insert(bucket, 0, None, bucket.entries[0], kind, value, owner)
+            return self._insert(bucket, 0, None, bucket.entries[0], kind, value)
         sup = self._head = _Super()
         bucket = _Bucket(sup, [], 0)
         sup.buckets.append(bucket)
-        return self._insert(bucket, 0, None, None, kind, value, owner)
+        return self._insert(bucket, 0, None, None, kind, value)
 
-    def insert_after(self, after: _Entry, kind: int, value: int | None = None,
-                     owner: int | None = None) -> _Entry:
+    def insert_after(self, after: _Entry, kind: int, value: int | None = None) -> _Entry:
         bucket = after.bucket
         if bucket is None:
             raise KeyError("insert after a deleted entry")
         return self._insert(bucket, bucket.entries.index(after) + 1, after, after.next,
-                            kind, value, owner)
+                            kind, value)
 
     def _insert(self, bucket: _Bucket, pos: int, after: _Entry | None,
-                next_nb: _Entry | None, kind: int, value: int | None,
-                owner: int | None) -> _Entry:
+                next_nb: _Entry | None, kind: int, value: int | None) -> _Entry:
         """Put a new entry at position pos of bucket, between after and next_nb."""
-        e = _Entry(kind, value, owner, after, next_nb, bucket)
+        e = _Entry(kind, value, after, next_nb, bucket)
         if after is not None:
             after.next = e
         if next_nb is not None:
@@ -118,7 +113,6 @@ class NavList:
         entries.insert(pos, e)
         summary = bucket.summary
         if kind == ELEMENT:
-            self.n_elements += 1
             bucket.summary = _bit_insert(summary, pos, 1)
             if not summary:
                 self._refresh_sup_bit(bucket)
@@ -178,10 +172,8 @@ class NavList:
         pos = entries.index(e)
         del entries[pos]
         bucket.summary = summary = _bit_remove(bucket.summary, pos)
-        if e.kind == ELEMENT:
-            self.n_elements -= 1
-            if not summary:
-                self._refresh_sup_bit(bucket)
+        if e.kind == ELEMENT and not summary:
+            self._refresh_sup_bit(bucket)
         if e.prev is not None:
             e.prev.next = e.next
         if e.next is not None:
@@ -342,7 +334,6 @@ class NavList:
             sups.append(sup)
             sup = sup.next
         n_buckets = sum(len(s.buckets) for s in sups)
-        n_el = 0
         for sup in sups:
             ensure(sup.buckets, "empty superbucket survived")
             if len(sups) > 1:
@@ -358,8 +349,6 @@ class NavList:
                        "entry points at another bucket")
                 summary = sum(1 << pos for pos, e in enumerate(entries) if e.kind == ELEMENT)
                 ensure(bucket.summary == summary, "bucket summary word is wrong")
-                n_el += summary.bit_count()
                 ensure(((sup.summary >> b_pos) & 1) == (summary != 0),
                        "superbucket summary bit is wrong")
             ensure(sup.summary >> len(sup.buckets) == 0, "superbucket summary too long")
-        ensure(n_el == self.n_elements, "element count is wrong")

@@ -31,12 +31,14 @@ insert it undoes.
 A branching record names each of its two child subtrees by one int: the
 leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``), or the
 order-0 node key of the branching child, whose low ten bits ``d << 3`` are
-never all ones; None marks an empty side of the root.  Navigation-list
-entries, which are their own handles, live only with their owners:
-``leaves[x]`` holds x's element entry, a branching record its Open and
-Close.  The predecessor set over augmented-list keys finds where a new
-entry goes, and ``_handle_of`` decodes a found key to its owner, so no map
-from keys to entries is kept.
+never all ones; None marks an empty side of the root.  A record keeps no
+link to its lowest branching ancestor: that ancestor's depth is read from
+the record's own order-0 index entry, which every branching node has.
+Navigation-list entries, which are their own handles, live only with their
+owners: ``leaves[x]`` holds x's element entry, a branching record its Open
+and Close, whose value is the record's node key.  The predecessor set over
+augmented-list keys finds where a new entry goes, and ``_handle_of`` decodes
+a found key to its owner, so no map from keys to entries is kept.
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ class AncestorIndex:
 
     def __init__(self, backend: str, capacity: int, key_bits: int,
                  value_bits: int, seed: int, audit: bool):
-        self.backend = backend
         self.reads = 0
         self.writes = 0
         self._store: dict[int, int] | None = None
@@ -184,7 +185,6 @@ class AncestorIndex:
 class BranchingRecord:
     depth: int                          # the order-0 node, stored as plain ints
     prefix: int                         # (one object less per node to track)
-    ancestor: int | None                # encoded key of the lowest branching ancestor
     desc: tuple                         # (left, right): None, a leaf code or a node key
     open_h: _Entry | None = None
     close_h: _Entry | None = None
@@ -305,16 +305,15 @@ class RangeReporter:
         return self.table[((c - (1 << low)) << _TAG_BITS)
                           | ((self.w - low) << _ORDER_BITS)].close_h
 
-    def _sbar_insert(self, key: int, kind: int, value: int | None = None,
-                     owner: int | None = None) -> _Entry:
+    def _sbar_insert(self, key: int, kind: int, value: int) -> _Entry:
         """Insert an augmented-list entry; the owner of the entry before it
         must already hold that entry."""
         prev_key, _nxt, fresh = self._sbar_pred.insert(key)
         if not fresh:
             raise AssertionError("duplicate augmented-list key")
         if prev_key is None:
-            return self.nav.insert_first(kind, value, owner)
-        return self.nav.insert_after(self._handle_of(prev_key), kind, value, owner)
+            return self.nav.insert_first(kind, value)
+        return self.nav.insert_after(self._handle_of(prev_key), kind, value)
 
     def _sbar_delete(self, key: int, h: _Entry) -> None:
         self._sbar_pred.delete(key)
@@ -356,13 +355,13 @@ class RangeReporter:
 
     def _insert_first(self, x: int) -> None:
         root_key = self._root_key
-        root = BranchingRecord(0, 0, None, _replace_side((None, None), x >> (self.w - 1),
-                                                         self._leaf_code(x)))
+        root = BranchingRecord(0, 0, _replace_side((None, None), x >> (self.w - 1),
+                                                   self._leaf_code(x)))
         # each entry's owner holds its handle before the next entry goes in
         self.table[root_key] = root
-        root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, owner=root_key)
+        root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)
         self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
-        root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, owner=root_key)
+        root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, root_key)
         idx_add = self.index.add
         for key in self._root_child_keys(x):
             idx_add(key, 0)
@@ -404,19 +403,19 @@ class RangeReporter:
         v_p = x >> (w - d_v)
         v_key = self._enc0(d_v, v_p)
         x_side = (x >> (w - d_v - 1)) & 1
-        open_h = self._sbar_insert(self._key_open(d_v, v_p), OPEN, owner=v_key)
+        open_h = self._sbar_insert(self._key_open(d_v, v_p), OPEN, v_key)
         # Close(v) goes in after y's last entry, whose owner exists: never
         # after Open(v), whose record is not in the table yet
-        close_h = self._sbar_insert(self._key_close(d_v, v_p), CLOSE, owner=v_key)
+        close_h = self._sbar_insert(self._key_close(d_v, v_p), CLOSE, v_key)
         # the innermost enclosing parenthesis pair touches the new pair
         left = open_h.prev
         if left is not None and left.kind == OPEN:
-            a_key = left.owner
+            a_key = left.value
         else:
             right = close_h.next
             if right is None or right.kind != CLOSE:
                 raise AssertionError("no enclosing parenthesis adjacent to the new pair")
-            a_key = right.owner
+            a_key = right.value
         a_rec = self.table[a_key]
         a_desc = a_rec.desc
         a_real = a_desc[0] is not None and a_desc[1] is not None
@@ -426,12 +425,10 @@ class RangeReporter:
         if y_tag is None:
             raise AssertionError("the new branching node's ancestor has an empty side")
 
-        rec = BranchingRecord(d_v, v_p, a_key,
+        rec = BranchingRecord(d_v, v_p,
                               _replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
                               open_h, close_h)
         a_rec.desc = _replace_side(a_desc, side_a, v_key)
-        if (y_tag & _TAG_MASK) != _TAG_MASK:
-            self.table[y_tag].ancestor = v_key
         self.table[v_key] = rec
         self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
         self._index_insert(x, nbr, d_v, y_tag, a_depth, a_real)
@@ -567,16 +564,16 @@ class RangeReporter:
         if rec.desc[x_side] != self._leaf_code(x):
             raise AssertionError("v's descendant on x's side is not x")
         y_tag = rec.desc[1 - x_side]
-        a_key = rec.ancestor
-        a_rec = self.table[a_key]
-        a_desc = a_rec.desc
-        a_depth = a_rec.depth
+        # v's own order-0 index entry holds the depth of a, its lowest
+        # branching ancestor
+        a_depth = self.index.get(v_key)
+        if a_depth is None or a_depth >= d_v:
+            raise AssertionError("v's index entry holds no ancestor depth")
+        a_rec = self.table.get(self._enc0(a_depth, v_p >> (d_v - a_depth)))
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
-        if a_desc[side_a] != v_key:
+        if a_rec is None or a_rec.desc[side_a] != v_key:
             raise AssertionError("v's ancestor does not name v as its descendant")
-        a_rec.desc = a_desc = _replace_side(a_desc, side_a, y_tag)
-        if (y_tag & _TAG_MASK) != _TAG_MASK:
-            self.table[y_tag].ancestor = a_key
+        a_rec.desc = a_desc = _replace_side(a_rec.desc, side_a, y_tag)
         self._sbar_delete(self._key_open(d_v, v_p), rec.open_h)
         self._sbar_delete(self._key_close(d_v, v_p), rec.close_h)
         self._sbar_delete(self._key_element(x), self.leaves.pop(x))
@@ -809,16 +806,12 @@ class RangeReporter:
                 f"branching table keys differ: extra={set(self.table) - set(expected)} "
                 f"missing={set(expected) - set(self.table)}"
             )
-        for key, (anc, d_left, d_right) in expected.items():
+        for key, desc in expected.items():
             rec = self.table[key]
-            if rec.ancestor != anc:
-                raise AssertionError(f"ancestor mismatch at {rec.name}")
-            if rec.desc != (d_left, d_right):
-                raise AssertionError(
-                    f"descendant mismatch at {rec.name}: {rec.desc} vs {(d_left, d_right)}"
-                )
-            ensure(rec.open_h.kind == OPEN and rec.open_h.owner == key
-                   and rec.close_h.kind == CLOSE and rec.close_h.owner == key,
+            if rec.desc != desc:
+                raise AssertionError(f"descendant mismatch at {rec.name}: {rec.desc} vs {desc}")
+            ensure(rec.open_h.kind == OPEN and rec.open_h.value == key
+                   and rec.close_h.kind == CLOSE and rec.close_h.value == key,
                    "a record's parenthesis entries belong to another node")
 
         self.nav.validate()
@@ -826,7 +819,7 @@ class RangeReporter:
         self._check_index(elems)
 
     def _expected_records(self, elems: list[int]):
-        """Brute-force (ancestor, left desc, right desc) for every branching node."""
+        """Brute-force (left desc, right desc) for every branching node."""
         w = self.w
         out: dict[int, tuple] = {}
         if not elems:
@@ -839,33 +832,24 @@ class RangeReporter:
             d = lca_depth(elems[lo], elems[hi - 1], w)
             return self._enc0(d, elems[lo] >> (w - d))
 
-        def build(lo: int, hi: int, anc: int | None):
+        def build(lo: int, hi: int):
             d = lca_depth(elems[lo], elems[hi - 1], w)
             p = elems[lo] >> (w - d)
-            key = self._enc0(d, p)
             threshold = ((p << 1) | 1) << (w - d - 1)
             m = bisect_left(elems, threshold, lo, hi)
-            out[key] = (anc, top_tag(lo, m), top_tag(m, hi))
+            out[self._enc0(d, p)] = (top_tag(lo, m), top_tag(m, hi))
             if m - lo >= 2:
-                build(lo, m, key)
+                build(lo, m)
             if hi - m >= 2:
-                build(m, hi, key)
+                build(m, hi)
 
+        side = elems[0] >> (w - 1)
         if len(elems) == 1:
-            side = elems[0] >> (w - 1)
-            tags = [None, None]
-            tags[side] = self._leaf_code(elems[0])
-            out[root_key] = (None, tags[0], tags[1])
+            out[root_key] = _replace_side((None, None), side, self._leaf_code(elems[0]))
             return out
-        d0 = lca_depth(elems[0], elems[-1], w)
-        if d0 == 0:
-            build(0, len(elems), None)
-        else:
-            side = elems[0] >> (w - 1)
-            tags = [None, None]
-            tags[side] = top_tag(0, len(elems))
-            out[root_key] = (None, tags[0], tags[1])
-            build(0, len(elems), root_key)
+        if lca_depth(elems[0], elems[-1], w) != 0:
+            out[root_key] = _replace_side((None, None), side, top_tag(0, len(elems)))
+        build(0, len(elems))
         return out
 
     def _check_sequence(self, elems: list[int]) -> None:
@@ -879,7 +863,7 @@ class RangeReporter:
             expected.append((self._key_close(d, p), CLOSE, key))
         expected.sort()
         entries = list(self.nav)
-        got = [(e.kind, e.value if e.kind == ELEMENT else e.owner) for e in entries]
+        got = [(e.kind, e.value) for e in entries]
         ensure(got == [(k, ident) for _, k, ident in expected], "list order mismatch")
         keys = [key for key, _, _ in expected]
         ensure(list(self._sbar_pred) == keys,
@@ -991,10 +975,14 @@ class RangeReporter:
             node = self.table[desc]
             return f"node:{node.depth}/{node.prefix:0{max(1, node.depth)}b}"
 
+        # a record's ancestor is the record that names it as a descendant
+        anc_depth = {desc: rec.depth for rec in self.table.values()
+                     for desc in rec.desc
+                     if desc is not None and (desc & _TAG_MASK) != _TAG_MASK}
         lines = []
         for key in sorted(self.table):
             rec = self.table[key]
-            anc = "-" if rec.ancestor is None else str(self.table[rec.ancestor].depth)
+            anc = anc_depth.get(key, "-")
             lines.append(
                 f"{rec.depth}/{rec.prefix:0{max(1, rec.depth)}b}"
                 f" anc={anc} left={tag(rec.desc[0])} right={tag(rec.desc[1])}"

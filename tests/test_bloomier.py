@@ -77,6 +77,25 @@ def test_collision_pair_routes_to_exact_dictionary():
     assert bf2.lookup(x) == 3
 
 
+def test_live_count_follows_held_entries_tiny_range():
+    # two items over an 8-bit universe hash into a 16-slot range
+    bf = make(n=2, u_bits=8, eps=1.0, seed=3)
+    assert bf.config.hash_range_bits == 4
+    x, y = find_hash_collision(bf, seed=3)
+    third = next(k for k in range(3) if k not in (x, y))
+    for first, second in ((x, y), (y, x)):
+        bf.insert(first, 1)
+        bf.insert(second, 2)
+        assert len(bf._exact) == len(bf._hashed) == 1
+        assert bf.live_count == 2
+        with pytest.raises(ValueError):
+            bf.insert(third, 1)  # at capacity
+        bf.delete(first)
+        assert bf.live_count == 1 and bf.lookup(second) == 2
+        bf.delete(second)
+        assert bf.live_count == 0 and not bf._exact and not bf._hashed
+
+
 def test_oracle_replay_no_stored_key_errors():
     bf = make(seed=11)
     rng = random.Random(11)

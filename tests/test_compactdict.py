@@ -109,7 +109,7 @@ def test_space_bits_bound_and_packing():
     keys = [5, 99, 2048]
     slots = [d.insert(k) for k in keys]
     for k, s in zip(keys, slots):
-        assert d.key_at(s) == k
+        assert d.lookup(k) == s
     assert d.occupied_space_bits() <= d.space_bits()
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from wordram import gtgame
 from wordram.gtgame import (
     QUERY_HEAVY,
     STRATEGIES,
@@ -104,3 +105,13 @@ def test_sweep_rows_and_asserted_bounds():
         assert row.write_max <= row.write_bound
         assert row.read_max <= row.read_bound
         assert row.pairs == 2000
+
+
+@pytest.mark.parametrize("bounds,message", [((0, 0), "write bound violated"),
+                                            ((1 << 20, 0), "read bound violated")],
+                         ids=["write", "read"])
+def test_sweep_bound_breach_raises_under_python_O(monkeypatch, bounds, message):
+    # the probe bounds are checked by ensure, which -O does not strip
+    monkeypatch.setattr(gtgame, "probe_bounds", lambda n, branch, strategy: bounds)
+    with pytest.raises(AssertionError, match=message):
+        sweep(1 << 8, [2], STRATEGIES, trials=50, seed=5)

@@ -82,7 +82,7 @@ def test_single_entry_and_boundaries():
     # querying at an element returns the element itself
     assert nl.nearest_element_left(h_el) == h_el
     assert nl.nearest_element_right(h_el) == h_el
-    assert nl.n_elements == 1
+    assert [e.kind for e in nl].count(ELEMENT) == 1
 
 
 def test_delete_sole_entry_empties_structure():

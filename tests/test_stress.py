@@ -7,6 +7,7 @@ every branching factor, and audited range-reporting runs on structured key
 patterns that maximize chunk-boundary traffic.
 """
 
+import dataclasses
 import random
 from bisect import bisect_left, insort
 
@@ -258,6 +259,39 @@ def test_w64_bloomier_audited(variant, branch):
     while shadow:
         assert rr.delete(shadow.pop())
     assert rr.index.snapshot() == {} and len(rr.nav) == 0
+
+
+def test_w64_bloomier_verbatim_entries_audited():
+    # a full w=64 core reporter holds colliding index entries verbatim, and
+    # deletes then read ancestor depths from them; check() reads the filter's
+    # mirror, which audit mode builds, but a full audit after every one of
+    # 2,048 updates would take minutes, so it runs every 128 deletes instead
+    rr = RangeReporter(RangeConfig(width=64, backend="bloomier", audit=True,
+                                   capacity=1024, seed=9))
+    rr.config = dataclasses.replace(rr.config, audit=False)
+    rng = random.Random(9)
+    while len(rr) < 1024:
+        rr.insert(rng.getrandbits(64))
+    bloom = rr.index._filter
+    assert bloom._exact
+    rr.check()
+    verbatim_reads = 0
+    get = rr.index.get
+
+    def counting_get(key):
+        nonlocal verbatim_reads
+        verbatim_reads += key in bloom._exact
+        return get(key)
+
+    rr.index.get = counting_get
+    keys = rr.sorted_elements()
+    rng.shuffle(keys)
+    for i, x in enumerate(keys, 1):
+        assert rr.delete(x)
+        if i % 128 == 0:
+            rr.check()
+    assert verbatim_reads > 0
+    assert bloom.live_count == 0 and len(rr) == 0 and not rr.table
 
 
 def test_many_seeds_short_audited_runs():
