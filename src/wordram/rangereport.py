@@ -28,12 +28,18 @@ it.  ``_index_changes`` computes the three; an insert applies them
 forwards and a delete backwards, so a delete is the exact inverse of the
 insert it undoes.
 
-A branching record names each of its two child subtrees by one int: the
-leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``), or the
-order-0 node key of the branching child, whose low ten bits ``d << 3`` are
-never all ones; None marks an empty side of the root.  A record keeps no
-link to its lowest branching ancestor: that ancestor's depth is read from
-the record's own order-0 index entry, which every branching node has.
+A node's identity lives only in its key: ``_enc`` puts the prefix,
+left-aligned in a width-bit field, above ten tag bits for depth and order,
+and ``_dec`` reads both back for any order.  A branching record, stored
+under its order-0 key, keeps no depth or prefix.  It names each of its two
+child subtrees by a descendant tag: the leaf code ``(x << 10) | 1023`` of a
+lone key x (``_leaf_code``), or the branching child's order-0 key; None
+marks an empty side of the root.  Both hold their prefix above the tag
+bits, and the depth field reads d for a node and 127 for a leaf, so
+``_verified_descendant``, which checks every index answer a query uses,
+reads a descendant's place from its tag alone.  A record keeps no link to
+its lowest branching ancestor: that ancestor's depth is read from the
+record's own order-0 index entry, which every branching node has.
 Navigation-list entries, which are their own handles, live only with their
 owners: ``leaves[x]`` holds x's element entry, a branching record its Open
 and Close, whose value is the record's node key.  The predecessor set over
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 from .bloomier import BloomierConfig, BloomierFilter
 from .navlist import CLOSE, ELEMENT, OPEN, NavList, _Entry
 from .predecessor import PredecessorSet
-from .wordops import VALID_WIDTHS, NodeName, ensure, lca_depth, top_order, trie_depth
+from .wordops import VALID_WIDTHS, ensure, lca_depth, top_order, trie_depth
 
 VARIANT_CORE = "core"
 VARIANT_FAST_UPDATE = "5a"
@@ -183,15 +189,9 @@ class AncestorIndex:
 
 @dataclass(slots=True)
 class BranchingRecord:
-    depth: int                          # the order-0 node, stored as plain ints
-    prefix: int                         # (one object less per node to track)
     desc: tuple                         # (left, right): None, a leaf code or a node key
     open_h: _Entry | None = None
     close_h: _Entry | None = None
-
-    @property
-    def name(self) -> NodeName:
-        return NodeName(0, self.depth, self.prefix)
 
 
 @dataclass
@@ -202,9 +202,6 @@ class OpStats:
     max_nav_queries: int = 0
     max_index_reads_query: int = 0
     pred_queries_during_query: int = 0
-    queries: int = 0
-    inserts: int = 0
-    deletes: int = 0
 
 
 def _replace_side(desc: tuple, side: int, tag) -> tuple:
@@ -264,6 +261,12 @@ class RangeReporter:
 
     def _enc0(self, d: int, p: int) -> int:
         return ((p << (self.w - d)) << _TAG_BITS) | (d << _ORDER_BITS)
+
+    def _dec(self, key: int) -> tuple[int, int]:
+        """(depth, prefix) of the index key of a node of any order."""
+        d = (key >> _ORDER_BITS) & ((1 << _DEPTH_BITS) - 1)
+        pb = min(d * self._chunks[key & ((1 << _ORDER_BITS) - 1)], self.w)
+        return d, key >> (_TAG_BITS + self.w - pb)
 
     @staticmethod
     def _leaf_code(x: int) -> int:
@@ -345,7 +348,6 @@ class RangeReporter:
             self._insert_first(x)
         else:
             self._insert_nonempty(x, prev, nxt)
-        self.stats.inserts += 1
         delta = self.index.writes - writes_before
         if delta > self.stats.max_index_writes_insert:
             self.stats.max_index_writes_insert = delta
@@ -355,8 +357,8 @@ class RangeReporter:
 
     def _insert_first(self, x: int) -> None:
         root_key = self._root_key
-        root = BranchingRecord(0, 0, _replace_side((None, None), x >> (self.w - 1),
-                                                   self._leaf_code(x)))
+        root = BranchingRecord(_replace_side((None, None), x >> (self.w - 1),
+                                             self._leaf_code(x)))
         # each entry's owner holds its handle before the next entry goes in
         self.table[root_key] = root
         root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)
@@ -419,14 +421,13 @@ class RangeReporter:
         a_rec = self.table[a_key]
         a_desc = a_rec.desc
         a_real = a_desc[0] is not None and a_desc[1] is not None
-        a_depth = a_rec.depth
+        a_depth = self._dec(a_key)[0]
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
         y_tag = a_desc[side_a]
         if y_tag is None:
             raise AssertionError("the new branching node's ancestor has an empty side")
 
-        rec = BranchingRecord(d_v, v_p,
-                              _replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
+        rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
                               open_h, close_h)
         a_rec.desc = _replace_side(a_desc, side_a, v_key)
         self.table[v_key] = rec
@@ -521,11 +522,16 @@ class RangeReporter:
             return False
         writes_before = self.index.writes
         prev, nxt, _ = self.pred.delete(x)
-        if prev is None and nxt is None:
-            self._delete_last(x)
-        else:
-            self._delete_nonlast(x, prev, nxt)
-        self.stats.deletes += 1
+        try:
+            if prev is None and nxt is None:
+                self._delete_last(x)
+            else:
+                self._delete_nonlast(x, prev, nxt)
+        except AssertionError:
+            # the consistency checks run before any other change, so a
+            # failed delete leaves the structure as it was once x is back
+            self.pred.insert(x)
+            raise
         delta = self.index.writes - writes_before
         if delta > self.stats.max_index_writes_delete:
             self.stats.max_index_writes_delete = delta
@@ -559,9 +565,9 @@ class RangeReporter:
 
         v_p = x >> (w - d_v)
         v_key = self._enc0(d_v, v_p)
-        rec = self.table.pop(v_key)
+        rec = self.table.get(v_key)
         x_side = (x >> (w - d_v - 1)) & 1
-        if rec.desc[x_side] != self._leaf_code(x):
+        if rec is None or rec.desc[x_side] != self._leaf_code(x):
             raise AssertionError("v's descendant on x's side is not x")
         y_tag = rec.desc[1 - x_side]
         # v's own order-0 index entry holds the depth of a, its lowest
@@ -573,6 +579,7 @@ class RangeReporter:
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
         if a_rec is None or a_rec.desc[side_a] != v_key:
             raise AssertionError("v's ancestor does not name v as its descendant")
+        del self.table[v_key]
         a_rec.desc = a_desc = _replace_side(a_rec.desc, side_a, y_tag)
         self._sbar_delete(self._key_open(d_v, v_p), rec.open_h)
         self._sbar_delete(self._key_close(d_v, v_p), rec.close_h)
@@ -601,50 +608,35 @@ class RangeReporter:
             return True
         if d >= self._tdepth[t]:
             return False
-        depth = self.index.get(self._enc(t, d, p))
-        if depth is None:
-            return False
         ch = self._chunks[t]
-        r0d = d * ch
-        if depth >= r0d:
-            return False
-        rec = self.table.get(self._enc0(depth, p >> (r0d - depth)))
-        if rec is None:
-            return False
-        desc = rec.desc[(p >> (r0d - depth - 1)) & 1]
-        if desc is None or (desc & _TAG_MASK) == _TAG_MASK:
-            return False
-        node = self.table[desc]
-        return node.depth // ch == d and (node.prefix >> (node.depth - r0d)) == p
+        desc = self._verified_descendant(self.index.get(self._enc(t, d, p)), d * ch, p)
+        # the node branches iff that descendant is a node inside its chunk;
+        # a leaf's depth field, 127, lies past the end of every chunk
+        return desc is not None and (desc & _TAG_MASK) >> _ORDER_BITS < (d + 1) * ch
 
-    def verify_lowest_ancestor(self, rec: BranchingRecord, v: NodeName) -> bool:
-        """True iff `rec` is a strict ancestor of the order-0 node `v` whose
-        branching descendant on v's side lies at or below v."""
-        return self._verified_ancestor(rec.depth, v.depth, v.prefix) is rec
+    def _verified_descendant(self, depth: int | None, v_d: int, v_p: int):
+        """The descendant tag on v's side of the branching record at `depth`
+        on the order-0 node v's path, or None unless that record exists, is
+        a strict ancestor of v, and its tag lies inside v's subtree.
 
-    def _verified_ancestor(self, depth: int | None, v_d: int, v_p: int):
-        """Branching record at `depth` on v's path, checked to be a genuine
-        strict ancestor whose descendant on v's side sits inside v's subtree."""
+        The tag is checked from its own bits: its prefix sits left-aligned
+        above the tag bits, and its depth field is 127 for a leaf.
+        """
         if depth is None or depth >= v_d:
             return None
         rec = self.table.get(self._enc0(depth, v_p >> (v_d - depth)))
         if rec is None:
             return None
         desc = rec.desc[(v_p >> (v_d - depth - 1)) & 1]
-        if desc is None:
+        if (desc is None or (desc & _TAG_MASK) >> _ORDER_BITS < v_d
+                or desc >> (_TAG_BITS + self.w - v_d) != v_p):
             return None
-        if (desc & _TAG_MASK) == _TAG_MASK:
-            dd, dp = self.w, desc >> _TAG_BITS
-        else:
-            node = self.table[desc]
-            dd, dp = node.depth, node.prefix
-        if dd < v_d or (dp >> (dd - v_d)) != v_p:
-            return None
-        return rec
+        return desc
 
     def _resolve_ancestor(self, v_d: int, v_p: int, t_star: int):
-        """Locate and verify the lowest branching ancestor of the non-branching
-        query node, given the first order whose trie maps it to a branching node."""
+        """The verified descendant tag on v's side of the lowest branching
+        ancestor of the non-branching query node v, given the first order
+        whose trie maps v to a branching node; None if none verifies."""
         w = self.w
         t1 = t_star - 1
         ch1 = self._chunks[t1]
@@ -659,23 +651,23 @@ class RangeReporter:
                 depth = self.index.get(self._enc(t1, z_d, z_p))
             else:
                 depth = self.index.get(self._enc(t_star, k_star, v_p >> (v_d - k_star * ch_star)))
-            return self._verified_ancestor(depth, v_d, v_p)
+            return self._verified_descendant(depth, v_d, v_p)
 
         if k_star != 0:
             depth = self.index.get(self._enc(t_star, k_star, v_p >> (v_d - k_star * ch_star)))
-            rec = self._verified_ancestor(depth, v_d, v_p)
-            if rec is not None:
-                return rec
+            desc = self._verified_descendant(depth, v_d, v_p)
+            if desc is not None:
+                return desc
         if variant == VARIANT_FAST_QUERY:
             depth = self.index.get(self._enc(t1, z_d, z_p))
-            return self._verified_ancestor(depth, v_d, v_p)
+            return self._verified_descendant(depth, v_d, v_p)
         # walk up the order-(t*-1) trie within the natural subtree
         ns_root = (z_d // self.B) * self.B
         for dd in range(z_d, ns_root, -1):
             depth = self.index.get(self._enc(t1, dd, v_p >> (v_d - dd * ch1)))
-            rec = self._verified_ancestor(depth, v_d, v_p)
-            if rec is not None:
-                return rec
+            desc = self._verified_descendant(depth, v_d, v_p)
+            if desc is not None:
+                return desc
         return None
 
     def _max_under(self, desc) -> int:
@@ -736,10 +728,9 @@ class RangeReporter:
                     hi = mid
                 else:
                     lo = mid + 1
-            anc = self._resolve_ancestor(v_d, v_p, lo)
-            if anc is None:
+            desc = self._resolve_ancestor(v_d, v_p, lo)
+            if desc is None:
                 return None
-            desc = anc.desc[(v_p >> (v_d - anc.depth - 1)) & 1]
             c = self._max_under(desc)
             if a <= c <= b:
                 return c
@@ -749,7 +740,6 @@ class RangeReporter:
             return None
         finally:
             st = self.stats
-            st.queries += 1
             if self._q_tb > st.max_test_branching:
                 st.max_test_branching = self._q_tb
             if self._q_nav > st.max_nav_queries:
@@ -809,7 +799,8 @@ class RangeReporter:
         for key, desc in expected.items():
             rec = self.table[key]
             if rec.desc != desc:
-                raise AssertionError(f"descendant mismatch at {rec.name}: {rec.desc} vs {desc}")
+                raise AssertionError(
+                    f"descendant mismatch at {self._dec(key)}: {rec.desc} vs {desc}")
             ensure(rec.open_h.kind == OPEN and rec.open_h.value == key
                    and rec.close_h.kind == CLOSE and rec.close_h.value == key,
                    "a record's parenthesis entries belong to another node")
@@ -857,8 +848,8 @@ class RangeReporter:
         back their handles through the owners, parens balance, every matched
         pair encloses an element, and runs stay short."""
         expected = [(self._key_element(x), ELEMENT, x) for x in elems]
-        for key, rec in self.table.items():
-            d, p = rec.depth, rec.prefix
+        for key in self.table:
+            d, p = self._dec(key)
             expected.append((self._key_open(d, p), OPEN, key))
             expected.append((self._key_close(d, p), CLOSE, key))
         expected.sort()
@@ -892,10 +883,10 @@ class RangeReporter:
         """Brute-force mandated index keys and their exact values."""
         w = self.w
         B = self.B
-        real: dict[int, tuple[int, int]] = {}
+        real: set[int] = set()
         for i in range(len(elems) - 1):
             d = lca_depth(elems[i], elems[i + 1], w)
-            real[self._enc0(d, elems[i] >> (w - d))] = (d, elems[i] >> (w - d))
+            real.add(self._enc0(d, elems[i] >> (w - d)))
 
         def lba_depth(d0: int, path: int) -> int:
             # deepest real branching node strictly above depth d0 on the path
@@ -911,13 +902,12 @@ class RangeReporter:
             ch = self._chunks[t]
             td = self._tdepth[t]
             branching_t: set[int] = set()
-            for d, p in real.values():
+            for d, p in map(self._dec, real):
                 k = d // ch
                 if k:
                     branching_t.add(self._enc(t, k, p >> (d - k * ch)))
             for key in branching_t:
-                d_t = (key >> _ORDER_BITS) & ((1 << _DEPTH_BITS) - 1)
-                p_t = (key >> _TAG_BITS) >> (w - min(d_t * ch, w))
+                d_t, p_t = self._dec(key)
                 mandated[key] = lba_depth(d_t * ch, p_t)
             for x in elems:
                 for dd in range(1, td + 1):
@@ -967,16 +957,19 @@ class RangeReporter:
         """One line per branching node for audit diffs: name, ancestor depth,
         descendants (in key order)."""
 
+        def name(key: int) -> str:
+            d, p = self._dec(key)
+            return f"{d}/{p:0{max(1, d)}b}"
+
         def tag(desc) -> str:
             if desc is None:
                 return "-"
             if (desc & _TAG_MASK) == _TAG_MASK:
                 return f"leaf:{desc >> _TAG_BITS}"
-            node = self.table[desc]
-            return f"node:{node.depth}/{node.prefix:0{max(1, node.depth)}b}"
+            return f"node:{name(desc)}"
 
         # a record's ancestor is the record that names it as a descendant
-        anc_depth = {desc: rec.depth for rec in self.table.values()
+        anc_depth = {desc: self._dec(key)[0] for key, rec in self.table.items()
                      for desc in rec.desc
                      if desc is not None and (desc & _TAG_MASK) != _TAG_MASK}
         lines = []
@@ -984,7 +977,6 @@ class RangeReporter:
             rec = self.table[key]
             anc = anc_depth.get(key, "-")
             lines.append(
-                f"{rec.depth}/{rec.prefix:0{max(1, rec.depth)}b}"
-                f" anc={anc} left={tag(rec.desc[0])} right={tag(rec.desc[1])}"
+                f"{name(key)} anc={anc} left={tag(rec.desc[0])} right={tag(rec.desc[1])}"
             )
         return "\n".join(lines)

@@ -98,7 +98,7 @@ def test_two_keys_build_one_branching_node():
     # their paths diverge at depth 5; the node's parentheses enclose both
     key = rr._enc0(5, 10 >> 3)
     rec = rr.table[key]
-    assert rec.name.depth == 5
+    assert rr._dec(key) == (5, 10 >> 3)
     inner = rec.open_h.next
     assert inner.kind == 1 and inner.value == 10
     assert rr.findany(9, 11) == 10
@@ -124,6 +124,24 @@ def test_delete_returns_structure_to_empty_shape():
     assert rr.index.snapshot() == {}
     rr.insert(3)
     assert rr.findany(0, 255) == 3
+
+
+def test_failed_delete_leaves_structure_unchanged():
+    rr = make()
+    for x in (3, 100, 200):
+        rr.insert(x)
+    # LCA(3, 100), at depth 1, names its leaves the wrong way round, so the
+    # delete's own descendant check fires
+    key = rr._enc0(1, 0)
+    rec = rr.table[key]
+    rec.desc = rec.desc[::-1]
+    with pytest.raises(AssertionError):
+        rr.delete(100)
+    assert list(rr.pred) == [3, 100, 200]
+    assert rr.table[key] is rec
+    assert 100 in rr.leaves
+    rec.desc = rec.desc[::-1]
+    rr.check()
 
 
 def test_report_examples():
@@ -268,23 +286,6 @@ def test_branching_test_exhaustive_w8():
                 hit = hit or now
 
 
-def test_verify_lowest_ancestor_public_contract():
-    rr = make(seed=13)
-    from wordram.wordops import NodeName
-
-    for x in (0b00000001, 0b00000011, 0b11000000):
-        rr.insert(x)
-    node_d6 = rr.table[rr._enc0(6, 0b000000)]
-    root = rr.table[rr._root_key]
-    v = NodeName(0, 7, 0b0000001)
-    assert rr.verify_lowest_ancestor(node_d6, v)
-    # the root is an ancestor but its descendant on v's side sits above v
-    assert not rr.verify_lowest_ancestor(root, v)
-    # a node that is not an ancestor at all
-    stray = rr.table[rr._enc0(6, 0b000000)]
-    assert not rr.verify_lowest_ancestor(stray, NodeName(0, 7, 0b1100000))
-
-
 @pytest.mark.parametrize("branch", [2, 4, 8])
 def test_node_encoding_injective_w8(branch):
     rr = make(branch=branch, variant="core" if branch == 2 else "5a")
@@ -342,15 +343,23 @@ def test_verified_ancestor_rejects_non_ancestors():
     rr = make(seed=6)
     for x in (0b00000001, 0b00000011, 0b11000000):
         rr.insert(x)
-    # the node covering {1, 3} is branching at depth 6
-    rec = rr._verified_ancestor(6, 7, 0b0000001)
-    assert rec is not None and rec.name.depth == 6
+    # the node covering {1, 3} is branching at depth 6; on the side of the
+    # depth-7 node holding 2 and 3 its descendant is the leaf 3
+    assert rr._verified_descendant(6, 7, 0b0000001) == rr._leaf_code(3)
     # a depth that does not truncate to a branching node fails
-    assert rr._verified_ancestor(3, 7, 0b0000001) is None
-    # the root is an ancestor, but its descendant on this side sits above
-    # depth-7 query nodes inside the left subtree, so it still verifies
-    root = rr._verified_ancestor(0, 7, 0b0000001)
-    assert root is None  # root's left descendant is the depth-6 node, above v
+    assert rr._verified_descendant(3, 7, 0b0000001) is None
+    # the root is an ancestor, but its descendant on this side, the
+    # depth-6 node, sits above v; for v = 0000000 only the tag's depth
+    # field tells, since the node's left-aligned prefix is all zeros
+    assert rr._verified_descendant(0, 7, 0b0000001) is None
+    assert rr._verified_descendant(0, 7, 0b0000000) is None
+    # the root's right descendant, the leaf 11000000, verifies under the
+    # depth-2 node 11 but not under its empty sibling 10, which only the
+    # tag's prefix tells
+    assert rr._verified_descendant(0, 2, 0b11) == rr._leaf_code(0b11000000)
+    assert rr._verified_descendant(0, 2, 0b10) is None
+    # a depth whose node on v's path is not branching at all
+    assert rr._verified_descendant(6, 7, 0b1100000) is None
 
 
 def test_findany_never_touches_predecessor_structures():
