@@ -286,6 +286,22 @@ def test_branching_test_exhaustive_w8():
                 hit = hit or now
 
 
+def test_verify_lowest_ancestor_public_contract():
+    # the contract findany relies on: a branching record verifies for the
+    # order-0 node v only if it is a strict ancestor of v whose descendant
+    # on v's side lies at or below v
+    rr = make(seed=13)
+    for x in (0b00000001, 0b00000011, 0b11000000):
+        rr.insert(x)
+    d6_depth, _ = rr._dec(rr._enc0(6, 0b000000))
+    root_depth, _ = rr._dec(rr._root_key)
+    assert rr._verified_descendant(d6_depth, 7, 0b0000001) is not None
+    # the root is an ancestor but its descendant on v's side sits above v
+    assert rr._verified_descendant(root_depth, 7, 0b0000001) is None
+    # a node that is not an ancestor at all
+    assert rr._verified_descendant(d6_depth, 7, 0b1100000) is None
+
+
 @pytest.mark.parametrize("branch", [2, 4, 8])
 def test_node_encoding_injective_w8(branch):
     rr = make(branch=branch, variant="core" if branch == 2 else "5a")
