@@ -28,10 +28,18 @@ it.  ``_index_changes`` computes the three; an insert applies them
 forwards and a delete backwards, so a delete is the exact inverse of the
 insert it undoes.
 
-A node's identity lives only in its key: ``_enc`` puts the prefix,
-left-aligned in a width-bit field, above ten tag bits for depth and order,
-and ``_dec`` reads both back for any order.  A branching record, stored
-under its order-0 key, keeps no depth or prefix.  It names each of its two
+A node's identity lives only in its key: the prefix, left-aligned in a
+width-bit field, above ten tag bits for depth and order; ``_dec`` reads
+both back for any order.  One per-(order, depth) key table defines every
+key: the order-t depth-d key is the prefix shifted left by
+``_shift[t][d]``, or-ed with the tag ``_tag[t][d]``.  ``_enc`` is that
+formula for cold paths and tests, and ``_enc0`` its order-0 arithmetic
+for the update path.  ``_codes[t][d]`` is the key with every prefix bit
+set, so and-ed with a code below a node it gives the key of the order-t
+depth-d node on that node's path: updates key their index changes this
+way.  The query path reads the same tables inline, so no probe calls an
+encoder.  A branching record, stored under its order-0 key, keeps no depth
+or prefix.  It names each of its two
 child subtrees by a descendant tag: the leaf code ``(x << 10) | 1023`` of a
 lone key x (``_leaf_code``), or the branching child's order-0 key; None
 marks an empty side of the root.  Both hold their prefix above the tag
@@ -45,12 +53,19 @@ owners: ``leaves[x]`` holds x's element entry, a branching record its Open
 and Close, whose value is the record's node key.  The predecessor set over
 augmented-list keys finds where a new entry goes, and ``_handle_of`` decodes
 a found key to its owner, so no map from keys to entries is kept.
+
+``stats`` keeps three per-query maxima (branching tests, navigation
+queries, index reads), which findany updates.  ``pred_queries_during_query``
+is not counted on the query path: it is read, when asked for, from the
+predecessor sets' own query counters.  An update takes its neighbors from
+the sets' insert and delete, which count nothing, so every counted query
+is a query's, and the statistic costs findany nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bloomier import BloomierConfig, BloomierFilter
 from .navlist import CLOSE, ELEMENT, OPEN, NavList, _Entry
@@ -201,7 +216,18 @@ class OpStats:
     max_test_branching: int = 0
     max_nav_queries: int = 0
     max_index_reads_query: int = 0
-    pred_queries_during_query: int = 0
+    # the predecessor sets whose counted queries only a query could make
+    pred_sets: tuple = field(default=(), repr=False)
+
+    @property
+    def pred_queries_during_query(self) -> int:
+        """Counted predecessor queries made by queries so far.
+
+        Read from the sets' own counters: an update reads its neighbors
+        from insert and delete, which count nothing, so every counted
+        query belongs to a query.
+        """
+        return sum(ps.query_count for ps in self.pred_sets)
 
 
 def _replace_side(desc: tuple, side: int, tag) -> tuple:
@@ -236,7 +262,14 @@ class RangeReporter:
             config.backend, index_cap, self.w + _TAG_BITS,
             (self.w + 1).bit_length(), config.seed, config.audit,
         )
-        self.stats = OpStats()
+        self.stats = OpStats(pred_sets=(self.pred, self._sbar_pred))
+        # the key table behind every node key: the order-t depth-d key is
+        # the prefix shifted left by _shift[t][d], which left-aligns it in a
+        # width-bit field above the tag bits, or-ed with the tag _tag[t][d]
+        self._shift = [[self.w + _TAG_BITS - min(d * ch, self.w) for d in range(td + 1)]
+                       for ch, td in zip(self._chunks, self._tdepth)]
+        self._tag = [[(d << _ORDER_BITS) | t for d in range(td + 1)]
+                     for t, td in enumerate(self._tdepth)]
         self._root_key = self._enc(0, 0, 0)
         self._fast_query = config.variant == VARIANT_FAST_QUERY
         # _codes[t][d] is the order-t depth-d code with every prefix bit set:
@@ -245,7 +278,6 @@ class RangeReporter:
             [self._enc(t, d, (1 << min(d * ch, self.w)) - 1) for d in range(td + 1)]
             for t, (ch, td) in enumerate(zip(self._chunks, self._tdepth))
         ]
-        self._q_tb = 0
         self._q_nav = 0
 
     # -- encodings ----------------------------------------------------------
@@ -255,9 +287,9 @@ class RangeReporter:
 
         The prefix is left-aligned in a width-bit field, so that names of
         different depths cannot collide, and depth and order follow it.
+        The query path reads the same two tables inline.
         """
-        pb = min(d * self._chunks[t], self.w)
-        return ((p << (self.w - pb)) << _TAG_BITS) | (d << _ORDER_BITS) | t
+        return (p << self._shift[t][d]) | self._tag[t][d]
 
     def _enc0(self, d: int, p: int) -> int:
         return ((p << (self.w - d)) << _TAG_BITS) | (d << _ORDER_BITS)
@@ -347,7 +379,14 @@ class RangeReporter:
         if prev is None and nxt is None:
             self._insert_first(x)
         else:
-            self._insert_nonempty(x, prev, nxt)
+            try:
+                self._insert_nonempty(x, prev, nxt)
+            except AssertionError:
+                # the consistency checks fire before any change but the
+                # predecessor insert and the new parenthesis pair, which
+                # _insert_nonempty has already taken back out
+                self.pred.delete(x)
+                raise
         delta = self.index.writes - writes_before
         if delta > self.stats.max_index_writes_insert:
             self.stats.max_index_writes_insert = delta
@@ -405,27 +444,33 @@ class RangeReporter:
         v_p = x >> (w - d_v)
         v_key = self._enc0(d_v, v_p)
         x_side = (x >> (w - d_v - 1)) & 1
-        open_h = self._sbar_insert(self._key_open(d_v, v_p), OPEN, v_key)
+        open_key, close_key = self._key_open(d_v, v_p), self._key_close(d_v, v_p)
+        open_h = self._sbar_insert(open_key, OPEN, v_key)
         # Close(v) goes in after y's last entry, whose owner exists: never
         # after Open(v), whose record is not in the table yet
-        close_h = self._sbar_insert(self._key_close(d_v, v_p), CLOSE, v_key)
-        # the innermost enclosing parenthesis pair touches the new pair
-        left = open_h.prev
-        if left is not None and left.kind == OPEN:
-            a_key = left.value
-        else:
-            right = close_h.next
-            if right is None or right.kind != CLOSE:
-                raise AssertionError("no enclosing parenthesis adjacent to the new pair")
-            a_key = right.value
-        a_rec = self.table[a_key]
-        a_desc = a_rec.desc
+        close_h = self._sbar_insert(close_key, CLOSE, v_key)
+        try:
+            # the innermost enclosing parenthesis pair touches the new pair
+            left = open_h.prev
+            if left is not None and left.kind == OPEN:
+                a_key = left.value
+            else:
+                right = close_h.next
+                if right is None or right.kind != CLOSE:
+                    raise AssertionError("no enclosing parenthesis adjacent to the new pair")
+                a_key = right.value
+            a_rec = self.table[a_key]
+            a_desc = a_rec.desc
+            a_depth = self._dec(a_key)[0]
+            side_a = (v_p >> (d_v - a_depth - 1)) & 1
+            y_tag = a_desc[side_a]
+            if y_tag is None:
+                raise AssertionError("the new branching node's ancestor has an empty side")
+        except AssertionError:
+            self._sbar_delete(open_key, open_h)
+            self._sbar_delete(close_key, close_h)
+            raise
         a_real = a_desc[0] is not None and a_desc[1] is not None
-        a_depth = self._dec(a_key)[0]
-        side_a = (v_p >> (d_v - a_depth - 1)) & 1
-        y_tag = a_desc[side_a]
-        if y_tag is None:
-            raise AssertionError("the new branching node's ancestor has an empty side")
 
         rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
                               open_h, close_h)
@@ -603,13 +648,13 @@ class RangeReporter:
 
     def test_branching(self, t: int, d: int, p: int) -> bool:
         """Exact branching test for any order-t node; roots count as branching."""
-        self._q_tb += 1
         if d == 0:
             return True
         if d >= self._tdepth[t]:
             return False
         ch = self._chunks[t]
-        desc = self._verified_descendant(self.index.get(self._enc(t, d, p)), d * ch, p)
+        depth = self.index.get((p << self._shift[t][d]) | self._tag[t][d])
+        desc = self._verified_descendant(depth, d * ch, p)
         # the node branches iff that descendant is a node inside its chunk;
         # a leaf's depth field, 127, lies past the end of every chunk
         return desc is not None and (desc & _TAG_MASK) >> _ORDER_BITS < (d + 1) * ch
@@ -624,7 +669,8 @@ class RangeReporter:
         """
         if depth is None or depth >= v_d:
             return None
-        rec = self.table.get(self._enc0(depth, v_p >> (v_d - depth)))
+        rec = self.table.get(((v_p >> (v_d - depth)) << self._shift[0][depth])
+                             | self._tag[0][depth])
         if rec is None:
             return None
         desc = rec.desc[(v_p >> (v_d - depth - 1)) & 1]
@@ -637,35 +683,35 @@ class RangeReporter:
         """The verified descendant tag on v's side of the lowest branching
         ancestor of the non-branching query node v, given the first order
         whose trie maps v to a branching node; None if none verifies."""
-        w = self.w
+        get = self.index.get
+        codes = self._codes
+        # a code under v: and-ed with _codes[t][d], it keys the order-t
+        # depth-d node on v's path
+        vc = (v_p << (self.w - v_d + _TAG_BITS)) | _TAG_MASK
+        # v's nodes in the order-(t*-1) and order-t* tries sit at depths
+        # z_d and k_star
         t1 = t_star - 1
-        ch1 = self._chunks[t1]
-        z_d = v_d // ch1
-        z_p = v_p >> (v_d - z_d * ch1)
+        z_d = v_d // self._chunks[t1]
+        k_star = v_d // self._chunks[t_star]
         variant = self.config.variant
-        ch_star = self._chunks[t_star]
-        k_star = v_d // ch_star
 
         if variant == VARIANT_CORE:
-            if z_d & 1:
-                depth = self.index.get(self._enc(t1, z_d, z_p))
-            else:
-                depth = self.index.get(self._enc(t_star, k_star, v_p >> (v_d - k_star * ch_star)))
-            return self._verified_descendant(depth, v_d, v_p)
+            key = vc & (codes[t1][z_d] if z_d & 1 else codes[t_star][k_star])
+            return self._verified_descendant(get(key), v_d, v_p)
 
         if k_star != 0:
-            depth = self.index.get(self._enc(t_star, k_star, v_p >> (v_d - k_star * ch_star)))
-            desc = self._verified_descendant(depth, v_d, v_p)
+            desc = self._verified_descendant(get(vc & codes[t_star][k_star]), v_d, v_p)
             if desc is not None:
                 return desc
+        # walk up the order-(t*-1) trie within the natural subtree; 5b
+        # reads v's node alone
         if variant == VARIANT_FAST_QUERY:
-            depth = self.index.get(self._enc(t1, z_d, z_p))
-            return self._verified_descendant(depth, v_d, v_p)
-        # walk up the order-(t*-1) trie within the natural subtree
-        ns_root = (z_d // self.B) * self.B
+            ns_root = z_d - 1
+        else:
+            ns_root = (z_d // self.B) * self.B
+        codes1 = codes[t1]
         for dd in range(z_d, ns_root, -1):
-            depth = self.index.get(self._enc(t1, dd, v_p >> (v_d - dd * ch1)))
-            desc = self._verified_descendant(depth, v_d, v_p)
+            desc = self._verified_descendant(get(vc & codes1[dd]), v_d, v_p)
             if desc is not None:
                 return desc
         return None
@@ -689,10 +735,9 @@ class RangeReporter:
         """
         if a > b:
             raise ValueError("empty interval")
-        self._q_tb = 0
+        tb = 0
         self._q_nav = 0
         reads_before = self.index.reads
-        preds_before = self.pred.query_count + self._sbar_pred.query_count
         try:
             w = self.w
             # a bound lies outside [0, 2**w); as a <= b, a negative b makes
@@ -706,9 +751,10 @@ class RangeReporter:
                 return a if a in self.leaves else None
             if not self.leaves:
                 return None
-            v_d = lca_depth(a, b, w)
+            # the depth and prefix of v = LCA(a, b), and v's key
+            v_d = w - (a ^ b).bit_length()
             v_p = a >> (w - v_d)
-            rec = self.table.get(self._enc0(v_d, v_p))
+            rec = self.table.get((v_p << self._shift[0][v_d]) | self._tag[0][v_d])
             if rec is not None:
                 left, right = rec.desc
                 if left is not None:
@@ -720,11 +766,14 @@ class RangeReporter:
                     if a <= c <= b:
                         return c
                 return None
+            chunks = self._chunks
             lo, hi = 1, self.top
             while lo < hi:
                 mid = (lo + hi) // 2
-                ch = self._chunks[mid]
-                if self.test_branching(mid, v_d // ch, v_p >> (v_d - (v_d // ch) * ch)):
+                ch = chunks[mid]
+                k = v_d // ch
+                tb += 1
+                if self.test_branching(mid, k, v_p >> (v_d - k * ch)):
                     hi = mid
                 else:
                     lo = mid + 1
@@ -740,16 +789,13 @@ class RangeReporter:
             return None
         finally:
             st = self.stats
-            if self._q_tb > st.max_test_branching:
-                st.max_test_branching = self._q_tb
+            if tb > st.max_test_branching:
+                st.max_test_branching = tb
             if self._q_nav > st.max_nav_queries:
                 st.max_nav_queries = self._q_nav
             reads = self.index.reads - reads_before
             if reads > st.max_index_reads_query:
                 st.max_index_reads_query = reads
-            st.pred_queries_during_query += (
-                self.pred.query_count + self._sbar_pred.query_count - preds_before
-            )
 
     def report(self, a: int, b: int):
         """All elements of S in [a, b] in increasing order.

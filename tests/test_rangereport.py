@@ -144,6 +144,30 @@ def test_failed_delete_leaves_structure_unchanged():
     rr.check()
 
 
+def test_failed_insert_leaves_structure_unchanged():
+    rr = make()
+    for x in (3, 100, 200):
+        rr.insert(x)
+    # LCA(3, 100), at depth 1, loses its left descendant, so inserting 2
+    # finds an empty side where the new node's sibling subtree should be
+    key = rr._enc0(1, 0)
+    rec = rr.table[key]
+    desc = rec.desc
+    rec.desc = (None, desc[1])
+    sbar_keys, entries, dump = list(rr._sbar_pred), list(rr.nav), rr.dump()
+    snapshot = rr.index.snapshot()
+    with pytest.raises(AssertionError):
+        rr.insert(2)
+    assert list(rr.pred) == [3, 100, 200]
+    assert list(rr._sbar_pred) == sbar_keys
+    assert list(rr.nav) == entries
+    assert rr.dump() == dump and rr.index.snapshot() == snapshot
+    assert 2 not in rr.leaves
+    rec.desc = desc
+    rr.check()
+    assert rr.insert(2)
+
+
 def test_report_examples():
     rr = make()
     for x in (3, 5, 9):
@@ -392,6 +416,106 @@ def test_findany_never_touches_predecessor_structures():
         for _ in rr.report(a, b):
             pass
     assert rr.pred.query_count + rr._sbar_pred.query_count == before
+
+
+def test_pred_queries_during_query_sees_a_query_path_call():
+    rr = make(width=64, audit=False, seed=7)
+    rng = random.Random(7)
+    for _ in range(200):
+        rr.insert(rng.getrandbits(64))
+    assert rr.stats.pred_queries_during_query == 0
+    max_under = rr._max_under
+    # a query path that asks S for a successor must show in the statistic
+    rr._max_under = lambda desc: (rr.pred.succ(0), max_under(desc))[1]
+    for _ in range(50):
+        a, b = sorted((rng.getrandbits(64), rng.getrandbits(64)))
+        rr.findany(a, b)
+    assert rr.stats.pred_queries_during_query > 0
+
+
+def short_bounds(rng, keys, w, log2_max):
+    """Log-uniform length in [2, 2**log2_max], centred on a live key or a
+    random point, clipped to the universe."""
+    length = int(2.0 ** rng.uniform(1.0, log2_max))
+    centre = rng.choice(keys) if rng.random() < 0.5 else rng.getrandbits(w)
+    a = max(0, centre - length // 2)
+    return a, min((1 << w) - 1, a + length - 1)
+
+
+class _RecordingDict(dict):
+    """A dict that records the keys passed to get."""
+
+    def __init__(self, items, seen):
+        super().__init__(items)
+        self.seen = seen
+
+    def get(self, key, default=None):
+        self.seen.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("width", [8, 64])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5b", 4)])
+def test_query_keys_are_encoder_keys(variant, branch, width):
+    rng = random.Random(43)
+    rr = make(width=width, branch=branch, variant=variant, audit=False,
+              capacity=4096, seed=6)
+    keys = sorted({rng.getrandbits(width) for _ in range(min(2000, 1 << (width - 2)))})
+    for x in keys:
+        rr.insert(x)
+    index_keys, table_keys = [], []
+    get = rr.index.get
+
+    def recording_get(key):
+        index_keys.append(key)
+        return get(key)
+
+    rr.index.get = recording_get
+    rr.table = _RecordingDict(rr.table, table_keys)
+    reads = 0
+    for _ in range(3000):
+        a, b = short_bounds(rng, keys, width, max(width - 8, width // 2))
+        del index_keys[:], table_keys[:]
+        rr.findany(a, b)
+        # every probed node lies on a's path: the key the query built must
+        # be the one _enc gives for that node's order, depth and prefix
+        for key in index_keys + table_keys:
+            t, d = key & 7, (key >> 3) & 127
+            assert key == rr._enc(t, d, a >> (width - min(d * branch**t, width))), (a, b)
+        assert all(key & 7 == 0 for key in table_keys)
+        reads += len(index_keys)
+    assert reads > 0 and rr.stats.max_test_branching >= 1
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8), ("5b", 4)])
+def test_short_intervals_w64_match_sorted_list(variant, branch, backend):
+    # short intervals end below the LCA's table probe: the search over
+    # orders and the variant's ancestor resolution decide the answer
+    rng = random.Random(47)
+    rr = make(width=64, branch=branch, variant=variant, backend=backend, audit=False,
+              capacity=4096, seed=8)
+    keys = set()
+    while len(keys) < 2500:
+        keys.add(rng.getrandbits(64))
+    for x in keys:
+        rr.insert(x)
+    for x in rng.sample(sorted(keys), 500):
+        rr.delete(x)
+        keys.discard(x)
+    shadow = sorted(keys)
+    for i in range(4000):
+        a, b = short_bounds(rng, shadow, 64, 56.0)
+        want = shadow[bisect_left(shadow, a):bisect_right(shadow, b)]
+        got = rr.findany(a, b)
+        if want:
+            assert got in want, (a, b)
+        else:
+            assert got is None, (a, b)
+        if i % 8 == 7:
+            assert list(rr.report(a, b)) == want
+    assert rr.stats.max_test_branching >= 1
+    assert rr.index.reads > 0
 
 
 def test_navlist_examined_bucket_bound_under_traffic():
