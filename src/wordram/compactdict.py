@@ -63,10 +63,6 @@ class VacancyTracker:
     def space_bits(self) -> int:
         return self.slots + self.n_blocks
 
-    @property
-    def occupancy_word(self) -> int:
-        return self._occ
-
 
 class SmallDict:
     """Capacity-j dictionary of s-bit keys; each key owns one slot in [0, j).

@@ -55,7 +55,7 @@ class MultiplyShiftHash:
 class TabulationHash:
     """Per-byte table hash from in_bits-bit keys onto {1, ..., buckets}."""
 
-    __slots__ = ("in_bits", "buckets", "_tables")
+    __slots__ = ("buckets", "_tables")
 
     _TABLE_OUT = 30
 
@@ -63,7 +63,6 @@ class TabulationHash:
         if buckets < 1:
             raise ValueError("buckets must be positive")
         rng = random.Random(seed)
-        self.in_bits = in_bits
         self.buckets = buckets
         n_tables = -(-in_bits // 8)
         self._tables = [
@@ -90,9 +89,7 @@ class BucketHashFamily:
     """
 
     def __init__(self, seed: int, in_bits: int, buckets: int, member_out_bits: int):
-        self.in_bits = in_bits
         self.buckets = buckets
-        self.member_out_bits = member_out_bits
         self.selector = TabulationHash(derive_seed(seed, 0), in_bits, buckets)
         self._members = [
             MultiplyShiftHash(derive_seed(seed, i + 1), in_bits, member_out_bits)

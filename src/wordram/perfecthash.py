@@ -70,7 +70,6 @@ class PerfectHashConfig:
 class PerfectHash:
     def __init__(self, config: PerfectHashConfig, seed: int):
         self.config = config
-        self.seed = seed
         self._reduce = MultiplyShiftHash(
             derive_seed(seed, 0xF00D), config.universe_bits, config.reduced_bits
         )

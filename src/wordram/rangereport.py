@@ -24,28 +24,35 @@ with neighbor-LCA v, whose lowest branching ancestor is a, changes three
 sets of entries: keys absent without x that hold a's depth with it (the
 order-k node that x makes branching), keys absent without x that hold v's
 depth with it, and keys that hold a's depth without x and v's depth with
-it.  ``_index_changes`` computes the three; an insert applies them
-forwards and a delete backwards, so a delete is the exact inverse of the
-insert it undoes.
+it.  ``_index_changes`` alone computes the three, for every key; an insert
+applies them forwards and a delete backwards, so a delete is the exact
+inverse of the insert it undoes.
+
+The root's record exists whenever S is not empty.  A key whose neighbors
+diverge from it at the root fills or empties one side of the root, and
+the first and last key are that case too: the first key finds the root
+record just created with both sides empty, and the last key's delete
+removes the record with its Open and Close after emptying its side.  Then
+v is the root and x has no sibling subtree, which ``_index_changes`` reads
+as a surviving path that ends at v.
 
 A node's identity lives only in its key: the prefix, left-aligned in a
 width-bit field, above ten tag bits for depth and order; ``_dec`` reads
 both back for any order.  One per-(order, depth) key table defines every
 key: the order-t depth-d key is the prefix shifted left by
-``_shift[t][d]``, or-ed with the tag ``_tag[t][d]``.  ``_enc`` is that
-formula for cold paths and tests, and ``_enc0`` its order-0 arithmetic
-for the update path.  ``_codes[t][d]`` is the key with every prefix bit
-set, so and-ed with a code below a node it gives the key of the order-t
-depth-d node on that node's path: updates key their index changes this
-way.  The query path reads the same tables inline, so no probe calls an
-encoder.  A branching record, stored under its order-0 key, keeps no depth
-or prefix.  It names each of its two
-child subtrees by a descendant tag: the leaf code ``(x << 10) | 1023`` of a
-lone key x (``_leaf_code``), or the branching child's order-0 key; None
-marks an empty side of the root.  Both hold their prefix above the tag
-bits, and the depth field reads d for a node and 127 for a leaf, so
-``_verified_descendant``, which checks every index answer a query uses,
-reads a descendant's place from its tag alone.  A record keeps no link to
+``_shift[t][d]``, or-ed with the tag ``_tag[t][d]``, and ``_enc`` is the
+one encoder that applies it.  ``_codes[t][d]`` is the key with every
+prefix bit set, so and-ed with a code below a node it gives the key of the
+order-t depth-d node on that node's path: updates key their index changes
+this way.  The query path reads the same tables inline, so no probe calls
+an encoder.  A branching record, stored under its order-0 key, keeps no
+depth or prefix.  It names each of its two child subtrees by a descendant
+tag: the leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``),
+or the branching child's order-0 key; None marks an empty side of the
+root.  Both hold their prefix above the tag bits, and the depth field
+reads d for a node and 127 for a leaf, so ``_verified_descendant``, which
+checks every index answer a query uses, reads a descendant's place from
+its tag alone.  A record keeps no link to
 its lowest branching ancestor: that ancestor's depth is read from the
 record's own order-0 index entry, which every branching node has.
 Navigation-list entries, which are their own handles, live only with their
@@ -291,9 +298,6 @@ class RangeReporter:
         """
         return (p << self._shift[t][d]) | self._tag[t][d]
 
-    def _enc0(self, d: int, p: int) -> int:
-        return ((p << (self.w - d)) << _TAG_BITS) | (d << _ORDER_BITS)
-
     def _dec(self, key: int) -> tuple[int, int]:
         """(depth, prefix) of the index key of a node of any order."""
         d = (key >> _ORDER_BITS) & ((1 << _DEPTH_BITS) - 1)
@@ -326,8 +330,8 @@ class RangeReporter:
 
         The low 11 bits are 0 for an element; for a parenthesis the rank bit
         tells an Open (depth d below it) from a Close (w - d).  The owner's
-        node key ``(lo << 10) | (d << 3)`` is ``_enc0(d, p)``, where
-        ``lo = p << (w - d)`` is the first key of its span.
+        node key is ``(lo << 10) | (d << 3)``, where ``lo = p << (w - d)`` is
+        the first key of its span.
         """
         low = key & _AUG_MASK
         # half the coordinate: x for element x (rounded down), lo for an
@@ -376,17 +380,14 @@ class RangeReporter:
             raise ValueError("capacity exceeded")
         writes_before = self.index.writes
         prev, nxt, _ = self.pred.insert(x)
-        if prev is None and nxt is None:
-            self._insert_first(x)
-        else:
-            try:
-                self._insert_nonempty(x, prev, nxt)
-            except AssertionError:
-                # the consistency checks fire before any change but the
-                # predecessor insert and the new parenthesis pair, which
-                # _insert_nonempty has already taken back out
-                self.pred.delete(x)
-                raise
+        try:
+            self._insert_key(x, prev, nxt)
+        except AssertionError:
+            # the consistency checks fire before any change but the
+            # predecessor insert and the new parenthesis pair, which
+            # _insert_key has already taken back out
+            self.pred.delete(x)
+            raise
         delta = self.index.writes - writes_before
         if delta > self.stats.max_index_writes_insert:
             self.stats.max_index_writes_insert = delta
@@ -394,55 +395,42 @@ class RangeReporter:
             self.check()
         return True
 
-    def _insert_first(self, x: int) -> None:
-        root_key = self._root_key
-        root = BranchingRecord(_replace_side((None, None), x >> (self.w - 1),
-                                             self._leaf_code(x)))
-        # each entry's owner holds its handle before the next entry goes in
-        self.table[root_key] = root
-        root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)
-        self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
-        root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, root_key)
-        idx_add = self.index.add
-        for key in self._root_child_keys(x):
-            idx_add(key, 0)
+    def _v_depth(self, x: int, prev: int | None, nxt: int | None) -> int:
+        """The depth of v, the deeper of x's LCAs with its key neighbors;
+        x ^ key is smaller for the deeper one.  Without neighbors v is the
+        root."""
+        # a missing neighbor reads as a key that differs from x in every bit
+        far = (1 << self.w) - 1
+        lo = far if prev is None else x ^ prev
+        hi = far if nxt is None else x ^ nxt
+        return self.w - (lo if lo < hi else hi).bit_length()
 
-    def _root_child_keys(self, x: int) -> list[int]:
-        """Index keys mandated for the only key x: its path below each root."""
-        xc = self._leaf_code(x)
-        if self._fast_query:
-            return [xc & codes[dd] for codes in self._codes
-                    for dd in range(1, min(self.B, len(codes)))]
-        return [xc & codes[1] for codes in self._codes]
-
-    def _neighbor(self, x: int, prev: int | None, nxt: int | None) -> tuple[int, int]:
-        """(depth of v, neighbor) where v is the deeper of x's LCAs with its
-        key neighbors; the two depths always differ, and x ^ key is smaller
-        for the deeper one."""
-        if nxt is None or (prev is not None and (x ^ prev) < (x ^ nxt)):
-            nbr = prev
-        else:
-            nbr = nxt
-        return self.w - (x ^ nbr).bit_length(), nbr
-
-    def _insert_nonempty(self, x: int, prev: int | None, nxt: int | None) -> None:
+    def _insert_key(self, x: int, prev: int | None, nxt: int | None) -> None:
         w = self.w
-        d_v, nbr = self._neighbor(x, prev, nxt)
+        d_v = self._v_depth(x, prev, nxt)
 
         if d_v == 0:
-            # the new divergence point is the root itself; its record exists
-            root = self.table[self._root_key]
+            # the new divergence point is the root: x fills its empty side,
+            # and the first key finds both sides empty
+            first = prev is None and nxt is None
+            root_key = self._root_key
+            if first:
+                root = self.table[root_key] = BranchingRecord((None, None))
+                root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)
+                root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, root_key)
+            else:
+                root = self.table[root_key]
             x_side = x >> (w - 1)
             y_tag = root.desc[1 - x_side]
-            if root.desc[x_side] is not None or y_tag is None:
-                raise AssertionError("a root-level divergence needs one empty root side")
+            if root.desc[x_side] is not None or (y_tag is None) != first:
+                raise AssertionError("the root's sides disagree with x's neighbors")
             root.desc = _replace_side(root.desc, x_side, self._leaf_code(x))
             self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
-            self._index_insert(x, nbr, 0, y_tag, a_depth=0, a_real=False)
+            self._index_insert(x, 0, y_tag, a_depth=0, a_real=False)
             return
 
         v_p = x >> (w - d_v)
-        v_key = self._enc0(d_v, v_p)
+        v_key = self._enc(0, d_v, v_p)
         x_side = (x >> (w - d_v - 1)) & 1
         open_key, close_key = self._key_open(d_v, v_p), self._key_close(d_v, v_p)
         open_h = self._sbar_insert(open_key, OPEN, v_key)
@@ -477,11 +465,10 @@ class RangeReporter:
         a_rec.desc = _replace_side(a_desc, side_a, v_key)
         self.table[v_key] = rec
         self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
-        self._index_insert(x, nbr, d_v, y_tag, a_depth, a_real)
+        self._index_insert(x, d_v, y_tag, a_depth, a_real)
 
-    def _index_insert(self, x: int, nbr: int, d_v: int, y_tag, a_depth: int,
-                      a_real: bool) -> None:
-        to_a, to_v, a_to_v = self._index_changes(x, nbr, d_v, y_tag, a_depth, a_real)
+    def _index_insert(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
+        to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
         idx_add = self.index.add
         for key in to_a:
             idx_add(key, a_depth)
@@ -491,31 +478,37 @@ class RangeReporter:
         for key in a_to_v:
             idx_set(key, d_v)
 
-    def _index_changes(self, x: int, nbr: int, d_v: int, y_tag, a_depth: int,
+    def _index_changes(self, x: int, d_v: int, y_tag, a_depth: int,
                        a_real: bool) -> tuple[list[int], list[int], list[int]]:
         """The index entries that x's presence changes, as three key lists.
 
-        v = LCA(x, nbr) sits at depth d_v, y_tag names v's child subtree
-        other than x, and a is v's lowest branching ancestor at depth
-        a_depth (0 when v is the root); a_real says whether a branches
-        without x (it then branches with x too), so an insert and the
-        delete that undoes it pass the same arguments.
+        v = LCA(x, its nearer key neighbor) sits at depth d_v, y_tag names
+        v's child subtree other than x (None when x is alone under the
+        root), and a is v's lowest branching ancestor at depth a_depth (0
+        when v is the root); a_real says whether a branches without x (it
+        then branches with x too), so an insert and the delete that undoes
+        it pass the same arguments.
         Returns the keys that are absent without x and hold a_depth with it
         (the order-k node that x makes branching), the keys that are absent
         without x and hold d_v with it, and the keys that hold a_depth
         without x and d_v with it.
         """
-        y_real = (y_tag & _TAG_MASK) != _TAG_MASK
-        # a node key's low ten bits are its depth over the order-0 field
-        y_d0 = (y_tag & _TAG_MASK) >> _ORDER_BITS if y_real else self.w
+        if y_tag is None:
+            # nothing survives below v without x: the surviving path ends
+            # at v, which branches as the root
+            y_real, y_d0, nc = True, d_v, 0
+        else:
+            y_real = (y_tag & _TAG_MASK) != _TAG_MASK
+            # a node key's low ten bits are its depth over the order-0 field
+            y_d0 = (y_tag & _TAG_MASK) >> _ORDER_BITS if y_real else self.w
+            # a code below y also addresses every node on y's path
+            nc = y_tag | _TAG_MASK
         fast_query = self._fast_query
         B = self.B
         to_a: list[int] = []
         to_v: list[int] = []
         a_to_v: list[int] = []
         xc = self._leaf_code(x)
-        # nbr lies under y, so its code also addresses every node on y's path
-        nc = self._leaf_code(nbr)
         for ch, codes in zip(self._chunks, self._codes):
             k = d_v // ch
             yk = y_d0 // ch
@@ -568,10 +561,7 @@ class RangeReporter:
         writes_before = self.index.writes
         prev, nxt, _ = self.pred.delete(x)
         try:
-            if prev is None and nxt is None:
-                self._delete_last(x)
-            else:
-                self._delete_nonlast(x, prev, nxt)
+            self._delete_key(x, prev, nxt)
         except AssertionError:
             # the consistency checks run before any other change, so a
             # failed delete leaves the structure as it was once x is back
@@ -584,32 +574,33 @@ class RangeReporter:
             self.check()
         return True
 
-    def _delete_last(self, x: int) -> None:
-        idx_drop = self.index.drop
-        for key in self._root_child_keys(x):
-            idx_drop(key)
-        root = self.table.pop(self._root_key)
-        self._sbar_delete(self._key_element(x), self.leaves.pop(x))
-        self._sbar_delete(self._key_open(0, 0), root.open_h)
-        self._sbar_delete(self._key_close(0, 0), root.close_h)
-
-    def _delete_nonlast(self, x: int, prev: int | None, nxt: int | None) -> None:
+    def _delete_key(self, x: int, prev: int | None, nxt: int | None) -> None:
         w = self.w
-        d_v, nbr = self._neighbor(x, prev, nxt)
+        d_v = self._v_depth(x, prev, nxt)
 
         if d_v == 0:
-            root = self.table[self._root_key]
+            # x empties its side of the root; the last key takes the root
+            # record with it
+            last = prev is None and nxt is None
+            root_key = self._root_key
+            root = self.table[root_key]
             x_side = x >> (w - 1)
+            y_tag = root.desc[1 - x_side]
             if root.desc[x_side] != self._leaf_code(x):
                 raise AssertionError("the root's descendant on x's side is not x")
+            if (y_tag is None) != last:
+                raise AssertionError("the root's other side disagrees with x's neighbors")
             root.desc = _replace_side(root.desc, x_side, None)
-            y_tag = root.desc[1 - x_side]
             self._sbar_delete(self._key_element(x), self.leaves.pop(x))
-            self._index_delete(x, nbr, 0, y_tag, a_depth=0, a_real=False)
+            if last:
+                del self.table[root_key]
+                self._sbar_delete(self._key_open(0, 0), root.open_h)
+                self._sbar_delete(self._key_close(0, 0), root.close_h)
+            self._index_delete(x, 0, y_tag, a_depth=0, a_real=False)
             return
 
         v_p = x >> (w - d_v)
-        v_key = self._enc0(d_v, v_p)
+        v_key = self._enc(0, d_v, v_p)
         rec = self.table.get(v_key)
         x_side = (x >> (w - d_v - 1)) & 1
         if rec is None or rec.desc[x_side] != self._leaf_code(x):
@@ -620,7 +611,7 @@ class RangeReporter:
         a_depth = self.index.get(v_key)
         if a_depth is None or a_depth >= d_v:
             raise AssertionError("v's index entry holds no ancestor depth")
-        a_rec = self.table.get(self._enc0(a_depth, v_p >> (d_v - a_depth)))
+        a_rec = self.table.get(self._enc(0, a_depth, v_p >> (d_v - a_depth)))
         side_a = (v_p >> (d_v - a_depth - 1)) & 1
         if a_rec is None or a_rec.desc[side_a] != v_key:
             raise AssertionError("v's ancestor does not name v as its descendant")
@@ -630,11 +621,10 @@ class RangeReporter:
         self._sbar_delete(self._key_close(d_v, v_p), rec.close_h)
         self._sbar_delete(self._key_element(x), self.leaves.pop(x))
         a_real = a_desc[0] is not None and a_desc[1] is not None
-        self._index_delete(x, nbr, d_v, y_tag, a_depth, a_real)
+        self._index_delete(x, d_v, y_tag, a_depth, a_real)
 
-    def _index_delete(self, x: int, nbr: int, d_v: int, y_tag, a_depth: int,
-                      a_real: bool) -> None:
-        to_a, to_v, a_to_v = self._index_changes(x, nbr, d_v, y_tag, a_depth, a_real)
+    def _index_delete(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
+        to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
         idx_set = self.index.set
         for key in a_to_v:
             idx_set(key, a_depth)
@@ -867,14 +857,14 @@ class RangeReporter:
             if hi - lo == 1:
                 return self._leaf_code(elems[lo])
             d = lca_depth(elems[lo], elems[hi - 1], w)
-            return self._enc0(d, elems[lo] >> (w - d))
+            return self._enc(0, d, elems[lo] >> (w - d))
 
         def build(lo: int, hi: int):
             d = lca_depth(elems[lo], elems[hi - 1], w)
             p = elems[lo] >> (w - d)
             threshold = ((p << 1) | 1) << (w - d - 1)
             m = bisect_left(elems, threshold, lo, hi)
-            out[self._enc0(d, p)] = (top_tag(lo, m), top_tag(m, hi))
+            out[self._enc(0, d, p)] = (top_tag(lo, m), top_tag(m, hi))
             if m - lo >= 2:
                 build(lo, m)
             if hi - m >= 2:
@@ -932,13 +922,13 @@ class RangeReporter:
         real: set[int] = set()
         for i in range(len(elems) - 1):
             d = lca_depth(elems[i], elems[i + 1], w)
-            real.add(self._enc0(d, elems[i] >> (w - d)))
+            real.add(self._enc(0, d, elems[i] >> (w - d)))
 
         def lba_depth(d0: int, path: int) -> int:
             # deepest real branching node strictly above depth d0 on the path
             # of a key with the given leading bits (path has >= d0 bits here)
             for dd in range(d0 - 1, 0, -1):
-                if self._enc0(dd, path >> (d0 - dd)) in real:
+                if self._enc(0, dd, path >> (d0 - dd)) in real:
                     return dd
             return 0
 

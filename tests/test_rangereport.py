@@ -96,7 +96,7 @@ def test_two_keys_build_one_branching_node():
     rr.insert(10)
     rr.insert(12)
     # their paths diverge at depth 5; the node's parentheses enclose both
-    key = rr._enc0(5, 10 >> 3)
+    key = rr._enc(0, 5, 10 >> 3)
     rec = rr.table[key]
     assert rr._dec(key) == (5, 10 >> 3)
     inner = rec.open_h.next
@@ -132,7 +132,7 @@ def test_failed_delete_leaves_structure_unchanged():
         rr.insert(x)
     # LCA(3, 100), at depth 1, names its leaves the wrong way round, so the
     # delete's own descendant check fires
-    key = rr._enc0(1, 0)
+    key = rr._enc(0, 1, 0)
     rec = rr.table[key]
     rec.desc = rec.desc[::-1]
     with pytest.raises(AssertionError):
@@ -150,7 +150,7 @@ def test_failed_insert_leaves_structure_unchanged():
         rr.insert(x)
     # LCA(3, 100), at depth 1, loses its left descendant, so inserting 2
     # finds an empty side where the new node's sibling subtree should be
-    key = rr._enc0(1, 0)
+    key = rr._enc(0, 1, 0)
     rec = rr.table[key]
     desc = rec.desc
     rec.desc = (None, desc[1])
@@ -166,6 +166,33 @@ def test_failed_insert_leaves_structure_unchanged():
     rec.desc = desc
     rr.check()
     assert rr.insert(2)
+
+
+@pytest.mark.parametrize("keys,corrupt,x", [
+    # the last key's root side names another leaf
+    ((5,), (6, None), 5),
+    # the last key's root has a key on its other side
+    ((5,), (5, 200), 5),
+    # a root-side key's sibling side is empty though 200 is there
+    ((3, 200), (3, None), 3),
+], ids=["last_key_x_side", "last_key_other_side", "other_side_empty"])
+def test_failed_root_side_delete_leaves_structure_unchanged(keys, corrupt, x):
+    rr = make()
+    for key in keys:
+        rr.insert(key)
+    root = rr.table[rr._root_key]
+    desc = root.desc
+    root.desc = tuple(None if k is None else rr._leaf_code(k) for k in corrupt)
+    entries, snapshot = list(rr.nav), rr.index.snapshot()
+    table, leaves = dict(rr.table), dict(rr.leaves)
+    with pytest.raises(AssertionError):
+        rr.delete(x)
+    assert list(rr.pred) == list(keys)
+    assert list(rr.nav) == entries
+    assert rr.index.snapshot() == snapshot
+    assert rr.table == table and rr.leaves == leaves
+    root.desc = desc
+    rr.check()
 
 
 def test_report_examples():
@@ -317,7 +344,7 @@ def test_verify_lowest_ancestor_public_contract():
     rr = make(seed=13)
     for x in (0b00000001, 0b00000011, 0b11000000):
         rr.insert(x)
-    d6_depth, _ = rr._dec(rr._enc0(6, 0b000000))
+    d6_depth, _ = rr._dec(rr._enc(0, 6, 0b000000))
     root_depth, _ = rr._dec(rr._root_key)
     assert rr._verified_descendant(d6_depth, 7, 0b0000001) is not None
     # the root is an ancestor but its descendant on v's side sits above v
@@ -338,8 +365,6 @@ def test_node_encoding_injective_w8(branch):
                 seen.add(key)
                 # w + 10 tag bits: the key width the index is built for
                 assert key.bit_length() <= 8 + 10
-                if t == 0:
-                    assert rr._enc0(d, p) == key
 
 
 def test_dump_format():
@@ -657,7 +682,7 @@ def misdirect_leaf(rr):
 def swap_desc(rr):
     # LCA(3, 100), at depth 1, names its leaves the wrong way round; with
     # no audit, only the delete's own descendant check can see it
-    rec = rr.table[rr._enc0(1, 0)]
+    rec = rr.table[rr._enc(0, 1, 0)]
     rec.desc = rec.desc[::-1]
     rr.delete(100)
 
