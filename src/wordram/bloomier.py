@@ -70,6 +70,14 @@ class BloomierFilter:
         return len(self._exact) + len(self._hashed)
 
     def insert(self, key: int, value: int) -> None:
+        """Map an absent key to a nonzero value.
+
+        The key must not be live.  Inserting a live key finds its own hash
+        image taken, so it stores a verbatim duplicate and counts twice in
+        live_count; the filter cannot tell that from a collision without
+        storing every key.  Callers that cannot rule it out keep their own
+        record of present keys, as the range reporter's audit mirror does.
+        """
         if value == 0:
             raise ValueError("value 0 means absent; use delete")
         if value >> self.config.value_bits:

@@ -2,10 +2,13 @@
 
 Keys live in sorted buckets of Theta(width) size with an x-fast-style top
 structure over the bucket representatives: hash tables of key prefixes per
-level, binary-searched for the longest match.  Queries cost O(log width)
-expected; bucket splits and merges keep top updates rare.  An update whose
-key falls inside the bucket the previous update touched skips the top
-search: the keys of one range-reporting update sit close.
+level, binary-searched for the longest match.  The top stores only the
+levels down to where consecutive representatives stop sharing prefixes,
+so a search probes lg(height + 1) <= lg(width + 1) tables; on uniform keys
+height is about lg of the number of representatives.  Bucket splits and
+merges keep top updates rare.  An update whose key falls inside the bucket
+the previous update touched skips the top search: the keys of one
+range-reporting update sit close.
 
 The buckets are the only ordered copy of the keys.  An update returns the
 key's neighbors from its bucket position; at a bucket edge the neighbor is
@@ -19,15 +22,33 @@ from bisect import bisect_left, bisect_right
 
 
 class _XFastTop:
-    """Prefix tables over a dynamic set of representative keys."""
+    """Prefix tables over a dynamic set of representative keys.
+
+    Levels 1..height are stored, where height is one more than the longest
+    prefix two consecutive representatives have shared since the top was
+    built (1 while none has).  So a height-bit prefix names at most one
+    representative, and deeper levels, which would hold one private entry
+    per representative, are never needed.  A search binary-searches levels
+    0..height, which is at most lg(height + 1) <= lg(width + 1) probes.
+
+    height only grows, and never past width.  The pair a delete joins
+    shares the shorter of its two old prefixes, so only an insert can grow
+    height.  A grow fills the new levels for every representative, which
+    costs O(#reps * added levels) in that one insert: a latency spike on a
+    single operation.  height grows at most width times in all, and there
+    are O(n / width) representatives, so the grows cost amortized O(1) per
+    insert.
+    """
 
     def __init__(self, width: int):
         self.width = width
+        self.height = 1
         # level L maps the leading L bits of each rep to (min, max) under it;
-        # tuples of ints drop out of the cyclic collector's tracking, lists
-        # would not.  Tuples are replaced, never mutated, so one (rep, rep)
-        # pair is shared by every level where rep is alone under its prefix
-        self._levels: list[dict[int, tuple[int, int]]] = [{} for _ in range(width + 1)]
+        # level 0, the root, is implied and its dict stays empty.  Tuples of
+        # ints drop out of the cyclic collector's tracking, lists would not.
+        # Tuples are replaced, never mutated, so one (rep, rep) pair is
+        # shared by every level where rep is alone under its prefix
+        self._levels: list[dict[int, tuple[int, int]]] = [{}, {}]
         self._link: dict[int, list[int | None]] = {}
         self.min: int | None = None
         self.max: int | None = None
@@ -35,14 +56,20 @@ class _XFastTop:
     def insert(self, rep: int) -> None:
         p = self.pred(rep)
         nxt = self._link[p][1] if p is not None else self.min
+        w = self.width
+        # the longest prefix rep shares with a neighbor, which is w minus
+        # the bit length of their xor; grow before rep is linked in
+        shared = w - min((rep ^ p).bit_length() if p is not None else w + 1,
+                         (rep ^ nxt).bit_length() if nxt is not None else w + 1)
+        if shared >= self.height:
+            self._grow(shared + 1)
         self._link[rep] = [p, nxt]
         if p is not None:
             self._link[p][1] = rep
         if nxt is not None:
             self._link[nxt][0] = rep
-        w = self.width
         alone = (rep, rep)
-        for level in range(1, w + 1):
+        for level in range(1, self.height + 1):
             table = self._levels[level]
             pref = rep >> (w - level)
             entry = table.get(pref)
@@ -57,6 +84,22 @@ class _XFastTop:
         if self.max is None or rep > self.max:
             self.max = rep
 
+    def _grow(self, height: int) -> None:
+        """Store levels up to height for the reps present before an insert.
+        From the old height down no two of them share a prefix, so each one
+        is alone."""
+        w = self.width
+        old = self.height
+        new = [{} for _ in range(old, height)]
+        rep = self.min
+        while rep is not None:
+            alone = (rep, rep)
+            for level, table in enumerate(new, old + 1):
+                table[rep >> (w - level)] = alone
+            rep = self._link[rep][1]
+        self._levels += new
+        self.height = height
+
     def delete(self, rep: int) -> None:
         prv, nxt = self._link.pop(rep)
         if prv is not None:
@@ -64,7 +107,7 @@ class _XFastTop:
         if nxt is not None:
             self._link[nxt][0] = prv
         w = self.width
-        for level in range(1, w + 1):
+        for level in range(1, self.height + 1):
             table = self._levels[level]
             pref = rep >> (w - level)
             entry = table[pref]
@@ -93,8 +136,8 @@ class _XFastTop:
         if x >= self.max:  # type: ignore[operator]
             return self.max
         w = self.width
-        # deepest level whose table contains x's prefix
-        lo, hi = 0, w
+        # deepest stored level whose table contains x's prefix
+        lo, hi = 0, self.height
         levels = self._levels
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -102,8 +145,10 @@ class _XFastTop:
                 lo = mid
             else:
                 hi = mid - 1
-        if lo == w:
-            return x
+        if lo == self.height:
+            # one rep has x's prefix at this depth
+            rep = levels[lo][x >> (w - lo)][0]
+            return rep if rep <= x else self._link[rep][0]
         child = x >> (w - lo - 1)
         if child & 1:
             # x descends right of the divergence; left sibling subtree holds pred

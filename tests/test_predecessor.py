@@ -11,15 +11,55 @@ def delete_answer(ref: list[int], i: int) -> tuple[int | None, int | None, bool]
     return (ref[i - 1] if i else None, ref[i + 1] if i + 1 < len(ref) else None, True)
 
 
-def replay(width: int, ops: int, seed: int) -> None:
+def deepening(width: int, ops: int):
+    """Keys that start out uniform and later crowd under one prefix: the
+    i-th key shares about width * i / ops leading bits with a fixed anchor,
+    so buckets split there and late representatives share long prefixes
+    with their neighbors."""
+    anchor = random.Random(width).randrange(1 << width)
+
+    def draw(rng: random.Random, i: int, ref: list[int]) -> int:
+        if rng.random() < 0.25:
+            return rng.randrange(1 << width)
+        free = width - width * i // ops
+        return anchor >> free << free | rng.getrandbits(free)
+    return draw
+
+
+def check_top(ps: PredecessorSet) -> None:
+    """The x-fast top against the representatives, the buckets' first keys:
+    height exceeds every consecutive pair's shared prefix and is at most
+    width, and each stored level holds exactly the representatives'
+    prefixes, each with the least and greatest representative under it."""
+    top = ps._top
+    w = top.width
+    reps = sorted(ps._buckets)
+    assert 1 <= top.height <= w
+    for a, b in zip(reps, reps[1:]):
+        assert w - (a ^ b).bit_length() < top.height
+    assert len(top._levels) == top.height + 1 and not top._levels[0]
+    for level in range(1, top.height + 1):
+        want: dict[int, tuple[int, int]] = {}
+        for r in reps:  # ascending, so the last rep under a prefix is its max
+            pref = r >> (w - level)
+            want[pref] = (want.get(pref, (r, r))[0], r)
+        assert top._levels[level] == want, level
+    assert (top.min, top.max) == ((reps[0], reps[-1]) if reps else (None, None))
+
+
+def replay(width: int, ops: int, seed: int, draw=None, check=None) -> list[int]:
+    """Random inserts, deletes and queries against a sorted list; draw picks
+    keys and query points, check runs after every op.  Returns the top's
+    height after each op."""
+    draw = draw or (lambda rng, i, ref: rng.randrange(1 << width))
     ps = PredecessorSet(width)
     ref: list[int] = []
     rng = random.Random(seed)
-    universe = 1 << width
-    for _ in range(ops):
+    heights = []
+    for step in range(ops):
         roll = rng.random()
         if roll < 0.5 or not ref:
-            x = rng.randrange(universe)
+            x = draw(rng, step, ref)
             prev, nxt, fresh = ps.insert(x)
             i = bisect_left(ref, x)
             if fresh:
@@ -34,7 +74,7 @@ def replay(width: int, ops: int, seed: int) -> None:
             assert ps.delete(ref[i]) == delete_answer(ref, i)
             ref.pop(i)
         else:
-            q = rng.randrange(universe)
+            q = draw(rng, step, ref)
             i = bisect_right(ref, q)
             assert ps.pred(q) == (ref[i - 1] if i else None)
             j = bisect_left(ref, q)
@@ -42,13 +82,36 @@ def replay(width: int, ops: int, seed: int) -> None:
             if i == j:
                 assert ps.delete(q) == (None, None, False)
         assert (ps.min, ps.max) == ((ref[0], ref[-1]) if ref else (None, None))
+        if check:
+            check(ps)
+        heights.append(ps._top.height)
     assert list(ps) == ref
+    return heights
 
 
 @pytest.mark.parametrize("width", [8, 64])
 def test_oracle_replay(width):
     replay(width, 20_000, seed=17)
     replay(width, 20_000, seed=4)
+
+
+@pytest.mark.parametrize("width,ops", [(8, 1000), (64, 3000)])
+def test_oracle_replay_growing_height(width, ops):
+    # late keys share ever longer prefixes, so height grows mid-run; the top
+    # is checked against its representatives after every op
+    heights = replay(width, ops, seed=width, draw=deepening(width, ops), check=check_top)
+    assert heights[ops // 4] < heights[-1] and heights[-1] > width // 2
+    assert heights == sorted(heights)  # height never shrinks
+
+
+def test_height_small_on_uniform_keys():
+    # consecutive representatives of 2^14 uniform keys share few bits
+    ps = PredecessorSet(64)
+    rng = random.Random(14)
+    for _ in range(1 << 14):
+        ps.insert(rng.getrandbits(64))
+    check_top(ps)
+    assert ps._top.height <= 16
 
 
 def test_dense_small_universe():

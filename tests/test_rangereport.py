@@ -296,6 +296,44 @@ def test_variants_w8_fuzz_with_audit(variant, branch, backend):
     run_fuzz(rr, 150, seed=2)
 
 
+DEEP_BASE = 0x9E3779B97F4A7C15  # any fixed 64-bit word
+
+
+def deep_key(rng):
+    """DEEP_BASE with a random-length random suffix: two such keys diverge
+    at any depth, so branching nodes fall at every depth 0-63, not only
+    above about 2 lg n as with uniform keys."""
+    k = rng.randrange(65)
+    return DEEP_BASE >> k << k | rng.getrandbits(k)
+
+
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5a", 8), ("5b", 4),
+                                            ("5b", 8)])
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+def test_deep_keys_w64_fuzz_with_audit(variant, branch, backend):
+    # the set stays near 16 keys, so the audit after every update is cheap
+    rng = random.Random(branch)
+    rr = make(width=64, branch=branch, variant=variant, backend=backend, seed=branch)
+    shadow = []
+    depths = set()
+    for _ in range(150):
+        if not shadow or rng.random() < (0.7 if len(shadow) < 16 else 0.3):
+            x = deep_key(rng)
+            if rr.insert(x):
+                insort(shadow, x)
+        else:
+            assert rr.delete(shadow.pop(rng.randrange(len(shadow))))
+        depths.update(64 - (a ^ b).bit_length() for a, b in zip(shadow, shadow[1:]))
+        x, d = deep_key(rng), rng.randrange(4)
+        for a, b in (sorted((deep_key(rng), deep_key(rng))), (max(x - d, 0), x + d)):
+            want = shadow[bisect_left(shadow, a):bisect_right(shadow, b)]
+            got = rr.findany(a, b)
+            assert got in want if want else got is None, (a, b)
+            assert list(rr.report(a, b)) == want
+    assert len(depths) >= 40  # LCAs at many depths, deep ones included
+    assert max(depths) >= 56
+
+
 def test_exhaustive_all_pairs_small_states():
     rr = make(seed=3)
     run_fuzz(rr, 60, seed=3, queries_per_op=5, exhaustive_every=20)
@@ -656,16 +694,22 @@ def test_universe_boundary_keys():
 
 
 def test_index_discipline_asserts_on_misuse():
-    rr = make()
-    rr.insert(9)
-    key = next(iter(rr.index.snapshot()))
-    with pytest.raises(KeyError):
-        rr.index.add(key, 0)  # adding a present key
-    absent = 1 << 40  # far outside the 8-bit name space
-    with pytest.raises(KeyError):
-        rr.index.drop(absent)
-    with pytest.raises(KeyError):
-        rr.index.set(absent, 3)
+    # the exact store checks add/set/drop itself; on the Bloomier backend,
+    # which cannot tell a live key from a collision, the audit mirror does
+    for backend in (BACKEND_EXACT, BACKEND_BLOOMIER):
+        rr = make(backend=backend, audit=True)
+        rr.insert(9)
+        snapshot = rr.index.snapshot()
+        key = next(iter(snapshot))
+        absent = 1 << 40  # far outside the 8-bit name space
+        for misuse in (lambda: rr.index.add(key, 0), lambda: rr.index.drop(absent),
+                       lambda: rr.index.set(absent, 3)):
+            with pytest.raises(KeyError):
+                misuse()
+        # a rejected write leaves the store, or the filter and its mirror,
+        # as they were
+        assert rr.index.snapshot() == snapshot
+        rr.check()
 
 
 _CORRUPT_AND_CHECK = """
@@ -710,21 +754,6 @@ def test_audit_raises_under_python_O():
     ).stdout
     assert out.splitlines() == ["debug False", "wipe_index caught", "misdirect_leaf caught",
                                 "swap_desc caught"]
-
-
-def test_index_discipline_checked_by_the_audit_mirror():
-    rr = make(backend=BACKEND_BLOOMIER)
-    rr.insert(9)
-    snapshot = rr.index.snapshot()
-    key = next(iter(snapshot))
-    absent = 1 << 40
-    for misuse in (lambda: rr.index.add(key, 0), lambda: rr.index.drop(absent),
-                   lambda: rr.index.set(absent, 3)):
-        with pytest.raises(KeyError):
-            misuse()
-    # a rejected write leaves the filter and its mirror as they were
-    assert rr.index.snapshot() == snapshot
-    rr.check()
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])

@@ -1,8 +1,9 @@
 """Stateful property test: a RangeReporter against a sorted list.
 
 Hypothesis drives insert, delete, findany and report on every variant and
-index backend at small widths, with the structural audit on after every
-update and query bounds drawn past both ends of the universe.
+index backend at small widths, and at w=64 on keys that branch at every
+depth, with the structural audit on after every update and query bounds
+drawn past both ends of the universe.
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,13 +32,24 @@ SETTINGS = settings(
 )
 
 
-def _machine(config: RangeConfig):
+DEEP_BASE = 0x9E3779B97F4A7C15  # any fixed 64-bit word
+
+# DEEP_BASE with a random-length random suffix: two such keys diverge at any
+# depth, where uniform keys rarely branch below about 2 lg n
+DEEP_KEYS_W64 = st.integers(0, 64).flatmap(
+    lambda k: st.integers(0, (1 << k) - 1).map(lambda s: DEEP_BASE >> k << k | s))
+
+
+def _machine(config: RangeConfig, near=None):
+    """near draws the keys, uniform ones by default, and some bounds."""
     universe = 1 << config.width
     edges = st.sampled_from([0, 1, universe - 2, universe - 1])
-    keys = st.one_of(st.integers(0, universe - 1), edges)
+    if near is None:
+        near = st.integers(0, universe - 1)
+    keys = st.one_of(near, edges)
     # bounds reach a whole universe past either end, and often sit at an edge
     bounds = st.one_of(st.integers(-universe, 2 * universe), edges,
-                       st.sampled_from([-1, universe]))
+                       st.sampled_from([-1, universe]), near)
 
     class RangeMachine(RuleBasedStateMachine):
         def __init__(self):
@@ -112,3 +124,11 @@ def test_matches_sorted_list(width, variant, branch, backend):
     config = RangeConfig(width=width, branch=branch, variant=variant,
                          backend=backend, capacity=64, audit=True, seed=width)
     run_state_machine_as_test(_machine(config), settings=SETTINGS)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5b", 4)])
+def test_matches_sorted_list_deep_keys_w64(variant, branch, backend):
+    config = RangeConfig(width=64, branch=branch, variant=variant,
+                         backend=backend, capacity=64, audit=True, seed=64)
+    run_state_machine_as_test(_machine(config, near=DEEP_KEYS_W64), settings=SETTINGS)
