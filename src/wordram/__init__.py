@@ -10,7 +10,7 @@ from .gtgame import BitMemory, GreaterThanScheme, probe_bounds, sweep
 from .perfecthash import PerfectHash, PerfectHashConfig, RebuildRequired
 from .predecessor import PredecessorSet
 from .rangereport import RangeConfig, RangeReporter
-from .wordops import NodeName, lca_depth, map_node, msb
+from .wordops import lca_depth, msb
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,6 @@ __all__ = [
     "BloomierConfig",
     "BloomierFilter",
     "GreaterThanScheme",
-    "NodeName",
     "PerfectHash",
     "PerfectHashConfig",
     "PredecessorSet",
@@ -27,7 +26,6 @@ __all__ = [
     "RangeReporter",
     "RebuildRequired",
     "lca_depth",
-    "map_node",
     "msb",
     "probe_bounds",
     "sweep",

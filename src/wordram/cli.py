@@ -34,7 +34,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _run_fuzz(args) -> int:
-    from bisect import bisect_left, insort
+    from bisect import bisect_left, bisect_right, insort
 
     cfg = RangeConfig(
         width=args.w, branch=args.B, variant=args.variant, backend=args.backend,
@@ -45,6 +45,7 @@ def _run_fuzz(args) -> int:
     shadow: list[int] = []
     universe = 1 << args.w
     mismatches = 0
+    queries = 0
     for _ in range(args.ops):
         roll = rng.random()
         if roll < 0.55 or not shadow:
@@ -68,6 +69,10 @@ def _run_fuzz(args) -> int:
                     mismatches += 1
             elif not (a <= got <= b) or got not in rr.leaves:
                 mismatches += 1
+            queries += 1
+            if queries % 8 == 0:
+                if list(rr.report(a, b)) != shadow[i:bisect_right(shadow, b)]:
+                    mismatches += 1
     st = rr.stats
     report = {
         "ops": args.ops,

@@ -6,11 +6,14 @@ its entries in list order in one plain list, plus a summary word
 with one bit per entry in that order (is it a set element).  Superbuckets
 carry one bit per bucket: does it contain at least one element.
 
-The structure answers "nearest element at or before/after this entry" by
-examining a bounded number of summary words; runs of non-element entries
-are short by construction, so the walk never inspects more than a few
-buckets.  An entry is its own handle: the caller holds the entry object,
-which stays valid across splits and merges until it is deleted.
+The buckets are the list's only order: an entry keeps no links to its
+neighbors.  The structure answers "nearest element strictly before/after
+this entry" by examining a bounded number of summary words; runs of
+non-element entries are short by construction, so the walk never inspects
+more than a few buckets, and calling it again from the element it returns
+walks the elements in list order.  An entry is its own handle: the caller
+holds the entry object, which stays valid across splits and merges until it
+is deleted.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ CLOSE = 3
 
 
 class _Entry:
-    __slots__ = ("kind", "value", "prev", "next", "bucket")
+    """One list entry; its place is its slot in its bucket's entries."""
 
-    def __init__(self, kind: int, value: int | None,
-                 prev: _Entry | None, next: _Entry | None, bucket: _Bucket):
+    __slots__ = ("kind", "value", "bucket")
+
+    def __init__(self, kind: int, value: int | None, bucket: _Bucket):
         self.kind = kind
         self.value = value  # an element's key, or a parenthesis's owner key
-        self.prev = prev
-        self.next = next
         self.bucket = bucket  # None once deleted
 
 
@@ -87,28 +89,21 @@ class NavList:
 
     def insert_first(self, kind: int, value: int | None = None) -> _Entry:
         if self._head is not None:
-            bucket = self._head.buckets[0]
-            return self._insert(bucket, 0, None, bucket.entries[0], kind, value)
+            return self._insert(self._head.buckets[0], 0, kind, value)
         sup = self._head = _Super()
         bucket = _Bucket(sup, [], 0)
         sup.buckets.append(bucket)
-        return self._insert(bucket, 0, None, None, kind, value)
+        return self._insert(bucket, 0, kind, value)
 
     def insert_after(self, after: _Entry, kind: int, value: int | None = None) -> _Entry:
         bucket = after.bucket
         if bucket is None:
             raise KeyError("insert after a deleted entry")
-        return self._insert(bucket, bucket.entries.index(after) + 1, after, after.next,
-                            kind, value)
+        return self._insert(bucket, bucket.entries.index(after) + 1, kind, value)
 
-    def _insert(self, bucket: _Bucket, pos: int, after: _Entry | None,
-                next_nb: _Entry | None, kind: int, value: int | None) -> _Entry:
-        """Put a new entry at position pos of bucket, between after and next_nb."""
-        e = _Entry(kind, value, after, next_nb, bucket)
-        if after is not None:
-            after.next = e
-        if next_nb is not None:
-            next_nb.prev = e
+    def _insert(self, bucket: _Bucket, pos: int, kind: int, value: int | None) -> _Entry:
+        """Put a new entry at position pos of bucket."""
+        e = _Entry(kind, value, bucket)
         entries = bucket.entries
         entries.insert(pos, e)
         summary = bucket.summary
@@ -174,10 +169,6 @@ class NavList:
         bucket.summary = summary = _bit_remove(bucket.summary, pos)
         if e.kind == ELEMENT and not summary:
             self._refresh_sup_bit(bucket)
-        if e.prev is not None:
-            e.prev.next = e.next
-        if e.next is not None:
-            e.next.prev = e.prev
         if len(entries) < self.base:
             self._shrink(bucket)
 
@@ -239,13 +230,11 @@ class NavList:
     # -- navigation ----------------------------------------------------------
 
     def nearest_element_left(self, e: _Entry) -> _Entry | None:
-        """Nearest element entry at or before `e` in list order."""
-        if e.kind == ELEMENT:
-            return e
+        """Nearest element entry strictly before `e` in list order."""
         bucket = e.bucket
         pos = bucket.entries.index(e)
         examined = 1
-        mask = bucket.summary & ((1 << (pos + 1)) - 1)
+        mask = bucket.summary & ((1 << pos) - 1)
         if mask:
             self._note(examined)
             return bucket.entries[mask.bit_length() - 1]
@@ -269,16 +258,14 @@ class NavList:
         return None
 
     def nearest_element_right(self, e: _Entry) -> _Entry | None:
-        """Nearest element entry at or after `e` in list order."""
-        if e.kind == ELEMENT:
-            return e
+        """Nearest element entry strictly after `e` in list order."""
         bucket = e.bucket
         pos = bucket.entries.index(e)
         examined = 1
-        mask = bucket.summary >> pos
+        mask = bucket.summary >> (pos + 1)
         if mask:
             self._note(examined)
-            return bucket.entries[pos + _lowbit(mask)]
+            return bucket.entries[pos + 1 + _lowbit(mask)]
         sup = bucket.sup
         b_pos = sup.buckets.index(bucket)
         examined += 1
@@ -313,18 +300,9 @@ class NavList:
             sup = sup.next
 
     def validate(self) -> None:
-        """Cross-check buckets, summaries, links, and size bounds; a breach
-        raises AssertionError, also under ``python -O``."""
+        """Cross-check buckets, summaries, superbucket links, and size bounds;
+        a breach raises AssertionError, also under ``python -O``."""
         order = list(self)
-        chained: list[_Entry] = []
-        e = order[0] if order else None
-        if e is not None:
-            while e.prev is not None:
-                e = e.prev
-        while e is not None:
-            chained.append(e)
-            e = e.next
-        ensure(chained == order, "linked list disagrees with bucket order")
         ensure(len(set(order)) == len(order), "entry listed twice")
 
         sups = []

@@ -34,11 +34,10 @@ class PerfectHashConfig:
     bucket_capacity: int
     spill_capacity: int
     summary_block: int
-    c: int
     spill_factor: int
 
     @classmethod
-    def create(cls, capacity: int, universe_bits: int, c: int = 0,
+    def create(cls, capacity: int, universe_bits: int,
                spill_factor: int = 8) -> "PerfectHashConfig":
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -50,13 +49,13 @@ class PerfectHashConfig:
         reduced = min(3 * ceil_lg_n + 16, universe_bits)
         buckets = max(1, math.ceil(capacity / lg_n**2))
         lglg_u = math.log2(universe_bits)
-        key_bits = max(4, math.ceil((6 + 2 * c) * lglg_u))
+        key_bits = max(4, math.ceil(6 * lglg_u))
         key_bits = min(key_bits, reduced)
         bucket_cap = max(16, math.ceil(lg_n**2 + lg_n ** (5 / 3)))
         spill = spill_factor * math.ceil(capacity / universe_bits)
         block = max(4, ceil_lg_n)
         return cls(capacity, universe_bits, reduced, buckets, key_bits,
-                   bucket_cap, spill, block, c, spill_factor)
+                   bucket_cap, spill, block, spill_factor)
 
     @property
     def range_size(self) -> int:

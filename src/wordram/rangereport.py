@@ -57,9 +57,11 @@ its lowest branching ancestor: that ancestor's depth is read from the
 record's own order-0 index entry, which every branching node has.
 Navigation-list entries, which are their own handles, live only with their
 owners: ``leaves[x]`` holds x's element entry, a branching record its Open
-and Close, whose value is the record's node key.  The predecessor set over
-augmented-list keys finds where a new entry goes, and ``_handle_of`` decodes
-a found key to its owner, so no map from keys to entries is kept.
+and Close, whose value is the record's node key.  Entries keep no links;
+the list's buckets alone hold their order.  The predecessor set over
+augmented-list keys finds where a new entry goes and returns the keys on
+either side of it, and ``_handle_of`` decodes a found key to its owner, so
+no map from keys to entries is kept.
 
 ``stats`` keeps three per-query maxima (branching tests, navigation
 queries, index reads), which findany updates.  ``pred_queries_during_query``
@@ -344,15 +346,19 @@ class RangeReporter:
         return self.table[((c - (1 << low)) << _TAG_BITS)
                           | ((self.w - low) << _ORDER_BITS)].close_h
 
-    def _sbar_insert(self, key: int, kind: int, value: int) -> _Entry:
-        """Insert an augmented-list entry; the owner of the entry before it
-        must already hold that entry."""
-        prev_key, _nxt, fresh = self._sbar_pred.insert(key)
+    def _sbar_insert(self, key: int, kind: int,
+                     value: int) -> tuple[_Entry, int | None, int | None]:
+        """Insert an augmented-list entry; returns it with the augmented-list
+        keys before and after it (None at an end).  The owner of the entry
+        before it must already hold that entry."""
+        prev_key, next_key, fresh = self._sbar_pred.insert(key)
         if not fresh:
             raise AssertionError("duplicate augmented-list key")
         if prev_key is None:
-            return self.nav.insert_first(kind, value)
-        return self.nav.insert_after(self._handle_of(prev_key), kind, value)
+            e = self.nav.insert_first(kind, value)
+        else:
+            e = self.nav.insert_after(self._handle_of(prev_key), kind, value)
+        return e, prev_key, next_key
 
     def _sbar_delete(self, key: int, h: _Entry) -> None:
         self._sbar_pred.delete(key)
@@ -416,8 +422,8 @@ class RangeReporter:
             root_key = self._root_key
             if first:
                 root = self.table[root_key] = BranchingRecord((None, None))
-                root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)
-                root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, root_key)
+                root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)[0]
+                root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, root_key)[0]
             else:
                 root = self.table[root_key]
             x_side = x >> (w - 1)
@@ -425,7 +431,7 @@ class RangeReporter:
             if root.desc[x_side] is not None or (y_tag is None) != first:
                 raise AssertionError("the root's sides disagree with x's neighbors")
             root.desc = _replace_side(root.desc, x_side, self._leaf_code(x))
-            self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
+            self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)[0]
             self._index_insert(x, 0, y_tag, a_depth=0, a_real=False)
             return
 
@@ -433,20 +439,21 @@ class RangeReporter:
         v_key = self._enc(0, d_v, v_p)
         x_side = (x >> (w - d_v - 1)) & 1
         open_key, close_key = self._key_open(d_v, v_p), self._key_close(d_v, v_p)
-        open_h = self._sbar_insert(open_key, OPEN, v_key)
+        open_h, before_open, _ = self._sbar_insert(open_key, OPEN, v_key)
         # Close(v) goes in after y's last entry, whose owner exists: never
         # after Open(v), whose record is not in the table yet
-        close_h = self._sbar_insert(close_key, CLOSE, v_key)
+        close_h, _, after_close = self._sbar_insert(close_key, CLOSE, v_key)
         try:
-            # the innermost enclosing parenthesis pair touches the new pair
-            left = open_h.prev
-            if left is not None and left.kind == OPEN:
-                a_key = left.value
+            # the innermost enclosing parenthesis pair touches the new pair:
+            # an Open's key has the rank bit set, a Close's has nonzero low
+            # bits without it
+            if before_open is not None and before_open & _RANK_BIT:
+                a_key = self._handle_of(before_open).value
+            elif (after_close is not None and after_close & _AUG_MASK
+                  and not after_close & _RANK_BIT):
+                a_key = self._handle_of(after_close).value
             else:
-                right = close_h.next
-                if right is None or right.kind != CLOSE:
-                    raise AssertionError("no enclosing parenthesis adjacent to the new pair")
-                a_key = right.value
+                raise AssertionError("no enclosing parenthesis adjacent to the new pair")
             a_rec = self.table[a_key]
             a_desc = a_rec.desc
             a_depth = self._dec(a_key)[0]
@@ -464,7 +471,7 @@ class RangeReporter:
                               open_h, close_h)
         a_rec.desc = _replace_side(a_desc, side_a, v_key)
         self.table[v_key] = rec
-        self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)
+        self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)[0]
         self._index_insert(x, d_v, y_tag, a_depth, a_real)
 
     def _index_insert(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
@@ -791,9 +798,10 @@ class RangeReporter:
         """All elements of S in [a, b] in increasing order.
 
         Seeds from findany, then walks the navigation list's element entries
-        in both directions from the seed's entry; each step examines a
-        bounded number of buckets and touches no predecessor structure.  The
-        structure must not be mutated while iterating.
+        in both directions from the seed's entry, one nearest-element call
+        per step; each step examines a bounded number of buckets and touches
+        no predecessor structure.  The structure must not be mutated while
+        iterating.
         """
         seed = self.findany(a, b)
         if seed is None:
@@ -801,22 +809,16 @@ class RangeReporter:
         nav = self.nav
         start = self.leaves[seed]
         left = []
-        e = start.prev
-        while e is not None:
-            e = nav.nearest_element_left(e)
-            if e is None or e.value < a:
-                break
+        e = nav.nearest_element_left(start)
+        while e is not None and e.value >= a:
             left.append(e.value)
-            e = e.prev
+            e = nav.nearest_element_left(e)
         yield from reversed(left)
         yield seed
-        e = start.next
-        while e is not None:
-            e = nav.nearest_element_right(e)
-            if e is None or e.value > b:
-                break
+        e = nav.nearest_element_right(start)
+        while e is not None and e.value <= b:
             yield e.value
-            e = e.next
+            e = nav.nearest_element_right(e)
 
     # -- audit -----------------------------------------------------------------
 

@@ -6,8 +6,9 @@ from wordram.navlist import CLOSE, ELEMENT, OPEN, NavList
 
 
 def naive_nearest(mirror, idx, want_kind, direction):
+    # strictly before or after idx
     step = -1 if direction == "left" else 1
-    j = idx
+    j = idx + step
     while 0 <= j < len(mirror):
         if mirror[j][1] == want_kind:
             return mirror[j][0]
@@ -79,9 +80,9 @@ def test_single_entry_and_boundaries():
     h_close = nl.insert_after(h_el, CLOSE, value=12)
     assert nl.nearest_element_left(h_close) == h_el
     assert nl.nearest_element_right(h_open) == h_el
-    # querying at an element returns the element itself
-    assert nl.nearest_element_left(h_el) == h_el
-    assert nl.nearest_element_right(h_el) == h_el
+    # querying at an element looks strictly past it
+    assert nl.nearest_element_left(h_el) is None
+    assert nl.nearest_element_right(h_el) is None
     assert [e.kind for e in nl].count(ELEMENT) == 1
 
 

@@ -99,7 +99,8 @@ def test_two_keys_build_one_branching_node():
     key = rr._enc(0, 5, 10 >> 3)
     rec = rr.table[key]
     assert rr._dec(key) == (5, 10 >> 3)
-    inner = rec.open_h.next
+    entries = list(rr.nav)
+    inner = entries[entries.index(rec.open_h) + 1]
     assert inner.kind == 1 and inner.value == 10
     assert rr.findany(9, 11) == 10
     assert rr.findany(11, 13) == 12
@@ -362,7 +363,7 @@ def test_branching_test_exhaustive_w8():
                 assert rr.test_branching(t, d, p) == want, (t, d, p)
     # branching is monotone in the order: once a node's chunk holds a
     # branching node, every coarser chunking holds it too
-    from wordram.wordops import NodeName, map_node
+    from nodemap import NodeName, map_node
 
     for d in range(1, 9):
         for p in range(1 << d):

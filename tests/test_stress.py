@@ -65,14 +65,15 @@ def test_navlist_hundred_thousand_insertions():
             nl.validate()
     nl.validate()
     assert mirror == list(nl)
-    # nearest-element answers match a naive walk on a sample
+    # nearest-element answers, strictly before and after, match a naive
+    # walk on a sample
     positions = rng.sample(range(len(mirror)), 2000)
     for idx in positions:
         want_left = next(
-            (mirror[j] for j in range(idx, -1, -1) if kinds[j] == ELEMENT), None
+            (mirror[j] for j in range(idx - 1, -1, -1) if kinds[j] == ELEMENT), None
         )
         want_right = next(
-            (mirror[j] for j in range(idx, len(mirror)) if kinds[j] == ELEMENT), None
+            (mirror[j] for j in range(idx + 1, len(mirror)) if kinds[j] == ELEMENT), None
         )
         assert nl.nearest_element_left(mirror[idx]) == want_left
         assert nl.nearest_element_right(mirror[idx]) == want_right

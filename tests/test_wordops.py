@@ -1,13 +1,7 @@
 import pytest
+from nodemap import NodeName, map_node
 
-from wordram.wordops import (
-    NodeName,
-    lca_depth,
-    map_node,
-    msb,
-    top_order,
-    trie_depth,
-)
+from wordram.wordops import lca_depth, msb, top_order, trie_depth
 
 
 def test_msb_examples():
