@@ -33,6 +33,15 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(",".join(str(payload[k]) for k in keys) + "\n")
 
 
+def _fuzz_bound(rng: random.Random, shadow: list[int], universe: int) -> int:
+    """A query bound: half the time on a live key or next to one, where a
+    slip between < and <= at an interval end shows, else uniform."""
+    if shadow and rng.random() < 0.5:
+        x = shadow[rng.randrange(len(shadow))] + rng.randrange(-1, 2)
+        return min(max(x, 0), universe - 1)
+    return rng.randrange(universe)
+
+
 def _run_fuzz(args) -> int:
     from bisect import bisect_left, bisect_right, insort
 
@@ -57,8 +66,8 @@ def _run_fuzz(args) -> int:
             rr.delete(x)
             shadow.pop(bisect_left(shadow, x))
         for _ in range(args.queries_per_op):
-            a = rng.randrange(universe)
-            b = rng.randrange(universe)
+            a = _fuzz_bound(rng, shadow, universe)
+            b = _fuzz_bound(rng, shadow, universe)
             if a > b:
                 a, b = b, a
             got = rr.findany(a, b)

@@ -101,6 +101,12 @@ class NavList:
             raise KeyError("insert after a deleted entry")
         return self._insert(bucket, bucket.entries.index(after) + 1, kind, value)
 
+    def insert_before(self, before: _Entry, kind: int, value: int | None = None) -> _Entry:
+        bucket = before.bucket
+        if bucket is None:
+            raise KeyError("insert before a deleted entry")
+        return self._insert(bucket, bucket.entries.index(before), kind, value)
+
     def _insert(self, bucket: _Bucket, pos: int, kind: int, value: int | None) -> _Entry:
         """Put a new entry at position pos of bucket."""
         e = _Entry(kind, value, bucket)

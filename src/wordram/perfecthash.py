@@ -34,11 +34,9 @@ class PerfectHashConfig:
     bucket_capacity: int
     spill_capacity: int
     summary_block: int
-    spill_factor: int
 
     @classmethod
-    def create(cls, capacity: int, universe_bits: int,
-               spill_factor: int = 8) -> "PerfectHashConfig":
+    def create(cls, capacity: int, universe_bits: int) -> "PerfectHashConfig":
         if capacity < 1:
             raise ValueError("capacity must be positive")
         if universe_bits < 3 or universe_bits > 128:
@@ -52,10 +50,10 @@ class PerfectHashConfig:
         key_bits = max(4, math.ceil(6 * lglg_u))
         key_bits = min(key_bits, reduced)
         bucket_cap = max(16, math.ceil(lg_n**2 + lg_n ** (5 / 3)))
-        spill = spill_factor * math.ceil(capacity / universe_bits)
+        spill = 8 * math.ceil(capacity / universe_bits)
         block = max(4, ceil_lg_n)
         return cls(capacity, universe_bits, reduced, buckets, key_bits,
-                   bucket_cap, spill, block, spill_factor)
+                   bucket_cap, spill, block)
 
     @property
     def range_size(self) -> int:

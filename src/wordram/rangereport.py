@@ -14,12 +14,12 @@ walks the navigation list's element entries outward from the seed's entry,
 each step examining a bounded number of buckets, so it too touches no
 predecessor structure.
 
-An update is one predecessor update, which also returns the key's
-neighbors in S, plus O(top) index writes that follow one rule.  Per trie
-order, entries are mandated for every branching node and (depending on
-the variant) for active children of branching nodes or for active nodes
-with a branching ancestor inside their natural depth-B subtree; each
-holds the depth of its lowest branching ancestor.  A key x
+An update is one predecessor update on S, which also returns the key's
+neighbors, at most one on S̄ (below), plus O(top) index writes that follow
+one rule.  Per trie order, entries are mandated for every branching node
+and (depending on the variant) for active children of branching nodes or
+for active nodes with a branching ancestor inside their natural depth-B
+subtree; each holds the depth of its lowest branching ancestor.  A key x
 with neighbor-LCA v, whose lowest branching ancestor is a, changes three
 sets of entries: keys absent without x that hold a's depth with it (the
 order-k node that x makes branching), keys absent without x that hold v's
@@ -32,9 +32,9 @@ The root's record exists whenever S is not empty.  A key whose neighbors
 diverge from it at the root fills or empties one side of the root, and
 the first and last key are that case too: the first key finds the root
 record just created with both sides empty, and the last key's delete
-removes the record with its Open and Close after emptying its side.  Then
-v is the root and x has no sibling subtree, which ``_index_changes`` reads
-as a surviving path that ends at v.
+removes the record, its S̄ key, its Open and its Close after emptying its
+side.  Then v is the root and x has no sibling subtree, which
+``_index_changes`` reads as a surviving path that ends at v.
 
 A node's identity lives only in its key: the prefix, left-aligned in a
 width-bit field, above ten tag bits for depth and order; ``_dec`` reads
@@ -52,16 +52,24 @@ or the branching child's order-0 key; None marks an empty side of the
 root.  Both hold their prefix above the tag bits, and the depth field
 reads d for a node and 127 for a leaf, so ``_verified_descendant``, which
 checks every index answer a query uses, reads a descendant's place from
-its tag alone.  A record keeps no link to
-its lowest branching ancestor: that ancestor's depth is read from the
-record's own order-0 index entry, which every branching node has.
+its tag alone.
+
+A record keeps no link to its lowest branching ancestor a.  A delete reads
+a's depth from v's own order-0 index entry, which every branching node
+has.  An insert, before v has one, reads it from S̄, the predecessor set
+over the branching nodes' order-0 keys: a key holds its prefix
+left-aligned above the depth field, so the keys sort in preorder, and the
+key z just before v's is a itself or the last branching node in a's left
+subtree, whose path parts from v's at a.  Either way a's depth is the
+smaller of z's depth and the length of the prefix z's key shares with v's.
 Navigation-list entries, which are their own handles, live only with their
 owners: ``leaves[x]`` holds x's element entry, a branching record its Open
 and Close, whose value is the record's node key.  Entries keep no links;
-the list's buckets alone hold their order.  The predecessor set over
-augmented-list keys finds where a new entry goes and returns the keys on
-either side of it, and ``_handle_of`` decodes a found key to its owner, so
-no map from keys to entries is kept.
+the list's buckets alone hold their order, which is the tree's: Open(v),
+v's left subtree, v's right subtree, Close(v).  So the tree places every
+entry: v's Open goes just before the first entry of y, the one old child
+subtree v takes over, its Close just after y's last, and x's element just
+inside the parentheses of the node x hangs from.
 
 ``stats`` keeps three per-query maxima (branching tests, navigation
 queries, index reads), which findany updates.  ``pred_queries_during_query``
@@ -96,12 +104,6 @@ _DEPTH_BITS = 7
 _ORDER_BITS = 3
 _TAG_BITS = _DEPTH_BITS + _ORDER_BITS
 _TAG_MASK = (1 << _TAG_BITS) - 1
-
-# augmented-list keys: a doubled coordinate over a rank bit, which makes a
-# Close precede an Open at the same coordinate, over the tag bits
-_RANK_BIT = 1 << _TAG_BITS
-_AUG_BITS = _TAG_BITS + 1
-_AUG_MASK = (1 << _AUG_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,8 @@ class RangeReporter:
         self._chunks = [self.B**t for t in range(self.top + 1)]
         self._tdepth = [trie_depth(self.w, t, self.B) for t in range(self.top + 1)]
         self.pred = PredecessorSet(self.w)
-        # augmented-list keys: a (w+2)-bit doubled coordinate over 11 tag bits
-        self._sbar_pred = PredecessorSet(self.w + _TAG_BITS + 3)
+        # S̄: the branching nodes' order-0 keys, which sort in preorder
+        self._sbar_pred = PredecessorSet(self.w + _TAG_BITS)
         self.nav = NavList(self.w)
         self.table: dict[int, BranchingRecord] = {}
         self.leaves: dict[int, _Entry] = {}
@@ -310,59 +312,23 @@ class RangeReporter:
     def _leaf_code(x: int) -> int:
         return (x << _TAG_BITS) | _TAG_MASK
 
-    # augmented-list keys: the doubled coordinate, then the rank bit, then
-    # the nesting depth (Open) or width minus it (Close)
-    def _key_element(self, x: int) -> int:
-        return (2 * x + 1) << _AUG_BITS
+    # -- records and entries --------------------------------------------------
 
-    def _key_open(self, d: int, p: int) -> int:
-        lo = p << (self.w - d)
-        return ((2 * lo) << _AUG_BITS) | _RANK_BIT | d
+    def _ancestor(self, a_depth: int, v_d: int, v_p: int) -> tuple[BranchingRecord, int]:
+        """The record of the branching node at depth a_depth on v's path, and
+        the side of it that v's path takes."""
+        rec = self.table.get(self._enc(0, a_depth, v_p >> (v_d - a_depth)))
+        if rec is None:
+            raise AssertionError("v's lowest branching ancestor has no record")
+        return rec, (v_p >> (v_d - a_depth - 1)) & 1
 
-    def _key_close(self, d: int, p: int) -> int:
-        lo = p << (self.w - d)
-        hi = lo + (1 << (self.w - d)) - 1
-        return ((2 * hi + 2) << _AUG_BITS) | (self.w - d)
-
-    # -- augmented-list maintenance ------------------------------------------
-
-    def _handle_of(self, key: int) -> _Entry:
-        """The navigation entry with augmented-list key `key`, read from its
-        owner.
-
-        The low 11 bits are 0 for an element; for a parenthesis the rank bit
-        tells an Open (depth d below it) from a Close (w - d).  The owner's
-        node key is ``(lo << 10) | (d << 3)``, where ``lo = p << (w - d)`` is
-        the first key of its span.
-        """
-        low = key & _AUG_MASK
-        # half the coordinate: x for element x (rounded down), lo for an
-        # Open, lo + 2**(w - d) for a Close
-        c = key >> (_AUG_BITS + 1)
-        if not low:
-            return self.leaves[c]
-        if low & _RANK_BIT:
-            return self.table[(c << _TAG_BITS) | ((low ^ _RANK_BIT) << _ORDER_BITS)].open_h
-        return self.table[((c - (1 << low)) << _TAG_BITS)
-                          | ((self.w - low) << _ORDER_BITS)].close_h
-
-    def _sbar_insert(self, key: int, kind: int,
-                     value: int) -> tuple[_Entry, int | None, int | None]:
-        """Insert an augmented-list entry; returns it with the augmented-list
-        keys before and after it (None at an end).  The owner of the entry
-        before it must already hold that entry."""
-        prev_key, next_key, fresh = self._sbar_pred.insert(key)
-        if not fresh:
-            raise AssertionError("duplicate augmented-list key")
-        if prev_key is None:
-            e = self.nav.insert_first(kind, value)
+    def _insert_element(self, x: int, x_side: int, rec: BranchingRecord) -> None:
+        """x's element goes just inside the parentheses of the node it hangs
+        from, on x's side."""
+        if x_side:
+            self.leaves[x] = self.nav.insert_before(rec.close_h, ELEMENT, x)
         else:
-            e = self.nav.insert_after(self._handle_of(prev_key), kind, value)
-        return e, prev_key, next_key
-
-    def _sbar_delete(self, key: int, h: _Entry) -> None:
-        self._sbar_pred.delete(key)
-        self.nav.delete(h)
+            self.leaves[x] = self.nav.insert_after(rec.open_h, ELEMENT, x)
 
     # -- element access -------------------------------------------------------
 
@@ -390,8 +356,8 @@ class RangeReporter:
             self._insert_key(x, prev, nxt)
         except AssertionError:
             # the consistency checks fire before any change but the
-            # predecessor insert and the new parenthesis pair, which
-            # _insert_key has already taken back out
+            # predecessor inserts, and _insert_key has already taken v's
+            # key back out of S̄
             self.pred.delete(x)
             raise
         delta = self.index.writes - writes_before
@@ -414,64 +380,63 @@ class RangeReporter:
     def _insert_key(self, x: int, prev: int | None, nxt: int | None) -> None:
         w = self.w
         d_v = self._v_depth(x, prev, nxt)
+        nav = self.nav
 
         if d_v == 0:
             # the new divergence point is the root: x fills its empty side,
             # and the first key finds both sides empty
             first = prev is None and nxt is None
             root_key = self._root_key
-            if first:
-                root = self.table[root_key] = BranchingRecord((None, None))
-                root.open_h = self._sbar_insert(self._key_open(0, 0), OPEN, root_key)[0]
-                root.close_h = self._sbar_insert(self._key_close(0, 0), CLOSE, root_key)[0]
-            else:
-                root = self.table[root_key]
+            root = BranchingRecord((None, None)) if first else self.table[root_key]
             x_side = x >> (w - 1)
             y_tag = root.desc[1 - x_side]
             if root.desc[x_side] is not None or (y_tag is None) != first:
                 raise AssertionError("the root's sides disagree with x's neighbors")
+            if first:
+                self.table[root_key] = root
+                self._sbar_pred.insert(root_key)
+                root.open_h = nav.insert_first(OPEN, root_key)
+                root.close_h = nav.insert_after(root.open_h, CLOSE, root_key)
             root.desc = _replace_side(root.desc, x_side, self._leaf_code(x))
-            self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)[0]
+            self._insert_element(x, x_side, root)
             self._index_insert(x, 0, y_tag, a_depth=0, a_real=False)
             return
 
         v_p = x >> (w - d_v)
         v_key = self._enc(0, d_v, v_p)
         x_side = (x >> (w - d_v - 1)) & 1
-        open_key, close_key = self._key_open(d_v, v_p), self._key_close(d_v, v_p)
-        open_h, before_open, _ = self._sbar_insert(open_key, OPEN, v_key)
-        # Close(v) goes in after y's last entry, whose owner exists: never
-        # after Open(v), whose record is not in the table yet
-        close_h, _, after_close = self._sbar_insert(close_key, CLOSE, v_key)
+        # z, the branching node before v in preorder, is a itself or the last
+        # one in a's left subtree, whose path parts from v's at a; the min
+        # covers an ancestor z whose prefix runs on into v's
+        z, _, fresh = self._sbar_pred.insert(v_key)
+        if not fresh:
+            raise AssertionError("x's neighbors diverge at a branching node")
         try:
-            # the innermost enclosing parenthesis pair touches the new pair:
-            # an Open's key has the rank bit set, a Close's has nonzero low
-            # bits without it
-            if before_open is not None and before_open & _RANK_BIT:
-                a_key = self._handle_of(before_open).value
-            elif (after_close is not None and after_close & _AUG_MASK
-                  and not after_close & _RANK_BIT):
-                a_key = self._handle_of(after_close).value
-            else:
-                raise AssertionError("no enclosing parenthesis adjacent to the new pair")
-            a_rec = self.table[a_key]
+            a_depth = min((z & _TAG_MASK) >> _ORDER_BITS,
+                          w - ((z ^ v_key) >> _TAG_BITS).bit_length())
+            a_rec, side_a = self._ancestor(a_depth, d_v, v_p)
             a_desc = a_rec.desc
-            a_depth = self._dec(a_key)[0]
-            side_a = (v_p >> (d_v - a_depth - 1)) & 1
             y_tag = a_desc[side_a]
             if y_tag is None:
                 raise AssertionError("the new branching node's ancestor has an empty side")
         except AssertionError:
-            self._sbar_delete(open_key, open_h)
-            self._sbar_delete(close_key, close_h)
+            self._sbar_pred.delete(v_key)
             raise
         a_real = a_desc[0] is not None and a_desc[1] is not None
 
+        # v's parentheses enclose y, its one old child subtree: a lone key's
+        # element, or a node's Open to its Close
+        if (y_tag & _TAG_MASK) == _TAG_MASK:
+            y_first = y_last = self.leaves[y_tag >> _TAG_BITS]
+        else:
+            y_rec = self.table[y_tag]
+            y_first, y_last = y_rec.open_h, y_rec.close_h
         rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
-                              open_h, close_h)
+                              nav.insert_before(y_first, OPEN, v_key),
+                              nav.insert_after(y_last, CLOSE, v_key))
         a_rec.desc = _replace_side(a_desc, side_a, v_key)
         self.table[v_key] = rec
-        self.leaves[x] = self._sbar_insert(self._key_element(x), ELEMENT, x)[0]
+        self._insert_element(x, x_side, rec)
         self._index_insert(x, d_v, y_tag, a_depth, a_real)
 
     def _index_insert(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
@@ -584,6 +549,7 @@ class RangeReporter:
     def _delete_key(self, x: int, prev: int | None, nxt: int | None) -> None:
         w = self.w
         d_v = self._v_depth(x, prev, nxt)
+        nav = self.nav
 
         if d_v == 0:
             # x empties its side of the root; the last key takes the root
@@ -598,11 +564,12 @@ class RangeReporter:
             if (y_tag is None) != last:
                 raise AssertionError("the root's other side disagrees with x's neighbors")
             root.desc = _replace_side(root.desc, x_side, None)
-            self._sbar_delete(self._key_element(x), self.leaves.pop(x))
+            nav.delete(self.leaves.pop(x))
             if last:
                 del self.table[root_key]
-                self._sbar_delete(self._key_open(0, 0), root.open_h)
-                self._sbar_delete(self._key_close(0, 0), root.close_h)
+                self._sbar_pred.delete(root_key)
+                nav.delete(root.open_h)
+                nav.delete(root.close_h)
             self._index_delete(x, 0, y_tag, a_depth=0, a_real=False)
             return
 
@@ -618,15 +585,15 @@ class RangeReporter:
         a_depth = self.index.get(v_key)
         if a_depth is None or a_depth >= d_v:
             raise AssertionError("v's index entry holds no ancestor depth")
-        a_rec = self.table.get(self._enc(0, a_depth, v_p >> (d_v - a_depth)))
-        side_a = (v_p >> (d_v - a_depth - 1)) & 1
-        if a_rec is None or a_rec.desc[side_a] != v_key:
+        a_rec, side_a = self._ancestor(a_depth, d_v, v_p)
+        if a_rec.desc[side_a] != v_key:
             raise AssertionError("v's ancestor does not name v as its descendant")
         del self.table[v_key]
+        self._sbar_pred.delete(v_key)
         a_rec.desc = a_desc = _replace_side(a_rec.desc, side_a, y_tag)
-        self._sbar_delete(self._key_open(d_v, v_p), rec.open_h)
-        self._sbar_delete(self._key_close(d_v, v_p), rec.close_h)
-        self._sbar_delete(self._key_element(x), self.leaves.pop(x))
+        nav.delete(rec.open_h)
+        nav.delete(rec.close_h)
+        nav.delete(self.leaves.pop(x))
         a_real = a_desc[0] is not None and a_desc[1] is not None
         self._index_delete(x, d_v, y_tag, a_depth, a_real)
 
@@ -839,12 +806,9 @@ class RangeReporter:
             if rec.desc != desc:
                 raise AssertionError(
                     f"descendant mismatch at {self._dec(key)}: {rec.desc} vs {desc}")
-            ensure(rec.open_h.kind == OPEN and rec.open_h.value == key
-                   and rec.close_h.kind == CLOSE and rec.close_h.value == key,
-                   "a record's parenthesis entries belong to another node")
 
         self.nav.validate()
-        self._check_sequence(elems)
+        self._check_sequence(expected)
         self._check_index(elems)
 
     def _expected_records(self, elems: list[int]):
@@ -881,41 +845,39 @@ class RangeReporter:
         build(0, len(elems))
         return out
 
-    def _check_sequence(self, elems: list[int]) -> None:
-        """Augmented list equals the key-sorted interleaving, its keys read
-        back their handles through the owners, parens balance, every matched
-        pair encloses an element, and runs stay short."""
-        expected = [(self._key_element(x), ELEMENT, x) for x in elems]
-        for key in self.table:
-            d, p = self._dec(key)
-            expected.append((self._key_open(d, p), OPEN, key))
-            expected.append((self._key_close(d, p), CLOSE, key))
-        expected.sort()
-        entries = list(self.nav)
-        got = [(e.kind, e.value) for e in entries]
-        ensure(got == [(k, ident) for _, k, ident in expected], "list order mismatch")
-        keys = [key for key, _, _ in expected]
-        ensure(list(self._sbar_pred) == keys,
-               "augmented-list keys differ from the leaf and branching tables")
-        ensure(all(self._handle_of(key) is e for key, e in zip(keys, entries)),
-               "an owner does not hold its entry")
+    def _check_sequence(self, expected: dict[int, tuple]) -> None:
+        """The navigation list is the walk of the expected tree, each entry
+        the one its owner holds, and S̄ holds exactly the branching keys.
 
-        stack: list[tuple[int, int]] = []  # (owner, elements seen so far)
-        run = 0
-        for kind, ident in got:
-            if kind == ELEMENT:
-                run = 0
-                stack = [(o, c + 1) for o, c in stack]
-            else:
-                run += 1
-                ensure(run <= 2 * self.w, "element-free run exceeds 2w")
-                if kind == OPEN:
-                    stack.append((ident, 0))
-                else:
-                    owner, count = stack.pop()
-                    ensure(owner == ident, "parentheses do not nest")
-                    ensure(count >= 1, "matched pair encloses no element")
-        ensure(not stack, "unbalanced parentheses")
+        The walk lists Open(v), v's left subtree, v's right subtree and
+        Close(v), with a lone key as its element, so the parentheses nest,
+        every pair encloses an element, and an element-free run is at most
+        one path's Closes and another's Opens.
+        """
+        want: list[tuple[int, int, _Entry]] = []
+
+        def walk(tag) -> None:
+            if tag is None:
+                return
+            if (tag & _TAG_MASK) == _TAG_MASK:
+                x = tag >> _TAG_BITS
+                want.append((ELEMENT, x, self.leaves[x]))
+                return
+            rec = self.table[tag]
+            want.append((OPEN, tag, rec.open_h))
+            for desc in expected[tag]:
+                walk(desc)
+            want.append((CLOSE, tag, rec.close_h))
+
+        if expected:
+            walk(self._root_key)
+        entries = list(self.nav)
+        ensure(len(entries) == len(want)
+               and all(e is h and e.kind == kind and e.value == value
+                       for e, (kind, value, h) in zip(entries, want)),
+               "the navigation list is not the walk of the tree")
+        ensure(list(self._sbar_pred) == sorted(self.table),
+               "S̄ keys differ from the branching table")
 
     def _mandated_entries(self, elems: list[int]) -> dict[int, int]:
         """Brute-force mandated index keys and their exact values."""

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from wordram.perfecthash import PerfectHash, PerfectHashConfig, RebuildRequired
 
 
-def make(n=1 << 12, u_bits=64, seed=0, **kw):
-    return PerfectHash(PerfectHashConfig.create(n, u_bits, **kw), seed)
+def make(n=1 << 12, u_bits=64, seed=0):
+    return PerfectHash(PerfectHashConfig.create(n, u_bits), seed)
 
 
 def test_config_parameters():
@@ -101,7 +102,8 @@ def test_reduction_collision_spills():
 def test_spill_overflow_raises_rebuild_required():
     # with no spill interval, the first key that cannot enter its bucket
     # (bucket full or colliding) must surface as an explicit rebuild error
-    ph = make(n=64, u_bits=32, seed=4, spill_factor=0)
+    cfg = dataclasses.replace(PerfectHashConfig.create(64, 32), spill_capacity=0)
+    ph = PerfectHash(cfg, 4)
     assert ph.config.spill_capacity == 0
     rng = random.Random(4)
     seen = set()

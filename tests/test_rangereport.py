@@ -166,7 +166,50 @@ def test_failed_insert_leaves_structure_unchanged():
     assert 2 not in rr.leaves
     rec.desc = desc
     rr.check()
+    # the same insert finds no record at all for v's lowest branching
+    # ancestor, the depth-1 node, though S̄ still names it
+    del rr.table[key]
+    with pytest.raises(AssertionError):
+        rr.insert(2)
+    assert list(rr.pred) == [3, 100, 200]
+    assert list(rr._sbar_pred) == sbar_keys
+    assert list(rr.nav) == entries
+    assert rr.index.snapshot() == snapshot
+    assert 2 not in rr.leaves
+    rr.table[key] = rec
+    rr.check()
     assert rr.insert(2)
+
+
+def test_insert_finds_the_ancestor_from_the_preorder_predecessor():
+    # z, the S̄ key just before v's, is v's lowest branching ancestor a or
+    # the last branching node in a's left subtree; each step is one case
+    rr = make()
+    for x in (0b00100000, 0b11000000):
+        rr.insert(x)
+    root = rr._root_key
+
+    def enc(d, p):
+        return rr._enc(0, d, p)
+
+    steps = [
+        # (x, v, a, v's side of a, z)
+        # v on a's left, and z = a with a lo of its own
+        (0b00110000, enc(3, 0b001), root, 0, root),
+        # v on a's right, whose left child is a leaf: z = a
+        (0b00111000, enc(4, 0b0011), enc(3, 0b001), 1, enc(3, 0b001)),
+        # v on a's right, whose left subtree branches: z is its last node
+        (0b11100000, enc(2, 0b11), root, 1, enc(4, 0b0011)),
+        # z = a, whose prefix runs on into v's: the same lo
+        (0b11000001, enc(7, 0b1100000), enc(2, 0b11), 0, enc(2, 0b11)),
+    ]
+    for x, v_key, a_key, side, z_key in steps:
+        keys = list(rr._sbar_pred)
+        assert v_key not in keys
+        assert keys[bisect_left(keys, v_key) - 1] == z_key
+        assert rr.insert(x)
+        rr.check()
+        assert rr.table[a_key].desc[side] == v_key
 
 
 @pytest.mark.parametrize("keys,corrupt,x", [
@@ -772,11 +815,10 @@ def test_sbar_keys_read_back_through_owners(variant, branch, backend):
     rr = make(width=16, branch=branch, variant=variant, backend=backend, seed=3)
 
     def assert_read_back():
-        keys = list(rr._sbar_pred)
-        entries = list(rr.nav)
-        assert len(keys) == len(entries) == len(rr) + 2 * len(rr.table)
-        for key, e in zip(keys, entries):
-            assert rr._handle_of(key) is e
+        # S̄ holds the branching keys alone; each owner's entries are
+        # checked by identity in the audit's walk
+        assert list(rr._sbar_pred) == sorted(rr.table)
+        assert len(rr.nav) == len(rr) + 2 * len(rr.table)
 
     # keys below 2**15 leave the root one-sided, so `high` diverges at the
     # root itself, both when it goes in and when it comes out
