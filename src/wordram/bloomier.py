@@ -9,7 +9,10 @@ with a live key's hash, which happens with probability at most the
 configured error rate.
 
 Updates are assumed valid: insert only keys currently mapped to 0, delete
-only keys currently mapped to nonzero.
+only keys currently mapped to nonzero.  Each update comes as a batch call
+(``insert_all``, ``replace_all``, ``delete_all``) that checks the value it
+writes once and evaluates the hash inline per key; the per-key calls are
+one-key batches.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class BloomierFilter:
         self._hash = MultiplyShiftHash(
             derive_seed(seed, 0xB100), config.universe_bits, config.hash_range_bits
         )
-        # each method evaluates the hash inline, saving a call per operation
+        # each method evaluates the hash inline, saving a call per key
         self._mult, self._add, self._mask, self._shift = self._hash.terms()
         self._exact: dict[int, int] = {}   # colliding keys, stored verbatim
         self._hashed: dict[int, int] = {}  # hash image -> value
@@ -70,10 +73,15 @@ class BloomierFilter:
         return len(self._exact) + len(self._hashed)
 
     def insert(self, key: int, value: int) -> None:
-        """Map an absent key to a nonzero value.
+        self.insert_all((key,), value)
 
-        The key must not be live.  Inserting a live key finds its own hash
-        image taken, so it stores a verbatim duplicate and counts twice in
+    def insert_all(self, keys, value: int) -> None:
+        """Map each of `keys`, in order, from absent to a nonzero value.
+
+        The value and the capacity are checked once, before the first
+        write, so a rejected batch leaves the filter as it was.  The keys
+        must not be live.  Inserting a live key finds its own hash image
+        taken, so it stores a verbatim duplicate and counts twice in
         live_count; the filter cannot tell that from a collision without
         storing every key.  Callers that cannot rule it out keep their own
         record of present keys, as the range reporter's audit mirror does.
@@ -82,22 +90,36 @@ class BloomierFilter:
             raise ValueError("value 0 means absent; use delete")
         if value >> self.config.value_bits:
             raise ValueError(f"value {value} exceeds {self.config.value_bits} bits")
-        if len(self._exact) + len(self._hashed) >= self.config.max_items:
+        exact, hashed = self._exact, self._hashed
+        if len(exact) + len(hashed) + len(keys) > self.config.max_items:
             raise ValueError("capacity exceeded")
-        hk = ((self._mult * key + self._add) & self._mask) >> self._shift
-        if hk in self._hashed:
-            self._exact[key] = value
-        else:
-            self._hashed[hk] = value
+        mult, add, mask, shift = self._mult, self._add, self._mask, self._shift
+        for key in keys:
+            hk = ((mult * key + add) & mask) >> shift
+            if hk in hashed:
+                exact[key] = value
+            else:
+                hashed[hk] = value
 
     def delete(self, key: int) -> None:
-        if key in self._exact:
-            del self._exact[key]
-        else:
-            self._hashed.pop(((self._mult * key + self._add) & self._mask) >> self._shift, None)
+        self.delete_all((key,))
+
+    def delete_all(self, keys) -> None:
+        """Unmap each of `keys`, in order."""
+        exact, hashed = self._exact, self._hashed
+        mult, add, mask, shift = self._mult, self._add, self._mask, self._shift
+        for key in keys:
+            if key in exact:
+                del exact[key]
+            else:
+                hashed.pop(((mult * key + add) & mask) >> shift, None)
 
     def replace(self, key: int, value: int) -> None:
-        """Delete followed by insert of a live key, hashing only once.
+        self.replace_all((key,), value)
+
+    def replace_all(self, keys, value: int) -> None:
+        """Delete followed by insert of each live key of `keys`, in order,
+        hashing each once.
 
         A key leaving the verbatim dictionary may fall back into the hashed
         one (its collision partner may have gone); a hashed key's slot is
@@ -105,15 +127,18 @@ class BloomierFilter:
         """
         if value == 0:
             raise ValueError("value 0 means absent; use delete")
-        hk = ((self._mult * key + self._add) & self._mask) >> self._shift
-        if key in self._exact:
-            del self._exact[key]
-            if hk in self._hashed:
-                self._exact[key] = value
-            else:
-                self._hashed[hk] = value
-        elif hk in self._hashed:
-            self._hashed[hk] = value
+        exact, hashed = self._exact, self._hashed
+        mult, add, mask, shift = self._mult, self._add, self._mask, self._shift
+        for key in keys:
+            hk = ((mult * key + add) & mask) >> shift
+            if key in exact:
+                del exact[key]
+                if hk in hashed:
+                    exact[key] = value
+                else:
+                    hashed[hk] = value
+            elif hk in hashed:
+                hashed[hk] = value
 
     def lookup(self, key: int) -> int:
         v = self._exact.get(key)

@@ -24,9 +24,14 @@ with neighbor-LCA v, whose lowest branching ancestor is a, changes three
 sets of entries: keys absent without x that hold a's depth with it (the
 order-k node that x makes branching), keys absent without x that hold v's
 depth with it, and keys that hold a's depth without x and v's depth with
-it.  ``_index_changes`` alone computes the three, for every key; an insert
-applies them forwards and a delete backwards, so a delete is the exact
-inverse of the insert it undoes.
+it.  ``_index_changes`` alone computes the three, for every key, as key
+lists in a fixed order; an insert applies them forwards and a delete
+backwards, each non-empty list with one batch call into the index, so a
+delete is the exact inverse of the insert it undoes.  The rule has one
+loop over the orders for 5b and two for core and 5a, the shorter one for
+a lone key y, which has no branching node on its path below v;
+``tests/indexrule.py`` keeps the general loop they specialize as the
+oracle.
 
 The root's record exists whenever S is not empty.  A key whose neighbors
 diverge from it at the root fills or empties one side of the root, and
@@ -139,10 +144,14 @@ class AncestorIndex:
 
     The exact backend is a dictionary; the compact backend is a Bloomier
     filter (values are stored shifted by one so 0 can mean "absent").
-    Callers must know whether a key is present: adds require absence, sets
-    and drops require presence.  The exact backend checks this discipline
-    and raises KeyError on a breach; under audit, a mirror of the filter's
-    contents does the same for the compact backend and feeds audits.
+    Writes come in batches, one call per list of keys that take the same
+    change (``add_all``, ``set_all``, ``drop_all``), applied in list order;
+    ``add``, ``set`` and ``drop`` are one-key batches.  Callers must know
+    whether a key is present: adds require absence, sets and drops require
+    presence, and a batch names each key once.  The exact backend checks
+    this discipline and raises KeyError on a breach before the batch writes
+    anything; under audit, a mirror of the filter's contents does the same
+    for the compact backend and feeds audits.
     """
 
     def __init__(self, backend: str, capacity: int, key_bits: int,
@@ -163,34 +172,52 @@ class AncestorIndex:
         )
 
     def add(self, key: int, depth: int) -> None:
-        self.writes += 1
-        known = self._known
-        if known is not None:
-            if key in known:
-                raise KeyError(f"add of a present key {key}")
-            known[key] = depth
-        if self._filter is not None:
-            self._filter.insert(key, depth + 1)
+        self.add_all((key,), depth)
 
     def set(self, key: int, depth: int) -> None:
-        self.writes += 1
-        known = self._known
-        if known is not None:
-            if key not in known:
-                raise KeyError(f"set of an absent key {key}")
-            known[key] = depth
-        if self._filter is not None:
-            self._filter.replace(key, depth + 1)
+        self.set_all((key,), depth)
 
     def drop(self, key: int) -> None:
-        self.writes += 1
+        self.drop_all((key,))
+
+    def add_all(self, keys, depth: int) -> None:
+        """Map each of `keys`, all absent, to depth."""
+        self.writes += len(keys)
         known = self._known
         if known is not None:
-            if key not in known:
-                raise KeyError(f"drop of an absent key {key}")
-            del known[key]
+            for key in keys:
+                if key in known:
+                    raise KeyError(f"add of a present key {key}")
+            for key in keys:
+                known[key] = depth
         if self._filter is not None:
-            self._filter.delete(key)
+            self._filter.insert_all(keys, depth + 1)
+
+    def set_all(self, keys, depth: int) -> None:
+        """Map each of `keys`, all present, to depth."""
+        self.writes += len(keys)
+        known = self._known
+        if known is not None:
+            for key in keys:
+                if key not in known:
+                    raise KeyError(f"set of an absent key {key}")
+            for key in keys:
+                known[key] = depth
+        if self._filter is not None:
+            self._filter.replace_all(keys, depth + 1)
+
+    def drop_all(self, keys) -> None:
+        """Remove each of `keys`, all present."""
+        self.writes += len(keys)
+        known = self._known
+        if known is not None:
+            for key in keys:
+                if key not in known:
+                    raise KeyError(f"drop of an absent key {key}")
+            for key in keys:
+                del known[key]
+        if self._filter is not None:
+            self._filter.delete_all(keys)
 
     def get(self, key: int) -> int | None:
         self.reads += 1
@@ -419,18 +446,21 @@ class RangeReporter:
             y_tag = a_desc[side_a]
             if y_tag is None:
                 raise AssertionError("the new branching node's ancestor has an empty side")
+            # v's parentheses enclose y, its one old child subtree: a lone
+            # key's element, or a node's Open to its Close
+            if (y_tag & _TAG_MASK) == _TAG_MASK:
+                y_first = y_last = self.leaves.get(y_tag >> _TAG_BITS)
+            elif (y_rec := self.table.get(y_tag)) is not None:
+                y_first, y_last = y_rec.open_h, y_rec.close_h
+            else:
+                y_first = None
+            if y_first is None:
+                raise AssertionError("v's old child subtree has no navigation entry")
         except AssertionError:
             self._sbar_pred.delete(v_key)
             raise
         a_real = a_desc[0] is not None and a_desc[1] is not None
 
-        # v's parentheses enclose y, its one old child subtree: a lone key's
-        # element, or a node's Open to its Close
-        if (y_tag & _TAG_MASK) == _TAG_MASK:
-            y_first = y_last = self.leaves[y_tag >> _TAG_BITS]
-        else:
-            y_rec = self.table[y_tag]
-            y_first, y_last = y_rec.open_h, y_rec.close_h
         rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
                               nav.insert_before(y_first, OPEN, v_key),
                               nav.insert_after(y_last, CLOSE, v_key))
@@ -441,14 +471,12 @@ class RangeReporter:
 
     def _index_insert(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
         to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
-        idx_add = self.index.add
-        for key in to_a:
-            idx_add(key, a_depth)
-        for key in to_v:
-            idx_add(key, d_v)
-        idx_set = self.index.set
-        for key in a_to_v:
-            idx_set(key, d_v)
+        index = self.index
+        # most updates make no node branching in any order
+        if to_a:
+            index.add_all(to_a, a_depth)
+        index.add_all(to_v, d_v)
+        index.set_all(a_to_v, d_v)
 
     def _index_changes(self, x: int, d_v: int, y_tag, a_depth: int,
                        a_real: bool) -> tuple[list[int], list[int], list[int]]:
@@ -463,68 +491,97 @@ class RangeReporter:
         Returns the keys that are absent without x and hold a_depth with it
         (the order-k node that x makes branching), the keys that are absent
         without x and hold d_v with it, and the keys that hold a_depth
-        without x and d_v with it.
+        without x and d_v with it.  In each order, v's order-k node covers
+        the depths [k*ch, (k+1)*ch); it branches without x iff it is the
+        root, or a branching a or y's node lies in that chunk.
         """
+        # a branches without x and lies at or below depth m iff a_lim >= m
+        a_lim = a_depth if a_real else -1
+        # a code below x, or below y, also addresses every node on its path
+        xc = (x << _TAG_BITS) | _TAG_MASK
         if y_tag is None:
             # nothing survives below v without x: the surviving path ends
             # at v, which branches as the root
-            y_real, y_d0, nc = True, d_v, 0
+            y_d0, yc = d_v, 0
+        elif (y_tag & _TAG_MASK) == _TAG_MASK:
+            y_d0, yc = -1, y_tag
         else:
-            y_real = (y_tag & _TAG_MASK) != _TAG_MASK
             # a node key's low ten bits are its depth over the order-0 field
-            y_d0 = (y_tag & _TAG_MASK) >> _ORDER_BITS if y_real else self.w
-            # a code below y also addresses every node on y's path
-            nc = y_tag | _TAG_MASK
-        fast_query = self._fast_query
-        B = self.B
+            y_d0, yc = (y_tag & _TAG_MASK) >> _ORDER_BITS, y_tag | _TAG_MASK
+        if self._fast_query:
+            return self._index_changes_5b(xc, d_v, y_d0, yc, a_lim)
         to_a: list[int] = []
         to_v: list[int] = []
         a_to_v: list[int] = []
-        xc = self._leaf_code(x)
+        if y_d0 < 0:
+            # y is a lone key: no branching node lies on its path below v,
+            # and its one entry per order sits right below v's node
+            for ch, codes in zip(self._chunks, self._codes):
+                k = d_v // ch
+                kc = k * ch
+                code = codes[k + 1]
+                # v's node, unless it or its parent branches without x
+                if k > 1 and a_lim + ch < kc:
+                    to_a.append(xc & codes[k])
+                to_v.append(xc & code)
+                if not k or a_lim >= kc:
+                    a_to_v.append(yc & code)
+                else:
+                    to_v.append(yc & code)
+            return to_a, to_v, a_to_v
+        for ch, codes in zip(self._chunks, self._codes):
+            k = d_v // ch
+            kc = k * ch
+            yk = y_d0 // ch
+            code = codes[k + 1]
+            if k > 1 and a_lim + ch < kc and yk != k:
+                to_a.append(xc & codes[k])
+            to_v.append(xc & code)
+            if yk > k:
+                if yk == k + 1 or not k or a_lim >= kc:
+                    a_to_v.append(yc & code)
+                else:
+                    to_v.append(yc & code)
+                if yk > k + 1:
+                    # y's own node, branching in this order too
+                    a_to_v.append(yc & codes[yk])
+        return to_a, to_v, a_to_v
+
+    def _index_changes_5b(self, xc: int, d_v: int, y_d0: int, yc: int,
+                          a_lim: int) -> tuple[list[int], list[int], list[int]]:
+        """``_index_changes`` for variant 5b, where an active node is
+        stored when a branching node sits between its natural depth-B
+        subtree's root and it; y_d0 is -1 for a lone key y."""
+        B = self.B
+        y_real = y_d0 >= 0
+        to_a: list[int] = []
+        to_v: list[int] = []
+        a_to_v: list[int] = []
         for ch, codes in zip(self._chunks, self._codes):
             k = d_v // ch
             yk = y_d0 // ch
-            # whether the order-k node holding v branches without x
-            w_real = not k or (a_real and a_depth >= k * ch) or (y_real and yk == k)
-
-            if not w_real:
-                # the node may already carry a (value-identical) child entry
-                if fast_query:
-                    present = k < B or (a_real and a_depth >= (k // B) * B * ch)
+            ns_root = (k // B) * B
+            border = min(ns_root + B - 1, len(codes) - 1)
+            # a surviving-path node inside this natural subtree is stored
+            # without x iff some branching node sits between the subtree
+            # root and it: the deepest candidate is a
+            had_ns_anc = not ns_root or a_lim >= ns_root * ch
+            # v's node, unless it branches without x or is stored already;
+            # with no branching node in its natural subtree above it, k > 0
+            # and a lies above v's chunk
+            if not had_ns_anc and yk != k:
+                to_a.append(xc & codes[k])
+            for dd in range(k + 1, border + 1):
+                to_v.append(xc & codes[dd])
+            for dd in range(k + 1, border + 1):
+                if y_real and dd > yk:
+                    break
+                if had_ns_anc or dd == yk:
+                    a_to_v.append(yc & codes[dd])
                 else:
-                    present = k == 1 or (a_real and a_depth >= (k - 1) * ch)
-                if not present:
-                    to_a.append(xc & codes[k])
-
-            if fast_query:
-                ns_root = (k // B) * B
-                border = min(ns_root + B - 1, len(codes) - 1)
-                # a surviving-path node inside this natural subtree is
-                # stored without x iff some branching node sits between the
-                # subtree root and it: the deepest candidate is the lowest
-                # branching ancestor (whose chunk level is a_depth // ch)
-                had_ns_anc = ns_root == 0 or (a_real and a_depth // ch >= ns_root)
-                for dd in range(k + 1, border + 1):
-                    to_v.append(xc & codes[dd])
-                for dd in range(k + 1, border + 1):
-                    if y_real and dd > yk:
-                        break
-                    if had_ns_anc or (y_real and dd == yk):
-                        a_to_v.append(nc & codes[dd])
-                    else:
-                        to_v.append(nc & codes[dd])
-                if y_real and yk > border:
-                    a_to_v.append(nc & codes[yk])
-            else:
-                code = codes[k + 1]
-                to_v.append(xc & code)
-                if not y_real or yk > k:
-                    if w_real or (y_real and yk == k + 1):
-                        a_to_v.append(nc & code)
-                    else:
-                        to_v.append(nc & code)
-                if y_real and yk >= k + 2:
-                    a_to_v.append(nc & codes[yk])
+                    to_v.append(yc & codes[dd])
+            if y_real and yk > border:
+                a_to_v.append(yc & codes[yk])
         return to_a, to_v, a_to_v
 
     def delete(self, x: int) -> bool:
@@ -599,14 +656,11 @@ class RangeReporter:
 
     def _index_delete(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
         to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
-        idx_set = self.index.set
-        for key in a_to_v:
-            idx_set(key, a_depth)
-        idx_drop = self.index.drop
-        for key in to_v:
-            idx_drop(key)
-        for key in to_a:
-            idx_drop(key)
+        index = self.index
+        index.set_all(a_to_v, a_depth)
+        index.drop_all(to_v)
+        if to_a:
+            index.drop_all(to_a)
 
     # -- queries ------------------------------------------------------------------
 

@@ -151,3 +151,48 @@ def test_space_accounting():
     cfg = bf.config
     per_hashed = cfg.hash_range_bits + cfg.value_bits
     assert bf.space_bits() == empty + per_hashed
+
+
+def test_batch_over_capacity_writes_nothing():
+    bf = make(n=4)
+    bf.insert_all([1, 2], 1)
+    exact, hashed = dict(bf._exact), dict(bf._hashed)
+    # the batch would pass capacity at its third key, so none is written
+    with pytest.raises(ValueError):
+        bf.insert_all([3, 4, 5], 1)
+    with pytest.raises(ValueError):
+        bf.insert_all([3], 0)
+    assert bf._exact == exact and bf._hashed == hashed
+    bf.insert_all([3, 4], 2)
+    assert bf.live_count == 4 and bf.lookup(4) == 2
+
+
+def test_batches_match_per_key_updates():
+    # x and y collide; the second of them to arrive is stored verbatim
+    x, y = find_hash_collision(make(seed=77), seed=5)
+    rng = random.Random(9)
+    others = [rng.randrange(1 << 32) for _ in range(6)]
+    steps = [
+        ("insert_all", [x, *others[:3], y], 3),
+        ("replace_all", [others[0], y], 5),
+        ("delete_all", [others[1], x], None),
+        # y's collision partner is gone, so its replace moves it back from
+        # the verbatim dictionary into the hashed one
+        ("replace_all", [y, others[2]], 6),
+        ("insert_all", others[3:], 2),
+        ("delete_all", [others[4], y], None),
+    ]
+    batched, single = make(seed=77), make(seed=77)
+    for step, (method, keys, value) in enumerate(steps):
+        args = () if value is None else (value,)
+        getattr(batched, method)(keys, *args)
+        for key in keys:
+            getattr(single, method.removesuffix("_all"))(key, *args)
+        assert batched._exact == single._exact
+        assert list(batched._hashed.items()) == list(single._hashed.items())
+        assert batched.space_bits() == single.space_bits()
+        if step == 0:
+            assert list(batched._exact) == [y]
+        if step == 3:
+            assert not batched._exact and batched.lookup(y) == 6
+    assert batched.live_count == 4

@@ -178,6 +178,18 @@ def test_failed_insert_leaves_structure_unchanged():
     assert 2 not in rr.leaves
     rr.table[key] = rec
     rr.check()
+    # x's new sibling subtree, the lone key 3, has lost its element entry;
+    # the insert reads it among its checks, before any list change
+    leaf = rr.leaves.pop(3)
+    with pytest.raises(AssertionError):
+        rr.insert(2)
+    assert list(rr.pred) == [3, 100, 200]
+    assert list(rr._sbar_pred) == sbar_keys
+    assert list(rr.nav) == entries
+    assert rr.index.snapshot() == snapshot
+    assert 2 not in rr.leaves
+    rr.leaves[3] = leaf
+    rr.check()
     assert rr.insert(2)
 
 
@@ -592,6 +604,46 @@ def test_query_keys_are_encoder_keys(variant, branch, width):
         assert all(key & 7 == 0 for key in table_keys)
         reads += len(index_keys)
     assert reads > 0 and rr.stats.max_test_branching >= 1
+
+
+def random_change_shape(rng, rr):
+    """Arguments of the index-entry rule for a random x: v's depth d_v, y
+    (None, a lone key or a node on v's other side), and a's depth, with
+    or without a branching without x."""
+    w = rr.w
+    x = rng.getrandbits(w)
+    d_v = 0 if rng.random() < 0.1 else rng.randrange(w)
+    low = w - 1 - d_v
+    # y shares x's d_v leading bits and takes v's other side
+    y = (((x >> low) ^ 1) << low) | rng.getrandbits(low)
+    kind = rng.choice(("none", "leaf", "node") if d_v == 0 else ("leaf", "node"))
+    if kind == "node" and d_v < w - 1:
+        y_d0 = rng.randrange(d_v + 1, w)
+        y_tag = rr._enc(0, y_d0, y >> (w - y_d0))
+    elif kind == "none":
+        y_tag = None
+    else:
+        y_tag = rr._leaf_code(y)
+    a_depth = rng.randrange(d_v) if d_v else 0
+    return x, d_v, y_tag, a_depth, rng.random() < 0.5
+
+
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5a", 8),
+                                            ("5b", 4), ("5b", 8)])
+def test_index_rule_matches_its_general_form(variant, branch):
+    # the per-variant loops fold the general loop's flags; both must name
+    # the same keys in the same order, which the filter's choice of
+    # verbatim keys depends on
+    from indexrule import index_changes
+
+    rng = random.Random(53)
+    rr = make(width=64, branch=branch, variant=variant, audit=False)
+    for _ in range(3000):
+        shape = random_change_shape(rng, rr)
+        got = rr._index_changes(*shape)
+        assert got == index_changes(rr, *shape), shape
+        keys = [key for keys in got for key in keys]
+        assert len(set(keys)) == len(keys), shape  # a batch names a key once
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
