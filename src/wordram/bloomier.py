@@ -146,6 +146,25 @@ class BloomierFilter:
             return v
         return self._hashed.get(((self._mult * key + self._add) & self._mask) >> self._shift, 0)
 
+    def depth_reader(self):
+        """A one-call read for a caller that stores depth + 1, so that 0
+        means absent: ``lookup(key) - 1``, or None where lookup gives 0.
+        Like lookup it probes the verbatim dictionary first; it binds the
+        dictionaries, which change only in place, and the hash terms once.
+        """
+        exact_get, hashed_get = self._exact.get, self._hashed.get
+        mult, add, mask, shift = self._mult, self._add, self._mask, self._shift
+
+        def read(key: int) -> int | None:
+            v = exact_get(key)
+            if v is None:
+                v = hashed_get(((mult * key + add) & mask) >> shift)
+                if v is None:
+                    return None
+            return v - 1
+
+        return read
+
     def space_bits(self) -> int:
         """Serialized size: header, hash seed, and both dictionaries."""
         cfg = self.config

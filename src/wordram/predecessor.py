@@ -6,9 +6,7 @@ level, binary-searched for the longest match.  The top stores only the
 levels down to where consecutive representatives stop sharing prefixes,
 so a search probes lg(height + 1) <= lg(width + 1) tables; on uniform keys
 height is about lg of the number of representatives.  Bucket splits and
-merges keep top updates rare.  An update whose key falls inside the bucket
-the previous update touched skips the top search: the keys of one
-range-reporting update sit close.
+merges keep top updates rare.
 
 The buckets are the only ordered copy of the keys.  An update returns the
 key's neighbors from its bucket position; at a bucket edge the neighbor is
@@ -173,8 +171,6 @@ class PredecessorSet:
         self._top = _XFastTop(width)
         self._buckets: dict[int, list[int]] = {}
         self._cap = 2 * width
-        # the bucket the last update touched; a live bucket or empty
-        self._finger: list[int] = []
 
     def __iter__(self):
         top = self._top
@@ -199,22 +195,20 @@ class PredecessorSet:
         if x >> self.width:
             raise ValueError(f"key {x} does not fit in {self.width} bits")
         top = self._top
-        bucket = self._finger
-        if not (bucket and bucket[0] < x < bucket[-1]):
-            rep = top.pred(x)
-            if rep is not None:
-                bucket = self._buckets[rep]
-            elif top.min is None:
-                self._buckets[x] = self._finger = [x]
-                top.insert(x)
-                return None, None, True
-            else:
-                # new global minimum joins (and re-labels) the first bucket
-                rep = top.min
-                bucket = self._buckets.pop(rep)
-                top.delete(rep)
-                top.insert(x)
-                self._buckets[x] = bucket
+        rep = top.pred(x)
+        if rep is not None:
+            bucket = self._buckets[rep]
+        elif top.min is None:
+            self._buckets[x] = [x]
+            top.insert(x)
+            return None, None, True
+        else:
+            # new global minimum joins (and re-labels) the first bucket
+            rep = top.min
+            bucket = self._buckets.pop(rep)
+            top.delete(rep)
+            top.insert(x)
+            self._buckets[x] = bucket
         # x's predecessor, if any, is in this bucket
         i = bisect_left(bucket, x)
         if i < len(bucket) and bucket[i] == x:
@@ -223,7 +217,6 @@ class PredecessorSet:
         prv = bucket[i - 1] if i else None
         nxt = bucket[i] if i < len(bucket) else top.next_of(bucket[0])
         bucket.insert(i, x)
-        self._finger = bucket
         if len(bucket) > self._cap:
             self._split(bucket)
         return prv, nxt, True
@@ -231,20 +224,15 @@ class PredecessorSet:
     def delete(self, x: int) -> tuple[int | None, int | None, bool]:
         """Remove x; returns (predecessor, successor, was_present)."""
         top = self._top
-        bucket = self._finger
-        if bucket and bucket[0] <= x <= bucket[-1]:
-            rep = bucket[0]
-        else:
-            rep = top.pred(x)
-            if rep is None:
-                return None, None, False
-            bucket = self._buckets[rep]
+        rep = top.pred(x)
+        if rep is None:
+            return None, None, False
+        bucket = self._buckets[rep]
         i = bisect_left(bucket, x)
         if i == len(bucket) or bucket[i] != x:
             return None, None, False
         prv, nxt = self._neighbors(bucket, i)
         del bucket[i]
-        self._finger = bucket
         if not bucket:
             del self._buckets[rep]
             top.delete(rep)
@@ -258,7 +246,6 @@ class PredecessorSet:
             if len(bucket) < self.width // 2:
                 nxt_rep = top.next_of(rep)
                 if nxt_rep is not None:
-                    # merge in place, so the finger stays on a live bucket
                     bucket += self._buckets.pop(nxt_rep)
                     top.delete(nxt_rep)
                     if len(bucket) > self._cap:

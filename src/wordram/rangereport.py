@@ -7,12 +7,15 @@ binary-search over re-chunked tries (order t summarizes branch**t bits per
 edge) for the first order at which the query node's chunk contains a
 branching node, then resolve the lowest branching ancestor through a
 compressed-pointer index and verify every candidate against the branching
-table before trusting it.  The index may be backed by an exact dictionary
-or by a Bloomier filter; arbitrary answers for unstored keys are harmless
-because of the verification step.  ``report(a, b)`` seeds from findany and
-walks the navigation list's element entries outward from the seed's entry,
-each step examining a bounded number of buckets, so it too touches no
-predecessor structure.
+table before trusting it.  findany runs the search and the resolution as
+one flat loop, in which each index read is one ``index.get`` call and one
+call of the verifier, ``_verified_descendant``; ``get`` counts nothing, so
+findany counts its reads and adds them to ``index.reads`` once.  The index
+may be backed by an exact dictionary or by a Bloomier filter; arbitrary
+answers for unstored keys are harmless because of the verification step.
+``report(a, b)`` seeds from findany and walks the navigation list's
+element entries outward from the seed's entry, each step examining a
+bounded number of buckets, so it too touches no predecessor structure.
 
 An update is one predecessor update on S, which also returns the key's
 neighbors, at most one on S̄ (below), plus O(top) index writes that follow
@@ -144,6 +147,10 @@ class AncestorIndex:
 
     The exact backend is a dictionary; the compact backend is a Bloomier
     filter (values are stored shifted by one so 0 can mean "absent").
+    ``get(key)``, the one read, returns the stored depth or None.  It is
+    bound per instance, at construction and on copy or unpickling, to the
+    store's own ``dict.get`` or the filter's ``depth_reader``, so a read
+    costs one call and counts nothing; callers add their reads to ``reads``.
     Writes come in batches, one call per list of keys that take the same
     change (``add_all``, ``set_all``, ``drop_all``), applied in list order;
     ``add``, ``set`` and ``drop`` are one-key batches.  Callers must know
@@ -165,11 +172,22 @@ class AncestorIndex:
         else:
             cfg = BloomierConfig.create(capacity, key_bits, value_bits, 0.25)
             self._filter = BloomierFilter(cfg, seed)
+        self._bind_get()
         # the present keys with their depths, where they are known: the
         # exact store itself, or under audit a mirror of the filter
         self._known: dict[int, int] | None = (
             self._store if self._store is not None else {} if audit else None
         )
+
+    def _bind_get(self) -> None:
+        self.get = self._store.get if self._filter is None else self._filter.depth_reader()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "get"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_get()
 
     def add(self, key: int, depth: int) -> None:
         self.add_all((key,), depth)
@@ -218,13 +236,6 @@ class AncestorIndex:
                 del known[key]
         if self._filter is not None:
             self._filter.delete_all(keys)
-
-    def get(self, key: int) -> int | None:
-        self.reads += 1
-        if self._store is not None:
-            return self._store.get(key)
-        raw = self._filter.lookup(key)
-        return raw - 1 if raw else None
 
     def snapshot(self) -> dict[int, int]:
         if self._known is None:
@@ -639,6 +650,7 @@ class RangeReporter:
         y_tag = rec.desc[1 - x_side]
         # v's own order-0 index entry holds the depth of a, its lowest
         # branching ancestor
+        self.index.reads += 1
         a_depth = self.index.get(v_key)
         if a_depth is None or a_depth >= d_v:
             raise AssertionError("v's index entry holds no ancestor depth")
@@ -671,6 +683,7 @@ class RangeReporter:
         if d >= self._tdepth[t]:
             return False
         ch = self._chunks[t]
+        self.index.reads += 1
         depth = self.index.get((p << self._shift[t][d]) | self._tag[t][d])
         desc = self._verified_descendant(depth, d * ch, p)
         # the node branches iff that descendant is a node inside its chunk;
@@ -697,43 +710,6 @@ class RangeReporter:
             return None
         return desc
 
-    def _resolve_ancestor(self, v_d: int, v_p: int, t_star: int):
-        """The verified descendant tag on v's side of the lowest branching
-        ancestor of the non-branching query node v, given the first order
-        whose trie maps v to a branching node; None if none verifies."""
-        get = self.index.get
-        codes = self._codes
-        # a code under v: and-ed with _codes[t][d], it keys the order-t
-        # depth-d node on v's path
-        vc = (v_p << (self.w - v_d + _TAG_BITS)) | _TAG_MASK
-        # v's nodes in the order-(t*-1) and order-t* tries sit at depths
-        # z_d and k_star
-        t1 = t_star - 1
-        z_d = v_d // self._chunks[t1]
-        k_star = v_d // self._chunks[t_star]
-        variant = self.config.variant
-
-        if variant == VARIANT_CORE:
-            key = vc & (codes[t1][z_d] if z_d & 1 else codes[t_star][k_star])
-            return self._verified_descendant(get(key), v_d, v_p)
-
-        if k_star != 0:
-            desc = self._verified_descendant(get(vc & codes[t_star][k_star]), v_d, v_p)
-            if desc is not None:
-                return desc
-        # walk up the order-(t*-1) trie within the natural subtree; 5b
-        # reads v's node alone
-        if variant == VARIANT_FAST_QUERY:
-            ns_root = z_d - 1
-        else:
-            ns_root = (z_d // self.B) * self.B
-        codes1 = codes[t1]
-        for dd in range(z_d, ns_root, -1):
-            desc = self._verified_descendant(get(vc & codes1[dd]), v_d, v_p)
-            if desc is not None:
-                return desc
-        return None
-
     def _max_under(self, desc) -> int:
         if (desc & _TAG_MASK) == _TAG_MASK:
             return desc >> _TAG_BITS
@@ -753,67 +729,98 @@ class RangeReporter:
         """
         if a > b:
             raise ValueError("empty interval")
-        tb = 0
+        w = self.w
+        # a bound lies outside [0, 2**w); as a <= b, a negative b makes a
+        # negative too, so b >> w is only ever read for b >= 0
+        if a < 0 or b >> w:
+            a = max(a, 0)
+            b = min(b, (1 << w) - 1)
+            if a > b:
+                return None
+        if a == b:
+            return a if a in self.leaves else None
+        if not self.leaves:
+            return None
         self._q_nav = 0
-        reads_before = self.index.reads
-        try:
-            w = self.w
-            # a bound lies outside [0, 2**w); as a <= b, a negative b makes
-            # a negative too, so b >> w is only ever read for b >= 0
-            if a < 0 or b >> w:
-                a = max(a, 0)
-                b = min(b, (1 << w) - 1)
-                if a > b:
-                    return None
-            if a == b:
-                return a if a in self.leaves else None
-            if not self.leaves:
-                return None
-            # the depth and prefix of v = LCA(a, b), and v's key
-            v_d = w - (a ^ b).bit_length()
-            v_p = a >> (w - v_d)
-            rec = self.table.get((v_p << self._shift[0][v_d]) | self._tag[0][v_d])
-            if rec is not None:
-                left, right = rec.desc
-                if left is not None:
-                    c = self._max_under(left)
-                    if a <= c <= b:
-                        return c
-                if right is not None:
-                    c = self._min_under(right)
-                    if a <= c <= b:
-                        return c
-                return None
-            chunks = self._chunks
+        tb = reads = 0
+        # the depth and prefix of v = LCA(a, b), and v's key
+        v_d = w - (a ^ b).bit_length()
+        v_p = a >> (w - v_d)
+        rec = self.table.get((v_p << self._shift[0][v_d]) | self._tag[0][v_d])
+        if rec is not None:
+            left, right = rec.desc
+        else:
+            # v does not branch: search the orders for the first whose trie
+            # maps v to a branching node, then read v's lowest branching
+            # ancestor off that order's index entries, verifying each read
+            get = self.index.get
+            verified = self._verified_descendant
+            chunks, codes = self._chunks, self._codes
+            # a's leaf code lies under v, so and-ed with _codes[t][d] it
+            # keys the order-t depth-d node on v's path
+            vc = (a << _TAG_BITS) | _TAG_MASK
             lo, hi = 1, self.top
             while lo < hi:
                 mid = (lo + hi) // 2
                 ch = chunks[mid]
                 k = v_d // ch
                 tb += 1
-                if self.test_branching(mid, k, v_p >> (v_d - k * ch)):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            desc = self._resolve_ancestor(v_d, v_p, lo)
-            if desc is None:
-                return None
-            c = self._max_under(desc)
-            if a <= c <= b:
-                return c
-            c = self._min_under(desc)
-            if a <= c <= b:
-                return c
-            return None
-        finally:
-            st = self.stats
-            if tb > st.max_test_branching:
-                st.max_test_branching = tb
-            if self._q_nav > st.max_nav_queries:
-                st.max_nav_queries = self._q_nav
-            reads = self.index.reads - reads_before
+                # test_branching on v's order-mid node, which is no leaf as
+                # v_d < w: a root branches, and another node iff its verified
+                # descendant is a node inside its chunk
+                if k:
+                    reads += 1
+                    kc = k * ch
+                    desc = verified(get(vc & codes[mid][k]), kc, v_p >> (v_d - kc))
+                    if desc is None or (desc & _TAG_MASK) >> _ORDER_BITS >= kc + ch:
+                        lo = mid + 1
+                        continue
+                hi = mid
+            # v's nodes in the order-(lo-1) and order-lo tries sit at depths
+            # z_d and k_star
+            codes1 = codes[lo - 1]
+            z_d = v_d // chunks[lo - 1]
+            k_star = v_d // chunks[lo]
+            if self.config.variant == VARIANT_CORE:
+                reads += 1
+                desc = verified(get(vc & (codes1[z_d] if z_d & 1 else codes[lo][k_star])),
+                                v_d, v_p)
+            else:
+                desc = None
+                if k_star:
+                    reads += 1
+                    desc = verified(get(vc & codes[lo][k_star]), v_d, v_p)
+                if desc is None:
+                    # walk up the order-(lo-1) trie within the natural
+                    # subtree; 5b reads v's node alone
+                    ns_root = z_d - 1 if self._fast_query else (z_d // self.B) * self.B
+                    for dd in range(z_d, ns_root, -1):
+                        reads += 1
+                        desc = verified(get(vc & codes1[dd]), v_d, v_p)
+                        if desc is not None:
+                            break
+            left = right = desc
+        # the answer is the largest key under left or the smallest under
+        # right, whichever lies in [a, b]
+        c = None
+        if left is not None:
+            c = self._max_under(left)
+            if not a <= c <= b:
+                c = None
+        if c is None and right is not None:
+            c = self._min_under(right)
+            if not a <= c <= b:
+                c = None
+        st = self.stats
+        if tb > st.max_test_branching:
+            st.max_test_branching = tb
+        if self._q_nav > st.max_nav_queries:
+            st.max_nav_queries = self._q_nav
+        if reads:
+            self.index.reads += reads
             if reads > st.max_index_reads_query:
                 st.max_index_reads_query = reads
+        return c
 
     def report(self, a: int, b: int):
         """All elements of S in [a, b] in increasing order.

@@ -196,3 +196,30 @@ def test_batches_match_per_key_updates():
         if step == 3:
             assert not batched._exact and batched.lookup(y) == 6
     assert batched.live_count == 4
+
+
+def test_depth_reader_agrees_with_lookup():
+    # the one-call read gives lookup - 1, or None where lookup gives 0, for
+    # stored, absent and verbatim keys alike
+    bf = make(seed=77)
+    read = bf.depth_reader()
+    x, y = find_hash_collision(bf, seed=5)
+    rng = random.Random(12)
+    stored = {rng.randrange(1 << 32): rng.randrange(1, 1 << 8) for _ in range(500)}
+    stored.pop(x, None)
+    stored.pop(y, None)
+    for key, value in stored.items():
+        bf.insert(key, value)
+    bf.insert(x, 1)
+    bf.insert(y, 200)
+    assert y in bf._exact  # y's hash image is x's, so y is stored verbatim
+    absent = [rng.randrange(1 << 32) for _ in range(2000)]
+    for key in [*stored, x, y, *absent]:
+        raw = bf.lookup(key)
+        assert read(key) == (raw - 1 if raw else None), key
+    assert read(x) == 0 and read(y) == 199
+    # the reader sees later updates: the dictionaries change in place
+    bf.delete(x)
+    assert read(x) is None and read(y) == 199
+    bf.replace(y, 7)
+    assert read(y) == 6 and not bf._exact

@@ -1,5 +1,7 @@
 import copy
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -339,6 +341,29 @@ def test_delete_undoes_insert(variant, branch, backend):
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+def test_copies_read_their_own_index(backend):
+    # index.get is bound per instance: a deep copy and an unpickled
+    # reporter must read their own index, not the original's
+    rng = random.Random(31)
+    rr = make(width=16, backend=backend, seed=31)
+    keys = sorted({rng.randrange(1 << 16) for _ in range(60)})
+    for x in keys:
+        rr.insert(x)
+    copies = [copy.deepcopy(rr), pickle.loads(pickle.dumps(rr))]
+    for x in keys:
+        assert rr.delete(x)
+    for c in copies:
+        c.check()
+        for x in keys:
+            got = c.findany(max(x - 1, 0), x + 1)
+            assert got in keys and abs(got - x) <= 1
+        assert list(c.report(0, (1 << 16) - 1)) == keys
+        for x in keys:
+            assert c.delete(x)
+        assert not c.table and c.index.snapshot() == {}
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
 def test_core_w8_fuzz_with_audit(backend):
     rr = make(backend=backend, seed=1)
     run_fuzz(rr, 200, seed=1)
@@ -388,6 +413,53 @@ def test_deep_keys_w64_fuzz_with_audit(variant, branch, backend):
             assert list(rr.report(a, b)) == want
     assert len(depths) >= 40  # LCAs at many depths, deep ones included
     assert max(depths) >= 56
+
+
+@pytest.mark.parametrize("variant,branch,resolution_reads",
+                         [("core", 2, 1), ("5a", 4, 4), ("5a", 8, 8), ("5b", 4, 2),
+                          ("5b", 8, 2)])
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+def test_deep_key_short_queries_reach_the_structural_maxima(variant, branch,
+                                                            resolution_reads, backend):
+    # short intervals around deep keys end below the LCA's table probe, so
+    # most queries run the full search over orders and the variant's
+    # ancestor resolution: the per-query maxima must be the structural ones
+    rng = random.Random(61)
+    rr = make(width=64, branch=branch, variant=variant, backend=backend, audit=False,
+              capacity=4096, seed=61)
+    keys = set()
+    while len(keys) < 3000:
+        keys.add(deep_key(rng))
+    for x in keys:
+        rr.insert(x)
+    shadow = sorted(keys)
+    calls = 0
+    get = rr.index.get
+
+    def counting_get(key):
+        nonlocal calls
+        calls += 1
+        return get(key)
+
+    rr.index.get = counting_get
+    searched = 0
+    for i in range(20000):
+        x = rng.choice(shadow) if rng.random() < 0.5 else deep_key(rng)
+        d = int(2.0 ** rng.uniform(0, 8))
+        a, b = max(x - d, 0), min(x + d, (1 << 64) - 1)
+        calls, reads = 0, rr.index.reads
+        got = rr.findany(a, b)
+        # every read goes through index.get and is counted once
+        assert rr.index.reads - reads == calls, (a, b)
+        searched += calls > 0
+        want = shadow[bisect_left(shadow, a):bisect_right(shadow, b)]
+        assert got in want if want else got is None, (a, b)
+        if i % 8 == 7:
+            assert list(rr.report(a, b)) == want
+    assert searched > 15000
+    lg_top = math.ceil(math.log2(top_order(64, branch)))
+    assert rr.stats.max_test_branching == lg_top
+    assert rr.stats.max_index_reads_query == lg_top + resolution_reads
 
 
 def test_exhaustive_all_pairs_small_states():
