@@ -17,6 +17,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 
 from .bloomier import BloomierConfig, BloomierFilter
 from .gtgame import STRATEGIES, sweep
@@ -174,6 +175,8 @@ def _run_perfect_hash_demo(args) -> int:
     rng = random.Random(args.seed)
     universe = 1 << args.u_bits
     live: dict[int, int] = {}
+    # how many live keys hold each value: a second holder breaks injectivity
+    holders: Counter[int] = Counter()
     injective = True
     ops = args.ops if args.ops else 3 * args.n
     order: list[int] = []
@@ -181,7 +184,7 @@ def _run_perfect_hash_demo(args) -> int:
         if live and (rng.random() < 0.33 or len(live) >= args.n):
             x = order.pop(rng.randrange(len(order)))
             ph.delete(x)
-            del live[x]
+            holders[live.pop(x)] -= 1
         else:
             x = rng.randrange(universe)
             if x in live:
@@ -190,8 +193,9 @@ def _run_perfect_hash_demo(args) -> int:
             if inserted:
                 live[x] = value
                 order.append(x)
-        if len(set(live.values())) != len(live):
-            injective = False
+                holders[value] += 1
+                if holders[value] > 1:
+                    injective = False
     for x, value in live.items():
         if ph.evaluate(x) != value:
             injective = False

@@ -36,24 +36,28 @@ a lone key y, which has no branching node on its path below v;
 ``tests/indexrule.py`` keeps the general loop they specialize as the
 oracle.
 
-The root's record exists whenever S is not empty.  A key whose neighbors
-diverge from it at the root fills or empties one side of the root, and
-the first and last key are that case too: the first key finds the root
-record just created with both sides empty, and the last key's delete
-removes the record, its S̄ key, its Open and its Close after emptying its
-side.  Then v is the root and x has no sibling subtree, which
-``_index_changes`` reads as a surviving path that ends at v.
+The root's record exists for the reporter's lifetime: ``__init__`` creates
+it with both sides empty, along with its S̄ key, its Open and its Close, and
+no update adds or removes any of them.  So insert and delete each have one
+shape.  When x's neighbors diverge from it at the root (the first and the
+last key among them), v is the root and the update only fills or empties
+x's side of it; a lone x has no sibling subtree, which ``_index_changes``
+reads as a surviving path that ends at v.  Any other v gets or loses its
+own record.  Both cases end alike: x's element is placed or removed, then
+the index batches run.
 
 A node's identity lives only in its key: the prefix, left-aligned in a
-width-bit field, above ten tag bits for depth and order; ``_dec`` reads
-both back for any order.  One per-(order, depth) key table defines every
-key: the order-t depth-d key is the prefix shifted left by
-``_shift[t][d]``, or-ed with the tag ``_tag[t][d]``, and ``_enc`` is the
-one encoder that applies it.  ``_codes[t][d]`` is the key with every
-prefix bit set, so and-ed with a code below a node it gives the key of the
-order-t depth-d node on that node's path: updates key their index changes
-this way.  The query path reads the same tables inline, so no probe calls
-an encoder.  A branching record, stored under its order-0 key, keeps no
+width-bit field, above ten tag bits for depth and order.  ``_enc`` builds
+the key and ``_dec`` reads depth and prefix back, both from the chunk
+sizes.  One key table addresses every node: ``_codes[t][d]`` is the
+order-t depth-d key with every prefix bit set, so and-ed with a code below
+a node whose tag bits are all set, such as a leaf code, it gives the key
+of the order-t depth-d node on that node's path.  Updates key their
+records and index changes this way from x's leaf code, and findany from
+a's.  ``_ancestor`` and ``_verified_descendant`` take such a code, not a
+prefix, and read the side a path takes and whether a tag lies in a
+subtree off it with one shift each, so neither an update nor a findany
+probe calls the encoder.  A branching record, stored under its order-0 key, keeps no
 depth or prefix.  It names each of its two child subtrees by a descendant
 tag: the leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``),
 or the branching child's order-0 key; None marks an empty side of the
@@ -312,14 +316,6 @@ class RangeReporter:
             (self.w + 1).bit_length(), config.seed, config.audit,
         )
         self.stats = OpStats(pred_sets=(self.pred, self._sbar_pred))
-        # the key table behind every node key: the order-t depth-d key is
-        # the prefix shifted left by _shift[t][d], which left-aligns it in a
-        # width-bit field above the tag bits, or-ed with the tag _tag[t][d]
-        self._shift = [[self.w + _TAG_BITS - min(d * ch, self.w) for d in range(td + 1)]
-                       for ch, td in zip(self._chunks, self._tdepth)]
-        self._tag = [[(d << _ORDER_BITS) | t for d in range(td + 1)]
-                     for t, td in enumerate(self._tdepth)]
-        self._root_key = self._enc(0, 0, 0)
         self._fast_query = config.variant == VARIANT_FAST_QUERY
         # _codes[t][d] is the order-t depth-d code with every prefix bit set:
         # and-ed with _leaf_code(x) it gives the code of that node on x's path
@@ -328,6 +324,13 @@ class RangeReporter:
             for t, (ch, td) in enumerate(zip(self._chunks, self._tdepth))
         ]
         self._q_nav = 0
+        # the root's record, with both sides empty, lives as long as the
+        # reporter
+        root_key = self._root_key = self._enc(0, 0, 0)
+        root = self.table[root_key] = BranchingRecord((None, None))
+        self._sbar_pred.insert(root_key)
+        root.open_h = self.nav.insert_first(OPEN, root_key)
+        root.close_h = self.nav.insert_after(root.open_h, CLOSE, root_key)
 
     # -- encodings ----------------------------------------------------------
 
@@ -336,9 +339,9 @@ class RangeReporter:
 
         The prefix is left-aligned in a width-bit field, so that names of
         different depths cannot collide, and depth and order follow it.
-        The query path reads the same two tables inline.
         """
-        return (p << self._shift[t][d]) | self._tag[t][d]
+        pb = min(d * self._chunks[t], self.w)
+        return (p << (_TAG_BITS + self.w - pb)) | (d << _ORDER_BITS) | t
 
     def _dec(self, key: int) -> tuple[int, int]:
         """(depth, prefix) of the index key of a node of any order."""
@@ -352,21 +355,14 @@ class RangeReporter:
 
     # -- records and entries --------------------------------------------------
 
-    def _ancestor(self, a_depth: int, v_d: int, v_p: int) -> tuple[BranchingRecord, int]:
-        """The record of the branching node at depth a_depth on v's path, and
-        the side of it that v's path takes."""
-        rec = self.table.get(self._enc(0, a_depth, v_p >> (v_d - a_depth)))
+    def _ancestor(self, a_depth: int, xc: int) -> tuple[BranchingRecord, int]:
+        """The record of the branching node at depth a_depth on the path of
+        xc, a code with every tag bit set, and the side of it that path
+        takes."""
+        rec = self.table.get(xc & self._codes[0][a_depth])
         if rec is None:
             raise AssertionError("v's lowest branching ancestor has no record")
-        return rec, (v_p >> (v_d - a_depth - 1)) & 1
-
-    def _insert_element(self, x: int, x_side: int, rec: BranchingRecord) -> None:
-        """x's element goes just inside the parentheses of the node it hangs
-        from, on x's side."""
-        if x_side:
-            self.leaves[x] = self.nav.insert_before(rec.close_h, ELEMENT, x)
-        else:
-            self.leaves[x] = self.nav.insert_after(rec.open_h, ELEMENT, x)
+        return rec, (xc >> (_TAG_BITS + self.w - 1 - a_depth)) & 1
 
     # -- element access -------------------------------------------------------
 
@@ -419,68 +415,61 @@ class RangeReporter:
         w = self.w
         d_v = self._v_depth(x, prev, nxt)
         nav = self.nav
+        xc = self._leaf_code(x)
+        v_key = xc & self._codes[0][d_v]
+        x_side = (x >> (w - 1 - d_v)) & 1
 
-        if d_v == 0:
+        if not d_v:
             # the new divergence point is the root: x fills its empty side,
             # and the first key finds both sides empty
-            first = prev is None and nxt is None
-            root_key = self._root_key
-            root = BranchingRecord((None, None)) if first else self.table[root_key]
-            x_side = x >> (w - 1)
-            y_tag = root.desc[1 - x_side]
-            if root.desc[x_side] is not None or (y_tag is None) != first:
+            rec = self.table[v_key]
+            y_tag = rec.desc[1 - x_side]
+            if (rec.desc[x_side] is not None
+                    or (y_tag is None) != (prev is None and nxt is None)):
                 raise AssertionError("the root's sides disagree with x's neighbors")
-            if first:
-                self.table[root_key] = root
-                self._sbar_pred.insert(root_key)
-                root.open_h = nav.insert_first(OPEN, root_key)
-                root.close_h = nav.insert_after(root.open_h, CLOSE, root_key)
-            root.desc = _replace_side(root.desc, x_side, self._leaf_code(x))
-            self._insert_element(x, x_side, root)
-            self._index_insert(x, 0, y_tag, a_depth=0, a_real=False)
-            return
+            rec.desc = _replace_side(rec.desc, x_side, xc)
+            a_depth, a_real = 0, False
+        else:
+            # z, the branching node before v in preorder, is a itself or the
+            # last one in a's left subtree, whose path parts from v's at a;
+            # the min covers an ancestor z whose prefix runs on into v's
+            z, _, fresh = self._sbar_pred.insert(v_key)
+            if not fresh:
+                raise AssertionError("x's neighbors diverge at a branching node")
+            try:
+                a_depth = min((z & _TAG_MASK) >> _ORDER_BITS,
+                              w - ((z ^ v_key) >> _TAG_BITS).bit_length())
+                a_rec, side_a = self._ancestor(a_depth, xc)
+                a_desc = a_rec.desc
+                y_tag = a_desc[side_a]
+                if y_tag is None:
+                    raise AssertionError("the new branching node's ancestor has an empty side")
+                # v's parentheses enclose y, its one old child subtree: a lone
+                # key's element, or a node's Open to its Close
+                if (y_tag & _TAG_MASK) == _TAG_MASK:
+                    y_first = y_last = self.leaves.get(y_tag >> _TAG_BITS)
+                elif (y_rec := self.table.get(y_tag)) is not None:
+                    y_first, y_last = y_rec.open_h, y_rec.close_h
+                else:
+                    y_first = None
+                if y_first is None:
+                    raise AssertionError("v's old child subtree has no navigation entry")
+            except AssertionError:
+                self._sbar_pred.delete(v_key)
+                raise
+            a_real = a_desc[0] is not None and a_desc[1] is not None
+            rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, xc),
+                                  nav.insert_before(y_first, OPEN, v_key),
+                                  nav.insert_after(y_last, CLOSE, v_key))
+            a_rec.desc = _replace_side(a_desc, side_a, v_key)
+            self.table[v_key] = rec
 
-        v_p = x >> (w - d_v)
-        v_key = self._enc(0, d_v, v_p)
-        x_side = (x >> (w - d_v - 1)) & 1
-        # z, the branching node before v in preorder, is a itself or the last
-        # one in a's left subtree, whose path parts from v's at a; the min
-        # covers an ancestor z whose prefix runs on into v's
-        z, _, fresh = self._sbar_pred.insert(v_key)
-        if not fresh:
-            raise AssertionError("x's neighbors diverge at a branching node")
-        try:
-            a_depth = min((z & _TAG_MASK) >> _ORDER_BITS,
-                          w - ((z ^ v_key) >> _TAG_BITS).bit_length())
-            a_rec, side_a = self._ancestor(a_depth, d_v, v_p)
-            a_desc = a_rec.desc
-            y_tag = a_desc[side_a]
-            if y_tag is None:
-                raise AssertionError("the new branching node's ancestor has an empty side")
-            # v's parentheses enclose y, its one old child subtree: a lone
-            # key's element, or a node's Open to its Close
-            if (y_tag & _TAG_MASK) == _TAG_MASK:
-                y_first = y_last = self.leaves.get(y_tag >> _TAG_BITS)
-            elif (y_rec := self.table.get(y_tag)) is not None:
-                y_first, y_last = y_rec.open_h, y_rec.close_h
-            else:
-                y_first = None
-            if y_first is None:
-                raise AssertionError("v's old child subtree has no navigation entry")
-        except AssertionError:
-            self._sbar_pred.delete(v_key)
-            raise
-        a_real = a_desc[0] is not None and a_desc[1] is not None
-
-        rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, self._leaf_code(x)),
-                              nav.insert_before(y_first, OPEN, v_key),
-                              nav.insert_after(y_last, CLOSE, v_key))
-        a_rec.desc = _replace_side(a_desc, side_a, v_key)
-        self.table[v_key] = rec
-        self._insert_element(x, x_side, rec)
-        self._index_insert(x, d_v, y_tag, a_depth, a_real)
-
-    def _index_insert(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
+        # x's element goes just inside the parentheses of the node it hangs
+        # from, on x's side
+        if x_side:
+            self.leaves[x] = nav.insert_before(rec.close_h, ELEMENT, x)
+        else:
+            self.leaves[x] = nav.insert_after(rec.open_h, ELEMENT, x)
         to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
         index = self.index
         # most updates make no node branching in any order
@@ -618,55 +607,39 @@ class RangeReporter:
         w = self.w
         d_v = self._v_depth(x, prev, nxt)
         nav = self.nav
-
-        if d_v == 0:
-            # x empties its side of the root; the last key takes the root
-            # record with it
-            last = prev is None and nxt is None
-            root_key = self._root_key
-            root = self.table[root_key]
-            x_side = x >> (w - 1)
-            y_tag = root.desc[1 - x_side]
-            if root.desc[x_side] != self._leaf_code(x):
-                raise AssertionError("the root's descendant on x's side is not x")
-            if (y_tag is None) != last:
-                raise AssertionError("the root's other side disagrees with x's neighbors")
-            root.desc = _replace_side(root.desc, x_side, None)
-            nav.delete(self.leaves.pop(x))
-            if last:
-                del self.table[root_key]
-                self._sbar_pred.delete(root_key)
-                nav.delete(root.open_h)
-                nav.delete(root.close_h)
-            self._index_delete(x, 0, y_tag, a_depth=0, a_real=False)
-            return
-
-        v_p = x >> (w - d_v)
-        v_key = self._enc(0, d_v, v_p)
+        xc = self._leaf_code(x)
+        v_key = xc & self._codes[0][d_v]
+        x_side = (x >> (w - 1 - d_v)) & 1
         rec = self.table.get(v_key)
-        x_side = (x >> (w - d_v - 1)) & 1
-        if rec is None or rec.desc[x_side] != self._leaf_code(x):
+        if rec is None or rec.desc[x_side] != xc:
             raise AssertionError("v's descendant on x's side is not x")
         y_tag = rec.desc[1 - x_side]
-        # v's own order-0 index entry holds the depth of a, its lowest
-        # branching ancestor
-        self.index.reads += 1
-        a_depth = self.index.get(v_key)
-        if a_depth is None or a_depth >= d_v:
-            raise AssertionError("v's index entry holds no ancestor depth")
-        a_rec, side_a = self._ancestor(a_depth, d_v, v_p)
-        if a_rec.desc[side_a] != v_key:
-            raise AssertionError("v's ancestor does not name v as its descendant")
-        del self.table[v_key]
-        self._sbar_pred.delete(v_key)
-        a_rec.desc = a_desc = _replace_side(a_rec.desc, side_a, y_tag)
-        nav.delete(rec.open_h)
-        nav.delete(rec.close_h)
-        nav.delete(self.leaves.pop(x))
-        a_real = a_desc[0] is not None and a_desc[1] is not None
-        self._index_delete(x, d_v, y_tag, a_depth, a_real)
 
-    def _index_delete(self, x: int, d_v: int, y_tag, a_depth: int, a_real: bool) -> None:
+        if not d_v:
+            # x empties its side of the root, and the last key leaves both
+            # sides empty
+            if (y_tag is None) != (prev is None and nxt is None):
+                raise AssertionError("the root's other side disagrees with x's neighbors")
+            rec.desc = _replace_side(rec.desc, x_side, None)
+            a_depth, a_real = 0, False
+        else:
+            # v's own order-0 index entry holds the depth of a, its lowest
+            # branching ancestor
+            self.index.reads += 1
+            a_depth = self.index.get(v_key)
+            if a_depth is None or a_depth >= d_v:
+                raise AssertionError("v's index entry holds no ancestor depth")
+            a_rec, side_a = self._ancestor(a_depth, xc)
+            if a_rec.desc[side_a] != v_key:
+                raise AssertionError("v's ancestor does not name v as its descendant")
+            del self.table[v_key]
+            self._sbar_pred.delete(v_key)
+            a_rec.desc = a_desc = _replace_side(a_rec.desc, side_a, y_tag)
+            nav.delete(rec.open_h)
+            nav.delete(rec.close_h)
+            a_real = a_desc[0] is not None and a_desc[1] is not None
+
+        nav.delete(self.leaves.pop(x))
         to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
         index = self.index
         index.set_all(a_to_v, a_depth)
@@ -683,30 +656,31 @@ class RangeReporter:
         if d >= self._tdepth[t]:
             return False
         ch = self._chunks[t]
+        key = self._enc(t, d, p)
         self.index.reads += 1
-        depth = self.index.get((p << self._shift[t][d]) | self._tag[t][d])
-        desc = self._verified_descendant(depth, d * ch, p)
+        desc = self._verified_descendant(self.index.get(key), d * ch, key | _TAG_MASK)
         # the node branches iff that descendant is a node inside its chunk;
         # a leaf's depth field, 127, lies past the end of every chunk
         return desc is not None and (desc & _TAG_MASK) >> _ORDER_BITS < (d + 1) * ch
 
-    def _verified_descendant(self, depth: int | None, v_d: int, v_p: int):
+    def _verified_descendant(self, depth: int | None, v_d: int, vc: int):
         """The descendant tag on v's side of the branching record at `depth`
         on the order-0 node v's path, or None unless that record exists, is
         a strict ancestor of v, and its tag lies inside v's subtree.
 
-        The tag is checked from its own bits: its prefix sits left-aligned
-        above the tag bits, and its depth field is 127 for a leaf.
+        v is the depth-v_d node on the path of vc, a code with every tag bit
+        set.  The tag is checked from its own bits: its prefix sits
+        left-aligned above the tag bits, and its depth field is 127 for a
+        leaf.
         """
         if depth is None or depth >= v_d:
             return None
-        rec = self.table.get(((v_p >> (v_d - depth)) << self._shift[0][depth])
-                             | self._tag[0][depth])
+        rec = self.table.get(vc & self._codes[0][depth])
         if rec is None:
             return None
-        desc = rec.desc[(v_p >> (v_d - depth - 1)) & 1]
+        desc = rec.desc[(vc >> (_TAG_BITS + self.w - 1 - depth)) & 1]
         if (desc is None or (desc & _TAG_MASK) >> _ORDER_BITS < v_d
-                or desc >> (_TAG_BITS + self.w - v_d) != v_p):
+                or (desc ^ vc) >> (_TAG_BITS + self.w - v_d)):
             return None
         return desc
 
@@ -743,10 +717,12 @@ class RangeReporter:
             return None
         self._q_nav = 0
         tb = reads = 0
-        # the depth and prefix of v = LCA(a, b), and v's key
+        # the depth of v = LCA(a, b); a's leaf code lies under v, so and-ed
+        # with _codes[t][d] it keys the order-t depth-d node on v's path
         v_d = w - (a ^ b).bit_length()
-        v_p = a >> (w - v_d)
-        rec = self.table.get((v_p << self._shift[0][v_d]) | self._tag[0][v_d])
+        vc = (a << _TAG_BITS) | _TAG_MASK
+        codes = self._codes
+        rec = self.table.get(vc & codes[0][v_d])
         if rec is not None:
             left, right = rec.desc
         else:
@@ -755,10 +731,7 @@ class RangeReporter:
             # ancestor off that order's index entries, verifying each read
             get = self.index.get
             verified = self._verified_descendant
-            chunks, codes = self._chunks, self._codes
-            # a's leaf code lies under v, so and-ed with _codes[t][d] it
-            # keys the order-t depth-d node on v's path
-            vc = (a << _TAG_BITS) | _TAG_MASK
+            chunks = self._chunks
             lo, hi = 1, self.top
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -771,7 +744,7 @@ class RangeReporter:
                 if k:
                     reads += 1
                     kc = k * ch
-                    desc = verified(get(vc & codes[mid][k]), kc, v_p >> (v_d - kc))
+                    desc = verified(get(vc & codes[mid][k]), kc, vc)
                     if desc is None or (desc & _TAG_MASK) >> _ORDER_BITS >= kc + ch:
                         lo = mid + 1
                         continue
@@ -784,19 +757,19 @@ class RangeReporter:
             if self.config.variant == VARIANT_CORE:
                 reads += 1
                 desc = verified(get(vc & (codes1[z_d] if z_d & 1 else codes[lo][k_star])),
-                                v_d, v_p)
+                                v_d, vc)
             else:
                 desc = None
                 if k_star:
                     reads += 1
-                    desc = verified(get(vc & codes[lo][k_star]), v_d, v_p)
+                    desc = verified(get(vc & codes[lo][k_star]), v_d, vc)
                 if desc is None:
                     # walk up the order-(lo-1) trie within the natural
                     # subtree; 5b reads v's node alone
                     ns_root = z_d - 1 if self._fast_query else (z_d // self.B) * self.B
                     for dd in range(z_d, ns_root, -1):
                         reads += 1
-                        desc = verified(get(vc & codes1[dd]), v_d, v_p)
+                        desc = verified(get(vc & codes1[dd]), v_d, vc)
                         if desc is not None:
                             break
             left = right = desc
@@ -875,10 +848,10 @@ class RangeReporter:
     def _expected_records(self, elems: list[int]):
         """Brute-force (left desc, right desc) for every branching node."""
         w = self.w
-        out: dict[int, tuple] = {}
+        root_key = self._root_key
+        out: dict[int, tuple] = {root_key: (None, None)}
         if not elems:
             return out
-        root_key = self._root_key
 
         def top_tag(lo: int, hi: int):
             if hi - lo == 1:
@@ -897,13 +870,12 @@ class RangeReporter:
             if hi - m >= 2:
                 build(m, hi)
 
-        side = elems[0] >> (w - 1)
-        if len(elems) == 1:
-            out[root_key] = _replace_side((None, None), side, self._leaf_code(elems[0]))
-            return out
-        if lca_depth(elems[0], elems[-1], w) != 0:
-            out[root_key] = _replace_side((None, None), side, top_tag(0, len(elems)))
-        build(0, len(elems))
+        if len(elems) == 1 or lca_depth(elems[0], elems[-1], w):
+            # every key lies on one side of the root
+            out[root_key] = _replace_side((None, None), elems[0] >> (w - 1),
+                                          top_tag(0, len(elems)))
+        if len(elems) > 1:
+            build(0, len(elems))
         return out
 
     def _check_sequence(self, expected: dict[int, tuple]) -> None:
@@ -912,8 +884,8 @@ class RangeReporter:
 
         The walk lists Open(v), v's left subtree, v's right subtree and
         Close(v), with a lone key as its element, so the parentheses nest,
-        every pair encloses an element, and an element-free run is at most
-        one path's Closes and another's Opens.
+        every pair but an empty root's encloses an element, and an
+        element-free run is at most one path's Closes and another's Opens.
         """
         want: list[tuple[int, int, _Entry]] = []
 
@@ -930,8 +902,7 @@ class RangeReporter:
                 walk(desc)
             want.append((CLOSE, tag, rec.close_h))
 
-        if expected:
-            walk(self._root_key)
+        walk(self._root_key)
         entries = list(self.nav)
         ensure(len(entries) == len(want)
                and all(e is h and e.kind == kind and e.value == value

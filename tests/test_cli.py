@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from wordram.cli import main
+from wordram.perfecthash import PerfectHash
 
 RUN = [sys.executable, "-m", "wordram.cli"]
 
@@ -63,6 +64,19 @@ def test_perfect_hash_demo():
     report = json.loads(out)
     assert report["injective"] is True
     assert report["spill_peak"] <= 4 * (512 // 32)
+
+
+def test_perfect_hash_demo_flags_a_taken_value(monkeypatch, capsys):
+    # every insert hands out value 0, which a live key already holds once
+    # two keys are live; evaluate agrees, so only the per-value holder
+    # count can see it
+    real_insert = PerfectHash.insert
+    monkeypatch.setattr(PerfectHash, "insert",
+                        lambda self, key: (0, real_insert(self, key)[1]))
+    monkeypatch.setattr(PerfectHash, "evaluate", lambda self, key: 0)
+    code = main(["perfect-hash-demo", "--n", "64", "--u-bits", "32", "--seed", "2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["injective"] is False
 
 
 def test_space_report_components():

@@ -122,11 +122,31 @@ def test_delete_returns_structure_to_empty_shape():
     rr = make()
     rr.insert(100)
     rr.delete(100)
-    assert len(rr.table) == 0
-    assert len(rr.nav) == 0
+    # the root's record, with its Open and Close, outlives every key
+    assert list(rr.table) == [rr._root_key]
+    assert len(rr.nav) == 2
     assert rr.index.snapshot() == {}
+    assert rr.dump() == "0/0 anc=- left=- right=-"
     rr.insert(3)
     assert rr.findany(0, 255) == 3
+
+    def shape(rr):
+        return (list(rr.table), list(rr._sbar_pred), [(e.kind, e.value) for e in rr.nav],
+                rr.index.snapshot(), rr.dump())
+
+    # a reporter filled and emptied again equals a fresh one
+    rng = random.Random(17)
+    for variant, branch in (("core", 2), ("5a", 4), ("5b", 4)):
+        for backend in (BACKEND_EXACT, BACKEND_BLOOMIER):
+            config = dict(width=16, branch=branch, variant=variant, backend=backend)
+            rr = make(**config)
+            keys = rng.sample(range(1 << 16), 60)
+            for x in keys:
+                assert rr.insert(x)
+            rng.shuffle(keys)
+            for x in keys:
+                assert rr.delete(x)
+            assert shape(rr) == shape(make(**config)), config
 
 
 def test_failed_delete_leaves_structure_unchanged():
@@ -360,7 +380,7 @@ def test_copies_read_their_own_index(backend):
         assert list(c.report(0, (1 << 16) - 1)) == keys
         for x in keys:
             assert c.delete(x)
-        assert not c.table and c.index.snapshot() == {}
+        assert list(c.table) == [c._root_key] and c.index.snapshot() == {}
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
@@ -512,11 +532,11 @@ def test_verify_lowest_ancestor_public_contract():
         rr.insert(x)
     d6_depth, _ = rr._dec(rr._enc(0, 6, 0b000000))
     root_depth, _ = rr._dec(rr._root_key)
-    assert rr._verified_descendant(d6_depth, 7, 0b0000001) is not None
+    assert rr._verified_descendant(d6_depth, 7, rr._leaf_code(0b0000001 << 1)) is not None
     # the root is an ancestor but its descendant on v's side sits above v
-    assert rr._verified_descendant(root_depth, 7, 0b0000001) is None
+    assert rr._verified_descendant(root_depth, 7, rr._leaf_code(0b0000001 << 1)) is None
     # a node that is not an ancestor at all
-    assert rr._verified_descendant(d6_depth, 7, 0b1100000) is None
+    assert rr._verified_descendant(d6_depth, 7, rr._leaf_code(0b1100000 << 1)) is None
 
 
 @pytest.mark.parametrize("branch", [2, 4, 8])
@@ -576,21 +596,21 @@ def test_verified_ancestor_rejects_non_ancestors():
         rr.insert(x)
     # the node covering {1, 3} is branching at depth 6; on the side of the
     # depth-7 node holding 2 and 3 its descendant is the leaf 3
-    assert rr._verified_descendant(6, 7, 0b0000001) == rr._leaf_code(3)
+    assert rr._verified_descendant(6, 7, rr._leaf_code(0b0000001 << 1)) == rr._leaf_code(3)
     # a depth that does not truncate to a branching node fails
-    assert rr._verified_descendant(3, 7, 0b0000001) is None
+    assert rr._verified_descendant(3, 7, rr._leaf_code(0b0000001 << 1)) is None
     # the root is an ancestor, but its descendant on this side, the
     # depth-6 node, sits above v; for v = 0000000 only the tag's depth
     # field tells, since the node's left-aligned prefix is all zeros
-    assert rr._verified_descendant(0, 7, 0b0000001) is None
-    assert rr._verified_descendant(0, 7, 0b0000000) is None
+    assert rr._verified_descendant(0, 7, rr._leaf_code(0b0000001 << 1)) is None
+    assert rr._verified_descendant(0, 7, rr._leaf_code(0b0000000 << 1)) is None
     # the root's right descendant, the leaf 11000000, verifies under the
     # depth-2 node 11 but not under its empty sibling 10, which only the
     # tag's prefix tells
-    assert rr._verified_descendant(0, 2, 0b11) == rr._leaf_code(0b11000000)
-    assert rr._verified_descendant(0, 2, 0b10) is None
+    assert rr._verified_descendant(0, 2, rr._leaf_code(0b11 << 6)) == rr._leaf_code(0b11000000)
+    assert rr._verified_descendant(0, 2, rr._leaf_code(0b10 << 6)) is None
     # a depth whose node on v's path is not branching at all
-    assert rr._verified_descendant(6, 7, 0b1100000) is None
+    assert rr._verified_descendant(6, 7, rr._leaf_code(0b1100000 << 1)) is None
 
 
 def test_findany_never_touches_predecessor_structures():
@@ -678,26 +698,33 @@ def test_query_keys_are_encoder_keys(variant, branch, width):
     assert reads > 0 and rr.stats.max_test_branching >= 1
 
 
-def random_change_shape(rng, rr):
-    """Arguments of the index-entry rule for a random x: v's depth d_v, y
-    (None, a lone key or a node on v's other side), and a's depth, with
-    or without a branching without x."""
+def change_shapes(rng, rr):
+    """Every valid argument tuple of the index-entry rule, up to x's bits:
+    v's depth d_v; y, v's child subtree other than x (None when x is alone
+    under the root, a lone key, or a node at any depth below v); and a's
+    depth, with whether a branches without x.  A branching a below the
+    root branches without x, while the root may have an empty side.  x and
+    y's free bits are random, since the rule reads only the shape."""
     w = rr.w
-    x = rng.getrandbits(w)
-    d_v = 0 if rng.random() < 0.1 else rng.randrange(w)
-    low = w - 1 - d_v
-    # y shares x's d_v leading bits and takes v's other side
-    y = (((x >> low) ^ 1) << low) | rng.getrandbits(low)
-    kind = rng.choice(("none", "leaf", "node") if d_v == 0 else ("leaf", "node"))
-    if kind == "node" and d_v < w - 1:
-        y_d0 = rng.randrange(d_v + 1, w)
-        y_tag = rr._enc(0, y_d0, y >> (w - y_d0))
-    elif kind == "none":
-        y_tag = None
-    else:
-        y_tag = rr._leaf_code(y)
-    a_depth = rng.randrange(d_v) if d_v else 0
-    return x, d_v, y_tag, a_depth, rng.random() < 0.5
+    for d_v in range(w):
+        x = rng.getrandbits(w)
+        low = w - 1 - d_v
+        # y shares x's d_v leading bits and takes v's other side
+        y = (((x >> low) ^ 1) << low) | rng.getrandbits(low)
+        y_tags = [rr._leaf_code(y)]
+        y_tags += [rr._enc(0, y_d0, y >> (w - y_d0)) for y_d0 in range(d_v + 1, w)]
+        if d_v:
+            a_shapes = [(0, False)] + [(a_depth, True) for a_depth in range(d_v)]
+        else:
+            y_tags.append(None)
+            a_shapes = [(0, False)]
+        for y_tag in y_tags:
+            for a_depth, a_real in a_shapes:
+                yield x, d_v, y_tag, a_depth, a_real
+
+
+# the exact maximum index writes of one update at w=64, over every shape
+W64_MAX_WRITES = {("core", 2): 22, ("5a", 4): 12, ("5a", 8): 9, ("5b", 4): 21, ("5b", 8): 30}
 
 
 @pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5a", 8),
@@ -709,13 +736,24 @@ def test_index_rule_matches_its_general_form(variant, branch):
     from indexrule import index_changes
 
     rng = random.Random(53)
-    rr = make(width=64, branch=branch, variant=variant, audit=False)
-    for _ in range(3000):
-        shape = random_change_shape(rng, rr)
-        got = rr._index_changes(*shape)
-        assert got == index_changes(rr, *shape), shape
-        keys = [key for keys in got for key in keys]
-        assert len(set(keys)) == len(keys), shape  # a batch names a key once
+    for width in (8, 16, 32, 64):
+        rr = make(width=width, branch=branch, variant=variant, audit=False)
+        shapes = most = 0
+        for shape in change_shapes(rng, rr):
+            got = rr._index_changes(*shape)
+            assert got == index_changes(rr, *shape), shape
+            keys = [key for keys in got for key in keys]
+            assert len(set(keys)) == len(keys), shape  # a batch names a key once
+            shapes += 1
+            most = max(most, len(keys))
+        assert shapes == {8: 121, 16: 817, 32: 5985, 64: 45761}[width]
+        # the write budgets of criteria 4 and 5 hold for every shape
+        if variant == "core":
+            assert most <= 4 * (rr.top + 1), width
+        elif variant == "5b":
+            assert most <= 4 * branch * rr.top, width
+        if width == 64:
+            assert most == W64_MAX_WRITES[variant, branch]
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
@@ -957,4 +995,4 @@ def test_sbar_keys_read_back_through_owners(variant, branch, backend):
     for x in low:
         assert rr.delete(x)  # the last empties it again
         assert_read_back()
-    assert len(rr.nav) == 0 and not rr.table
+    assert len(rr.nav) == 2 and list(rr.table) == [rr._root_key]
