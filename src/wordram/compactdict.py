@@ -9,8 +9,6 @@ and then one occupancy word.
 
 from __future__ import annotations
 
-from .wordops import lsb
-
 
 class VacancyTracker:
     """Occupancy bit vector with per-block full/not-full summary bits.
@@ -29,32 +27,28 @@ class VacancyTracker:
         self._full = 0
         self._free = slots
 
-    def _block_size(self, b: int) -> int:
-        return min(self.block, self.slots - b * self.block)
-
     @property
     def free_count(self) -> int:
         return self._free
 
-    def allocated(self, slot: int) -> bool:
-        return bool(self._occ >> slot & 1)
-
     def alloc(self) -> int:
         if self._free == 0:
             raise ValueError("no vacant slot")
+        # lowest clear summary bit, then the lowest clear bit of that block
         open_blocks = ~self._full & ((1 << self.n_blocks) - 1)
-        b = lsb(open_blocks)
-        size = self._block_size(b)
-        word = (self._occ >> (b * self.block)) & ((1 << size) - 1)
-        slot = b * self.block + lsb(~word & ((1 << size) - 1))
-        self._occ |= 1 << slot
+        b = (open_blocks & -open_blocks).bit_length() - 1
+        base = b * self.block
+        ones = (1 << min(self.block, self.slots - base)) - 1
+        vacant = ~(self._occ >> base) & ones
+        low = vacant & -vacant
+        self._occ |= low << base
         self._free -= 1
-        if (self._occ >> (b * self.block)) & ((1 << size) - 1) == (1 << size) - 1:
+        if vacant == low:
             self._full |= 1 << b
-        return slot
+        return base + low.bit_length() - 1
 
     def free(self, slot: int) -> None:
-        if not self.allocated(slot):
+        if not self._occ >> slot & 1:
             raise ValueError(f"slot {slot} is not allocated")
         self._occ &= ~(1 << slot)
         self._full &= ~(1 << (slot // self.block))

@@ -77,6 +77,11 @@ class TabulationHash:
             x >>= 8
         return acc % self.buckets + 1
 
+    def tables(self) -> list[list[int]]:
+        """Per-byte tables, lowest byte first: h(x) is the xor of
+        tables[i][byte i of x], reduced mod buckets, plus 1."""
+        return self._tables
+
     def representation_bits(self) -> int:
         return len(self._tables) * 256 * self._TABLE_OUT
 

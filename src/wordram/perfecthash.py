@@ -8,7 +8,16 @@ small dedicated interval at the end of the range.  A live key keeps its
 value until deleted; reinserting may assign a different value.
 
 Evaluating an absent key returns an arbitrary in-range value, as perfect
-hashing semantics permit.
+hashing semantics permit.  Deleting one is not harmless: delete only live
+keys, since an absent key that shares a live key's bucket and short key
+removes that key.
+
+Routing a key (reduce, pick its bucket, hash it to its short key) runs as
+one flat kernel, `_route`: the structure binds the reduction's terms, the
+selector's byte tables and each bucket's multiplier and addend once, and
+evaluates the three hashes inline.  The classes in `hashing` remain their
+only definition; the kernel reads their terms through `terms()` and
+`tables()`.
 """
 
 from __future__ import annotations
@@ -84,11 +93,28 @@ class PerfectHash:
         self._spill_free = list(range(config.spill_capacity - 1, -1, -1))
         self.live_count = 0
         self.spill_peak = 0
+        # the routing kernel's terms, bound once from the hash objects
+        self._rmult, self._radd, self._rmask, self._rshift = self._reduce.terms()
+        self._tables = self._family.selector.tables()
+        self._n_bytes = len(self._tables)
+        members = [self._family.member(i + 1).terms() for i in range(config.bucket_count)]
+        self._mults = [t[0] for t in members]
+        self._adds = [t[1] for t in members]
+        # every member maps reduced keys to bucket-local keys of one width
+        _, _, self._mmask, self._mshift = members[0]
+        self._cap = config.bucket_capacity
+        self._spill_base = config.bucket_range
 
     def _route(self, key: int) -> tuple[int, int]:
-        reduced = self._reduce(key)
-        bucket = self._family.bucket_of(reduced)
-        return bucket, self._family.member(bucket)(reduced)
+        """(bucket, short key), bucket 0-based: the reduction, the selector
+        and the bucket's member hash evaluated in one frame."""
+        r = ((self._rmult * key + self._radd) & self._rmask) >> self._rshift
+        # the selector xors one table entry per byte of r, lowest byte first
+        b = 0
+        for table, byte in zip(self._tables, r.to_bytes(self._n_bytes, "little")):
+            b ^= table[byte]
+        b %= len(self._buckets)
+        return b, ((self._mults[b] * r + self._adds[b]) & self._mmask) >> self._mshift
 
     def insert(self, key: int) -> tuple[int, bool]:
         """Assign a stable in-range value to `key`; returns (value, inserted).
@@ -100,12 +126,13 @@ class PerfectHash:
         """
         if key >> self.config.universe_bits:
             raise ValueError("key does not fit the universe")
-        if key in self._spill:
-            return self.config.bucket_range + self._spill[key], False
+        slot = self._spill.get(key)
+        if slot is not None:
+            return self._spill_base + slot, False
         if self.live_count >= self.config.capacity:
             raise ValueError("capacity exceeded")
-        bucket_i, short = self._route(key)
-        d = self._buckets[bucket_i - 1]
+        b, short = self._route(key)
+        d = self._buckets[b]
         if d.full or d.lookup(short) is not None:
             if not self._spill_free:
                 raise RebuildRequired("rebuild required")
@@ -114,35 +141,39 @@ class PerfectHash:
             self.live_count += 1
             if len(self._spill) > self.spill_peak:
                 self.spill_peak = len(self._spill)
-            return self.config.bucket_range + slot, True
+            return self._spill_base + slot, True
         slot = d.insert(short)
         self.live_count += 1
-        return (bucket_i - 1) * self.config.bucket_capacity + slot, True
+        return b * self._cap + slot, True
 
     def delete(self, key: int) -> bool:
+        """Remove a live key; returns whether something was removed.
+
+        Delete only live keys: an absent key that shares its route (bucket
+        and short key) with a live one removes that key and returns True.
+        """
         slot = self._spill.pop(key, None)
         if slot is not None:
             self._spill_free.append(slot)
             self.live_count -= 1
             return True
-        bucket_i, short = self._route(key)
-        d = self._buckets[bucket_i - 1]
-        if d.lookup(short) is not None:
-            d.delete(short)
-            self.live_count -= 1
-            return True
-        return False
+        b, short = self._route(key)
+        try:
+            self._buckets[b].delete(short)
+        except KeyError:
+            return False
+        self.live_count -= 1
+        return True
 
     def evaluate(self, key: int) -> int:
         slot = self._spill.get(key)
         if slot is not None:
-            return self.config.bucket_range + slot
-        bucket_i, short = self._route(key)
-        slot = self._buckets[bucket_i - 1].lookup(short)
-        base = (bucket_i - 1) * self.config.bucket_capacity
+            return self._spill_base + slot
+        b, short = self._route(key)
+        slot = self._buckets[b].lookup(short)
         if slot is None:
-            return base  # arbitrary in-range answer for non-live keys
-        return base + slot
+            return b * self._cap  # arbitrary in-range answer for non-live keys
+        return b * self._cap + slot
 
     def space_bits(self) -> int:
         """Exact serialized size of every component."""

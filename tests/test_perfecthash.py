@@ -1,7 +1,18 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from wordram.perfecthash import PerfectHash, PerfectHashConfig, RebuildRequired
 
@@ -70,7 +81,7 @@ def test_mixed_ops_against_shadow_map():
         assert len(set(values)) == len(values)
     for x, v in shadow.items():
         assert ph.evaluate(x) == v
-    assert not ph.delete(1 << 63 | 12345) or True  # absent delete only flags
+    assert not ph.delete(1 << 63 | 12345)
 
 
 def test_absent_delete_flags_false():
@@ -110,7 +121,7 @@ def test_spill_overflow_raises_rebuild_required():
     with pytest.raises(RebuildRequired):
         while True:
             x = rng.randrange(1 << 32)
-            if x in seen or ph._route(x)[0] != 1:
+            if x in seen or ph._route(x)[0] != 0:
                 continue
             seen.add(x)
             ph.insert(x)
@@ -149,3 +160,139 @@ def test_space_bits_monotone_and_components():
         now = ph.space_bits()
         assert now >= last
         last = now
+
+
+def shared_routes(ph, u_bits):
+    """Groups of two or more keys in [0, 2^u_bits) sharing (bucket, short
+    key), computed from the hash objects, lowest keys first."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x in range(1 << u_bits):
+        r = ph._reduce(x)
+        b = ph._family.bucket_of(r)
+        groups.setdefault((b, ph._family.member(b)(r)), []).append(x)
+    return sorted((g for g in groups.values() if len(g) > 1), key=lambda g: g[0])
+
+
+@pytest.mark.parametrize("capacity,u_bits", [
+    (8, 16), (64, 32), (512, 32), (1 << 12, 40), (1 << 14, 64), (1 << 16, 64),
+])
+def test_route_agrees_with_hash_objects(capacity, u_bits):
+    # the one-frame kernel computes the reduction, the selector and the
+    # bucket's member hash from their bound terms; it must give what the
+    # hash objects give, with the bucket 0-based
+    ph = PerfectHash(PerfectHashConfig.create(capacity, u_bits), capacity)
+    rng = random.Random(u_bits)
+    keys = [0, (1 << u_bits) - 1] + [rng.randrange(1 << u_bits) for _ in range(2000)]
+    for key in keys:
+        r = ph._reduce(key)
+        b = ph._family.bucket_of(r)
+        assert ph._route(key) == (b - 1, ph._family.member(b)(r)), key
+
+
+def test_delete_of_absent_key_sharing_a_route_removes_the_live_key():
+    # delete is for live keys only: it cannot tell an absent key from the
+    # live key whose (bucket, short key) it shares
+    ph = make(n=64, u_bits=16, seed=1)
+    live, absent = shared_routes(ph, 16)[0][:2]
+    ph.insert(live)
+    assert ph.delete(absent)
+    assert ph.live_count == 0
+    assert not ph.delete(live)
+
+
+def test_copies_evaluate_alike_and_stay_independent():
+    # the kernel's terms are plain attributes, so a deep copy and an
+    # unpickled structure route on their own state
+    ph = make(n=256, u_bits=16, seed=8)
+    rng = random.Random(8)
+    pair = shared_routes(ph, 16)[0][:2]
+    keys = pair + [x for x in rng.sample(range(1 << 16), 200) if x not in pair]
+    want = {x: ph.insert(x)[0] for x in keys}
+    assert pair[1] in ph._spill  # the spill is copied too
+    probes = keys + [rng.randrange(1 << 16) for _ in range(500)]
+    copies = [copy.deepcopy(ph), pickle.loads(pickle.dumps(ph))]
+    for c in copies:
+        assert [c.evaluate(x) for x in probes] == [ph.evaluate(x) for x in probes]
+        assert c.space_bits() == ph.space_bits() and c.spill_peak == ph.spill_peak
+    for x in keys:
+        assert ph.delete(x)
+    assert ph.live_count == 0
+    first, second = copies
+    for x in keys:
+        assert first.evaluate(x) == want[x]
+        assert first.delete(x)
+    for x in keys:
+        assert second.evaluate(x) == want[x]
+    assert second.live_count == len(keys) and first.live_count == 0
+
+
+STATEFUL_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+    stateful_step_count=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def test_matches_dict_oracle():
+    # at u_bits=16 bucket keys are short, so keys sharing a route are
+    # common; drawing some keys from such groups sends many inserts down
+    # the spill path; a spill interval of 4 fills up, so RebuildRequired
+    # is raised too
+    cfg = dataclasses.replace(PerfectHashConfig.create(64, 16), spill_capacity=4)
+    sharing = [x for g in shared_routes(PerfectHash(cfg, 1), 16)[:12] for x in g]
+    keys = st.one_of(st.integers(0, (1 << 16) - 1), st.sampled_from(sharing))
+
+    class PerfectHashMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.ph = PerfectHash(cfg, 1)
+            self.model: dict[int, int] = {}
+
+        @rule(x=keys)
+        def insert(self, x):
+            if x in self.model:
+                return  # callers insert absent keys only
+            if len(self.model) >= cfg.capacity:
+                with pytest.raises(ValueError):
+                    self.ph.insert(x)
+                return
+            try:
+                value, inserted = self.ph.insert(x)
+            except RebuildRequired:
+                assert len(self.ph._spill) == cfg.spill_capacity
+                return
+            assert inserted and 0 <= value < cfg.range_size
+            self.model[x] = value
+
+        @precondition(lambda self: self.model)
+        @rule(data=st.data())
+        def delete(self, data):
+            x = data.draw(st.sampled_from(sorted(self.model)))
+            assert self.ph.delete(x)
+            del self.model[x]
+
+        @rule(x=keys)
+        def evaluate(self, x):
+            value = self.ph.evaluate(x)
+            assert 0 <= value < cfg.range_size
+            if x in self.model:
+                assert value == self.model[x]
+
+        @invariant()
+        def values_injective_and_stable(self):
+            assert len(set(self.model.values())) == len(self.model)
+            for x, value in self.model.items():
+                assert self.ph.evaluate(x) == value
+
+        @invariant()
+        def counts(self):
+            assert self.ph.live_count == len(self.model)
+            assert self.ph.spill_peak >= len(self.ph._spill)
+            # each spill slot is held by one key or free, never both or lost
+            held_or_free = [*self.ph._spill.values(), *self.ph._spill_free]
+            assert sorted(held_or_free) == list(range(cfg.spill_capacity))
+
+    run_state_machine_as_test(PerfectHashMachine, settings=STATEFUL_SETTINGS)
