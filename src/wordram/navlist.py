@@ -6,11 +6,30 @@ its entries in list order in one plain list, plus a summary word
 with one bit per entry in that order (is it a set element).  Superbuckets
 carry one bit per bucket: does it contain at least one element.
 
+Sizes: with base = ceil(sqrt(width)), a bucket that has siblings holds
+base..3*base entries, and a superbucket that has siblings holds base..3*base
+buckets; a lone bucket or superbucket may hold fewer.  A bucket above
+3*base entries splits into halves, and one below base merges with a
+neighbor (and the merged bucket splits again if it passes 3*base); a
+superbucket does the same with its buckets.  The split threshold sits well
+above twice the floor so that a restructure leaves room on both sides: a
+split leaves halves of about 1.5*base, each of which must lose about base/2
+entries before it merges, and a merge leaves at least 2*base - 1 entries,
+which must gain about base before they split.  At twice the floor, a
+split's halves would sit at the floor and the next delete would merge
+them back.
+
 The buckets are the list's only order: an entry keeps no links to its
 neighbors.  The structure answers "nearest element strictly before/after
-this entry" by examining a bounded number of summary words; runs of
-non-element entries are short by construction, so the walk never inspects
-more than a few buckets, and calling it again from the element it returns
+this entry" by examining a bounded number of summary words, provided runs
+of non-element entries (counting a run at either end of the list) hold at
+most 2*width entries.  Every superbucket but a lone one holds at least
+base * base >= width entries, so such a run covers at most two whole
+superbuckets.  The walk reads the entry's bucket, its superbucket's
+summary, at most two superbuckets with no element, the superbucket holding
+the answer and the bucket holding it: at most 6 summary words.  (Lowering
+the bucket floor to base/2 would let a superbucket hold width/2 entries and
+raise that bound to 8.)  Calling the walk again from the element it returns
 walks the elements in list order.  An entry is its own handle: the caller
 holds the entry object, which stays valid across splits and merges until it
 is deleted.
@@ -57,11 +76,6 @@ class _Super:
         self.next: _Super | None = None
 
 
-def _bit_insert(word: int, pos: int, bit: int) -> int:
-    low = word & ((1 << pos) - 1)
-    return low | (bit << pos) | ((word >> pos) << (pos + 1))
-
-
 def _bit_remove(word: int, pos: int) -> int:
     low = word & ((1 << pos) - 1)
     return low | ((word >> (pos + 1)) << pos)
@@ -77,7 +91,7 @@ class NavList:
         self.base = math.isqrt(width)
         if self.base * self.base < width:
             self.base += 1
-        self.cap = 2 * self.base
+        self.cap = 3 * self.base  # split threshold; the merge floor is base
         self._head: _Super | None = None
         self.max_examined = 0
 
@@ -113,12 +127,15 @@ class NavList:
         entries = bucket.entries
         entries.insert(pos, e)
         summary = bucket.summary
+        # adding the bits at and above pos to the word shifts them up by one
+        # and leaves bit pos clear
+        shifted = summary + (summary >> pos << pos)
         if kind == ELEMENT:
-            bucket.summary = _bit_insert(summary, pos, 1)
+            bucket.summary = shifted | (1 << pos)
             if not summary:
                 self._refresh_sup_bit(bucket)
         else:
-            bucket.summary = _bit_insert(summary, pos, 0)
+            bucket.summary = shifted
         if len(entries) > self.cap:
             self._split_bucket(bucket)
         return e
@@ -142,7 +159,8 @@ class NavList:
         for e in right.entries:
             e.bucket = right
         sup.buckets.insert(b_pos + 1, right)
-        sup.summary = _bit_insert(sup.summary, b_pos + 1, 0)
+        # shift the bits above b_pos up by one, leaving bit b_pos + 1 clear
+        sup.summary += sup.summary >> (b_pos + 1) << (b_pos + 1)
         self._refresh_sup_bit(bucket)
         self._refresh_sup_bit(right)
         if len(sup.buckets) > self.cap:
@@ -172,7 +190,10 @@ class NavList:
         entries = bucket.entries
         pos = entries.index(e)
         del entries[pos]
-        bucket.summary = summary = _bit_remove(bucket.summary, pos)
+        summary = bucket.summary
+        # _bit_remove, inline: keep the bits below pos, shift those above down
+        summary = (summary & ((1 << pos) - 1)) | (summary >> (pos + 1) << pos)
+        bucket.summary = summary
         if e.kind == ELEMENT and not summary:
             self._refresh_sup_bit(bucket)
         if len(entries) < self.base:
@@ -238,7 +259,10 @@ class NavList:
     def nearest_element_left(self, e: _Entry) -> _Entry | None:
         """Nearest element entry strictly before `e` in list order."""
         bucket = e.bucket
-        pos = bucket.entries.index(e)
+        try:
+            pos = bucket.entries.index(e)
+        except AttributeError:
+            raise KeyError("nearest element of a deleted entry") from None
         examined = 1
         mask = bucket.summary & ((1 << pos) - 1)
         if mask:
@@ -266,7 +290,10 @@ class NavList:
     def nearest_element_right(self, e: _Entry) -> _Entry | None:
         """Nearest element entry strictly after `e` in list order."""
         bucket = e.bucket
-        pos = bucket.entries.index(e)
+        try:
+            pos = bucket.entries.index(e)
+        except AttributeError:
+            raise KeyError("nearest element of a deleted entry") from None
         examined = 1
         mask = bucket.summary >> (pos + 1)
         if mask:

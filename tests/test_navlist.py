@@ -52,8 +52,8 @@ def test_fuzz_against_naive_mirror(width):
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
 def test_merge_of_full_neighbor_keeps_order(width):
     # deleting down to an undersized bucket next to a full one makes the
-    # merged bucket transiently larger than the split threshold; the packed
-    # permutation must still address every slot (regression: w=32 overflow)
+    # merged bucket larger than the split threshold; it must split again
+    # and keep every entry in list order
     nl = NavList(width)
     handles = []
     last = None
@@ -96,6 +96,26 @@ def test_delete_sole_entry_empties_structure():
     assert list(nl) == [h2]
 
 
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_split_leaves_a_gap_before_merge(width):
+    # a split bucket's halves sit well above the merge floor: deleting
+    # base // 2 entries from one half merges nothing
+    nl = NavList(width)
+    calls = []
+    split, shrink = nl._split_bucket, nl._shrink
+    nl._split_bucket = lambda bucket: (calls.append("split"), split(bucket))
+    nl._shrink = lambda bucket: (calls.append("shrink"), shrink(bucket))
+    handles = [nl.insert_first(OPEN)]
+    for i in range(nl.cap):
+        handles.append(nl.insert_after(handles[-1], CLOSE, value=i))
+    assert calls == ["split"]
+    for h in handles[: nl.base // 2]:
+        nl.delete(h)
+    assert calls == ["split"]
+    nl.validate()
+    assert list(nl) == handles[nl.base // 2:]
+
+
 def test_invalid_handles():
     # a deleted entry is a stale handle: using it raises, and leaves the
     # structure as it was
@@ -107,6 +127,12 @@ def test_invalid_handles():
         nl.delete(stale)
     with pytest.raises(KeyError):
         nl.insert_after(stale, ELEMENT)
+    with pytest.raises(KeyError):
+        nl.insert_before(stale, ELEMENT)
+    with pytest.raises(KeyError):
+        nl.nearest_element_left(stale)
+    with pytest.raises(KeyError):
+        nl.nearest_element_right(stale)
     nl.validate()
     assert list(nl) == [h]
 
@@ -134,4 +160,74 @@ def test_bounded_examination_with_short_runs(width=64):
     for h in rng.sample(handles, 2000):
         nl.nearest_element_left(h)
         nl.nearest_element_right(h)
+    assert nl.max_examined <= 6
+
+
+def _superbuckets(nl):
+    sup = nl._head
+    while sup is not None:
+        yield sup
+        sup = sup.next
+
+
+def _trim(nl, bucket, size):
+    # delete non-elements from bucket until it holds size entries
+    while len(bucket.entries) > size:
+        victim = next((e for e in bucket.entries if e.kind != ELEMENT), None)
+        if victim is None:
+            return
+        nl.delete(victim)
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_bounded_examination_at_the_floors(width):
+    # deletes that leave buckets and superbuckets at their floors (base
+    # entries, base buckets) pack the fewest entries into a superbucket, so
+    # a run of up to 2*width non-elements covers the most summary words.
+    # Runs start at 4*width so that, once the floor deletes have removed
+    # over half of them, they are still close to 2*width; a last pass cuts
+    # any run above 2*width. Deletes only ever remove non-elements.
+    nl = NavList(width)
+    last = nl.insert_first(ELEMENT, value=0)
+    for r in range(40):
+        for i in range(4 * width):
+            last = nl.insert_after(last, OPEN if i % 2 else CLOSE, value=i)
+        last = nl.insert_after(last, ELEMENT, value=r + 1)
+    for sup in list(_superbuckets(nl)):
+        for bucket in list(sup.buckets):
+            _trim(nl, bucket, nl.base)
+    for sup in list(_superbuckets(nl)):
+        # merge floor-sized neighbors until the superbucket is at its floor
+        while len(sup.buckets) > nl.base:
+            for left, right in zip(sup.buckets, sup.buckets[1:]):
+                if len(left.entries) == len(right.entries) == nl.base:
+                    victim = next((e for e in left.entries if e.kind != ELEMENT), None)
+                    if victim is not None:
+                        nl.delete(victim)  # left absorbs right
+                        _trim(nl, left, nl.base)
+                        break
+            else:
+                break
+    run = 0
+    for e in list(nl):
+        run = 0 if e.kind == ELEMENT else run + 1
+        if run > 2 * width:
+            nl.delete(e)
+            run -= 1
+    nl.validate()
+    sups = list(_superbuckets(nl))
+    buckets = [b for sup in sups for b in sup.buckets]
+    assert sum(len(sup.buckets) == nl.base for sup in sups) >= 0.9 * len(sups)
+    assert sum(len(b.entries) == nl.base for b in buckets) >= 0.9 * len(buckets)
+
+    order = list(nl)
+    elements = [e for e in order if e.kind == ELEMENT]
+    nl.max_examined = 0
+    seen = 0  # elements before the current entry
+    for e in order:
+        after = seen + (e.kind == ELEMENT)
+        assert nl.nearest_element_left(e) == (elements[seen - 1] if seen else None)
+        assert nl.nearest_element_right(e) == (
+            elements[after] if after < len(elements) else None)
+        seen = after
     assert nl.max_examined <= 6
