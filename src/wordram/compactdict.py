@@ -75,19 +75,16 @@ class SmallDict:
     def __len__(self) -> int:
         return len(self._slot_of)
 
-    @property
-    def full(self) -> bool:
-        return len(self._slot_of) >= self.capacity
-
     def insert(self, key: int) -> int:
+        slot_of = self._slot_of
         if key >> self.key_bits:
             raise ValueError(f"key {key} does not fit in {self.key_bits} bits")
-        if key in self._slot_of:
+        if key in slot_of:
             raise ValueError("duplicate")
-        if self.full:
+        if len(slot_of) >= self.capacity:
             raise ValueError("bucket full")
         slot = self._vt.alloc()
-        self._slot_of[key] = slot
+        slot_of[key] = slot
         return slot
 
     def lookup(self, key: int) -> int | None:

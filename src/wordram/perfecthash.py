@@ -15,8 +15,13 @@ removes that key.
 Routing a key (reduce, pick its bucket, hash it to its short key) runs as
 one flat kernel, `_route`: the structure binds the reduction's terms, the
 selector's byte tables and each bucket's multiplier and addend once, and
-evaluates the three hashes inline.  The classes in `hashing` remain their
-only definition; the kernel reads their terms through `terms()` and
+evaluates the three hashes inline.  The selector's tables are bound in
+blocks of eight, padded with one shared all-zero table, so each block is
+one straight-line xor of eight table reads over the bytes of 64 bits of
+the reduced key; a zero table leaves the xor unchanged.  Reduced keys are
+at most 128 bits wide, so a low block and an optional high block cover
+every configuration.  The classes in `hashing` remain the only definition
+of the hashes; the kernel reads their terms through `terms()` and
 `tables()`.
 """
 
@@ -27,6 +32,8 @@ from dataclasses import dataclass
 
 from .compactdict import SmallDict
 from .hashing import BucketHashFamily, MultiplyShiftHash, derive_seed
+
+_MASK64 = (1 << 64) - 1
 
 
 class RebuildRequired(RuntimeError):
@@ -93,10 +100,17 @@ class PerfectHash:
         self._spill_free = list(range(config.spill_capacity - 1, -1, -1))
         self.live_count = 0
         self.spill_peak = 0
-        # the routing kernel's terms, bound once from the hash objects
+        self._universe_bits = config.universe_bits
+        self._capacity = config.capacity
+        # the routing kernel's terms, bound once from the hash objects; the
+        # selector's tables, padded to 16 with one shared zero table, form a
+        # low block of eight and, for keys reduced past 64 bits, a high block
         self._rmult, self._radd, self._rmask, self._rshift = self._reduce.terms()
-        self._tables = self._family.selector.tables()
-        self._n_bytes = len(self._tables)
+        tables = self._family.selector.tables()
+        tables = tables + [[0] * 256] * (16 - len(tables))
+        self._lo = tuple(tables[:8])
+        self._hi = tuple(tables[8:]) if config.reduced_bits > 64 else None
+        self._n_buckets = config.bucket_count
         members = [self._family.member(i + 1).terms() for i in range(config.bucket_count)]
         self._mults = [t[0] for t in members]
         self._adds = [t[1] for t in members]
@@ -107,13 +121,22 @@ class PerfectHash:
 
     def _route(self, key: int) -> tuple[int, int]:
         """(bucket, short key), bucket 0-based: the reduction, the selector
-        and the bucket's member hash evaluated in one frame."""
+        and the bucket's member hash evaluated in one frame.
+
+        The selector xors tables[i][byte i of r], lowest byte first, as
+        `TabulationHash.__call__` does: eight reads from the low block over
+        r's low 64 bits, and eight more from the high block over the rest
+        when r is wider than 64 bits.
+        """
         r = ((self._rmult * key + self._radd) & self._rmask) >> self._rshift
-        # the selector xors one table entry per byte of r, lowest byte first
-        b = 0
-        for table, byte in zip(self._tables, r.to_bytes(self._n_bytes, "little")):
-            b ^= table[byte]
-        b %= len(self._buckets)
+        t0, t1, t2, t3, t4, t5, t6, t7 = self._lo
+        c0, c1, c2, c3, c4, c5, c6, c7 = (r & _MASK64).to_bytes(8, "little")
+        b = t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3] ^ t4[c4] ^ t5[c5] ^ t6[c6] ^ t7[c7]
+        if self._hi is not None:
+            t0, t1, t2, t3, t4, t5, t6, t7 = self._hi
+            c0, c1, c2, c3, c4, c5, c6, c7 = (r >> 64).to_bytes(8, "little")
+            b ^= t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3] ^ t4[c4] ^ t5[c5] ^ t6[c6] ^ t7[c7]
+        b %= self._n_buckets
         return b, ((self._mults[b] * r + self._adds[b]) & self._mmask) >> self._mshift
 
     def insert(self, key: int) -> tuple[int, bool]:
@@ -122,27 +145,31 @@ class PerfectHash:
         A key already resident in the spill dictionary is flagged as a
         duplicate; duplicates hiding in a bucket are indistinguishable from
         genuine collisions and are routed to the spill (callers must not
-        insert live keys).
+        insert live keys).  The key is placed with one call to its bucket's
+        `SmallDict.insert`, whose refusal (bucket full, or short key already
+        present) sends it to the spill.
         """
-        if key >> self.config.universe_bits:
+        if key >> self._universe_bits:
             raise ValueError("key does not fit the universe")
         slot = self._spill.get(key)
         if slot is not None:
             return self._spill_base + slot, False
-        if self.live_count >= self.config.capacity:
+        if self.live_count >= self._capacity:
             raise ValueError("capacity exceeded")
         b, short = self._route(key)
-        d = self._buckets[b]
-        if d.full or d.lookup(short) is not None:
+        try:
+            slot = self._buckets[b].insert(short)
+        except ValueError:
+            # short < 2**bucket_key_bits by construction, so the bucket
+            # refused it for being full or for holding it already
             if not self._spill_free:
-                raise RebuildRequired("rebuild required")
+                raise RebuildRequired("rebuild required") from None
             slot = self._spill_free.pop()
             self._spill[key] = slot
             self.live_count += 1
             if len(self._spill) > self.spill_peak:
                 self.spill_peak = len(self._spill)
             return self._spill_base + slot, True
-        slot = d.insert(short)
         self.live_count += 1
         return b * self._cap + slot, True
 

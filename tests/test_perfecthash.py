@@ -175,12 +175,16 @@ def shared_routes(ph, u_bits):
 
 @pytest.mark.parametrize("capacity,u_bits", [
     (8, 16), (64, 32), (512, 32), (1 << 12, 40), (1 << 14, 64), (1 << 16, 64),
+    (1 << 16, 128), (1 << 17, 128),
 ])
 def test_route_agrees_with_hash_objects(capacity, u_bits):
     # the one-frame kernel computes the reduction, the selector and the
     # bucket's member hash from their bound terms; it must give what the
-    # hash objects give, with the bucket 0-based
-    ph = PerfectHash(PerfectHashConfig.create(capacity, u_bits), capacity)
+    # hash objects give, with the bucket 0-based.  (1 << 17, 128) reduces
+    # keys to 67 bits, nine byte tables, so its high block runs
+    cfg = PerfectHashConfig.create(capacity, u_bits)
+    ph = PerfectHash(cfg, capacity)
+    assert (ph._hi is not None) == (cfg.reduced_bits > 64)
     rng = random.Random(u_bits)
     keys = [0, (1 << u_bits) - 1] + [rng.randrange(1 << u_bits) for _ in range(2000)]
     for key in keys:

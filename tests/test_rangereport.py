@@ -756,6 +756,26 @@ def test_index_rule_matches_its_general_form(variant, branch):
             assert most == W64_MAX_WRITES[variant, branch]
 
 
+def test_core_argmax_shape_writes_its_maximum():
+    # core's argmax shape on the real structure: v at depth 16, y a
+    # branching node at depth 48, and a the root with both sides full
+    rng = random.Random(61)
+    for _ in range(4):
+        p = rng.getrandbits(47)  # 48 bits with the top bit 0
+        y1, y2 = p << 16, (p << 16) | 0x8000
+        rr = make(width=64, capacity=64, seed=61)
+        for key in (1 << 63, y1, y2):
+            rr.insert(key)
+        # x keeps y1's first 16 bits and flips bit 16
+        x = ((y1 >> 47) ^ 1) << 47 | rng.getrandbits(47)
+        before = rr.index.writes
+        rr.insert(x)
+        inserted = rr.index.writes
+        rr.delete(x)
+        assert inserted - before == W64_MAX_WRITES["core", 2]
+        assert rr.index.writes - inserted == W64_MAX_WRITES["core", 2]
+
+
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
 @pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8), ("5b", 4)])
 def test_short_intervals_w64_match_sorted_list(variant, branch, backend):
