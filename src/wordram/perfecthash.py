@@ -15,14 +15,13 @@ removes that key.
 Routing a key (reduce, pick its bucket, hash it to its short key) runs as
 one flat kernel, `_route`: the structure binds the reduction's terms, the
 selector's byte tables and each bucket's multiplier and addend once, and
-evaluates the three hashes inline.  The selector's tables are bound in
-blocks of eight, padded with one shared all-zero table, so each block is
-one straight-line xor of eight table reads over the bytes of 64 bits of
-the reduced key; a zero table leaves the xor unchanged.  Reduced keys are
-at most 128 bits wide, so a low block and an optional high block cover
-every configuration.  The classes in `hashing` remain the only definition
-of the hashes; the kernel reads their terms through `terms()` and
-`tables()`.
+evaluates the three hashes inline.  The selector's byte tables are bound
+as blocks of eight, padded with one shared all-zero table (a zero read
+leaves the xor unchanged), and each block is one straight-line xor of
+eight reads: a low block over the reduced key's low 64 bits and, since
+reduced keys have at most 128 bits, an optional high block over the rest.
+The classes in `hashing` remain the only definition of the hashes; the
+kernel reads their terms through `terms()` and `tables()`.
 """
 
 from __future__ import annotations
@@ -102,12 +101,10 @@ class PerfectHash:
         self.spill_peak = 0
         self._universe_bits = config.universe_bits
         self._capacity = config.capacity
-        # the routing kernel's terms, bound once from the hash objects; the
-        # selector's tables, padded to 16 with one shared zero table, form a
-        # low block of eight and, for keys reduced past 64 bits, a high block
+        # the routing kernel's terms, bound once from the hash objects
         self._rmult, self._radd, self._rmask, self._rshift = self._reduce.terms()
         tables = self._family.selector.tables()
-        tables = tables + [[0] * 256] * (16 - len(tables))
+        tables = tables + [[0] * 256] * (16 - len(tables))  # one shared zero table
         self._lo = tuple(tables[:8])
         self._hi = tuple(tables[8:]) if config.reduced_bits > 64 else None
         self._n_buckets = config.bucket_count
