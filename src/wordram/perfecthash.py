@@ -2,7 +2,9 @@
 
 Keys are first reduced to O(log n) bits, then scattered over ~n/log^2(n)
 buckets, each a SmallDict of short bucket-local keys whose slot index gives
-the key's position inside the bucket's value interval.  Keys that land in a
+the key's position inside the bucket's value interval.  A bucket holds its
+own occupancy and full-block summary words, so placing, reading or removing
+a key is one call into one bucket object.  Keys that land in a
 full bucket or collide inside one spill into an exact dictionary covering a
 small dedicated interval at the end of the range.  A live key keeps its
 value until deleted; reinserting may assign a different value.

@@ -2,49 +2,84 @@ import random
 
 import pytest
 
-from wordram.compactdict import SmallDict, VacancyTracker
+from wordram.compactdict import SmallDict
+from wordram.perfecthash import PerfectHashConfig
 
 
 def test_vacancy_lowest_slot_policy():
-    vt = VacancyTracker(12, 4)
-    assert [vt.alloc() for _ in range(4)] == [0, 1, 2, 3]
-    vt.free(1)
-    assert vt.alloc() == 1
-    vt.free(0)
-    vt.free(3)
-    assert vt.alloc() == 0
-    assert vt.alloc() == 3
-    assert vt.alloc() == 4
+    d = SmallDict(12, 8, summary_block=4)
+    assert [d.insert(k) for k in range(10, 14)] == [0, 1, 2, 3]
+    d.delete(11)
+    assert d.insert(20) == 1
+    d.delete(10)
+    d.delete(13)
+    assert d.insert(21) == 0
+    assert d.insert(22) == 3
+    assert d.insert(23) == 4
 
 
 def test_vacancy_oracle_replay():
-    rng = random.Random(8)
-    vt = VacancyTracker(64, 8)
-    naive = [False] * 64
-    for _ in range(100_000):
-        if vt.free_count and (rng.random() < 0.55 or all(naive)):
-            slot = vt.alloc()
-            want = naive.index(False)
-            assert slot == want
-            naive[slot] = True
-        else:
-            used = [i for i, b in enumerate(naive) if b]
-            if not used:
-                continue
-            slot = rng.choice(used)
-            vt.free(slot)
-            naive[slot] = False
-        assert vt.free_count == naive.count(False)
+    # the phash-churn bucket: 358 slots in 23 blocks of 16, 10 padding bits
+    cfg = PerfectHashConfig.create(1 << 16, 64)
+    assert (cfg.bucket_capacity, cfg.summary_block) == (358, 16)
+    for capacity, block in ((cfg.bucket_capacity, cfg.summary_block), (64, 8)):
+        rng = random.Random(8)
+        d = SmallDict(capacity, cfg.bucket_key_bits, summary_block=block)
+        naive = [None] * capacity  # key held by each slot
+        live: list[int] = []
+        for i in range(100_000):
+            # phases that fill and drain the dictionary in turn
+            p = 0.55 if i // 5000 % 2 == 0 else 0.45
+            if len(live) < capacity and (rng.random() < p or not live):
+                slot = d.insert(i)
+                assert slot == naive.index(None)
+                naive[slot] = i
+                live.append(i)
+            else:
+                j = rng.randrange(len(live))
+                key = live[j]
+                live[j] = live[-1]
+                live.pop()
+                slot = d.lookup(key)
+                assert naive[slot] == key
+                d.delete(key)
+                naive[slot] = None
+            assert len(d) == len(live)
+            if i % 100 == 0:
+                # summary bit b is set exactly when block b's slots are all taken
+                blocks = range(0, capacity, block)
+                full = [None not in naive[b:b + block] for b in blocks]
+                assert d._full == sum(f << j for j, f in enumerate(full))
 
 
 def test_vacancy_errors():
-    vt = VacancyTracker(4, 2)
-    with pytest.raises(ValueError):
-        vt.free(0)
-    for _ in range(4):
-        vt.alloc()
-    with pytest.raises(ValueError):
-        vt.alloc()
+    for block in (0, -1):
+        with pytest.raises(ValueError):
+            SmallDict(4, 4, summary_block=block)
+    d = SmallDict(4, 4, summary_block=2)
+    with pytest.raises(KeyError):
+        d.delete(0)
+    for k in range(4):
+        d.insert(k)
+    with pytest.raises(ValueError, match="bucket full"):
+        d.insert(9)
+    d.delete(2)
+    with pytest.raises(KeyError):
+        d.delete(2)
+    assert d.insert(9) == 2
+
+
+@pytest.mark.parametrize("capacity,key_bits,block",
+                         [(4, 4, 1), (12, 8, 4), (64, 12, 8), (100, 10, 7), (5, 4, 8),
+                          (358, 36, 16)])
+def test_space_bits_match_slot_array_layout(capacity, key_bits, block):
+    # header, key array, occupancy vector (capacity + n_blocks bits)
+    d = SmallDict(capacity, key_bits, summary_block=block)
+    occupancy = capacity + -(-capacity // block)
+    for n in range(3):
+        assert d.space_bits() == 64 + capacity * key_bits + occupancy
+        assert d.occupied_space_bits() == 64 + occupancy + n * key_bits
+        d.insert(n)
 
 
 def test_smalldict_slot_examples():

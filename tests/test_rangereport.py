@@ -776,6 +776,49 @@ def test_core_argmax_shape_writes_its_maximum():
         assert rr.index.writes - inserted == W64_MAX_WRITES["core", 2]
 
 
+def shape_keys(rng, rr, x, d_v, y_tag, a_depth, a_real):
+    """Keys whose insertion gives x the update shape that change_shapes
+    yielded: y (a lone key, or two keys branching at y's node) and, when a
+    branches without x, a key leaving x's path at a's depth."""
+    w = rr.w
+    keys = []
+    if y_tag is not None:
+        if rr._leaf_code(y_tag >> 10) == y_tag:
+            keys.append(y_tag >> 10)
+        else:
+            y_d0, p = rr._dec(y_tag)
+            low = w - 1 - y_d0
+            keys += [(p << 1 | bit) << low | rng.getrandbits(low) for bit in (0, 1)]
+    if a_real:
+        low = w - 1 - a_depth
+        keys.append(((x >> low) ^ 1) << low | rng.getrandbits(low))
+    return keys
+
+
+@pytest.mark.parametrize("variant,branch", [("5a", 4), ("5b", 4)])
+def test_variant_argmax_shapes_write_their_maximum(variant, branch):
+    # the rule's argmax shapes, built on the real w=64 structure
+    rng = random.Random(67)
+    most = W64_MAX_WRITES[variant, branch]
+    probe = make(width=64, branch=branch, variant=variant, audit=False)
+    shapes = [shape for shape in change_shapes(rng, probe)
+              if sum(map(len, probe._index_changes(*shape))) == most]
+    for shape in shapes[:1] + rng.sample(shapes, 5):
+        rr = make(width=64, branch=branch, variant=variant, capacity=64, seed=61)
+        for key in shape_keys(rng, rr, *shape):
+            rr.insert(key)
+        seen = []
+        rule = rr._index_changes
+        rr._index_changes = lambda *args: seen.append(args) or rule(*args)
+        before = rr.index.writes
+        rr.insert(shape[0])
+        inserted = rr.index.writes
+        rr.delete(shape[0])
+        assert seen == [shape, shape]  # the update took the intended shape
+        assert inserted - before == most
+        assert rr.index.writes - inserted == most
+
+
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
 @pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8), ("5b", 4)])
 def test_short_intervals_w64_match_sorted_list(variant, branch, backend):
