@@ -57,14 +57,18 @@ records and index changes this way from x's leaf code, and findany from
 a's.  ``_ancestor`` and ``_verified_descendant`` take such a code, not a
 prefix, and read the side a path takes and whether a tag lies in a
 subtree off it with one shift each, so neither an update nor a findany
-probe calls the encoder.  A branching record, stored under its order-0 key, keeps no
-depth or prefix.  It names each of its two child subtrees by a descendant
-tag: the leaf code ``(x << 10) | 1023`` of a lone key x (``_leaf_code``),
-or the branching child's order-0 key; None marks an empty side of the
-root.  Both hold their prefix above the tag bits, and the depth field
-reads d for a node and 127 for a leaf, so ``_verified_descendant``, which
-checks every index answer a query uses, reads a descendant's place from
-its tag alone.
+probe calls the encoder.
+
+A branching record, stored under its order-0 key, keeps no depth or
+prefix.  Its slots ``left`` and ``right`` name its two child subtrees by
+a descendant tag each: the leaf code ``(x << 10) | 1023`` of a lone key x
+(``_leaf_code``), or the branching child's order-0 key; None marks an
+empty side of the root.  An update overwrites the tag of the side it
+changes in place, after every consistency check has passed.  Both kinds
+of tag hold their prefix above the tag bits, and the depth field reads d
+for a node and 127 for a leaf, so ``_verified_descendant``, which checks
+every index answer a query uses, reads a descendant's place from its tag
+alone.
 
 A record keeps no link to its lowest branching ancestor a.  A delete reads
 a's depth from v's own order-0 index entry, which every branching node
@@ -257,7 +261,9 @@ class AncestorIndex:
 
 @dataclass(slots=True)
 class BranchingRecord:
-    desc: tuple                         # (left, right): None, a leaf code or a node key
+    # the descendant tags of the two sides: None, a leaf code or a node key
+    left: int | None
+    right: int | None
     open_h: _Entry | None = None
     close_h: _Entry | None = None
 
@@ -281,15 +287,6 @@ class OpStats:
         query belongs to a query.
         """
         return sum(ps.query_count for ps in self.pred_sets)
-
-
-def _replace_side(desc: tuple, side: int, tag) -> tuple:
-    """The descendant pair with its entry on `side` set to `tag`.
-
-    Pairs are rebuilt rather than mutated: a tuple of untracked values drops
-    out of the cyclic collector's tracking, where a list would stay in it.
-    """
-    return (tag, desc[1]) if side == 0 else (desc[0], tag)
 
 
 class RangeReporter:
@@ -327,7 +324,7 @@ class RangeReporter:
         # the root's record, with both sides empty, lives as long as the
         # reporter
         root_key = self._root_key = self._enc(0, 0, 0)
-        root = self.table[root_key] = BranchingRecord((None, None))
+        root = self.table[root_key] = BranchingRecord(None, None)
         self._sbar_pred.insert(root_key)
         root.open_h = self.nav.insert_first(OPEN, root_key)
         root.close_h = self.nav.insert_after(root.open_h, CLOSE, root_key)
@@ -423,11 +420,14 @@ class RangeReporter:
             # the new divergence point is the root: x fills its empty side,
             # and the first key finds both sides empty
             rec = self.table[v_key]
-            y_tag = rec.desc[1 - x_side]
-            if (rec.desc[x_side] is not None
+            y_tag = rec.left if x_side else rec.right
+            if ((rec.right if x_side else rec.left) is not None
                     or (y_tag is None) != (prev is None and nxt is None)):
                 raise AssertionError("the root's sides disagree with x's neighbors")
-            rec.desc = _replace_side(rec.desc, x_side, xc)
+            if x_side:
+                rec.right = xc
+            else:
+                rec.left = xc
             a_depth, a_real = 0, False
         else:
             # z, the branching node before v in preorder, is a itself or the
@@ -440,8 +440,7 @@ class RangeReporter:
                 a_depth = min((z & _TAG_MASK) >> _ORDER_BITS,
                               w - ((z ^ v_key) >> _TAG_BITS).bit_length())
                 a_rec, side_a = self._ancestor(a_depth, xc)
-                a_desc = a_rec.desc
-                y_tag = a_desc[side_a]
+                y_tag = a_rec.right if side_a else a_rec.left
                 if y_tag is None:
                     raise AssertionError("the new branching node's ancestor has an empty side")
                 # v's parentheses enclose y, its one old child subtree: a lone
@@ -457,12 +456,18 @@ class RangeReporter:
             except AssertionError:
                 self._sbar_pred.delete(v_key)
                 raise
-            a_real = a_desc[0] is not None and a_desc[1] is not None
-            rec = BranchingRecord(_replace_side((y_tag, y_tag), x_side, xc),
-                                  nav.insert_before(y_first, OPEN, v_key),
-                                  nav.insert_after(y_last, CLOSE, v_key))
-            a_rec.desc = _replace_side(a_desc, side_a, v_key)
+            open_h = nav.insert_before(y_first, OPEN, v_key)
+            close_h = nav.insert_after(y_last, CLOSE, v_key)
+            if x_side:
+                rec = BranchingRecord(y_tag, xc, open_h, close_h)
+            else:
+                rec = BranchingRecord(xc, y_tag, open_h, close_h)
+            if side_a:
+                a_rec.right = v_key
+            else:
+                a_rec.left = v_key
             self.table[v_key] = rec
+            a_real = a_rec.left is not None and a_rec.right is not None
 
         # x's element goes just inside the parentheses of the node it hangs
         # from, on x's side
@@ -611,16 +616,19 @@ class RangeReporter:
         v_key = xc & self._codes[0][d_v]
         x_side = (x >> (w - 1 - d_v)) & 1
         rec = self.table.get(v_key)
-        if rec is None or rec.desc[x_side] != xc:
+        if rec is None or (rec.right if x_side else rec.left) != xc:
             raise AssertionError("v's descendant on x's side is not x")
-        y_tag = rec.desc[1 - x_side]
+        y_tag = rec.left if x_side else rec.right
 
         if not d_v:
             # x empties its side of the root, and the last key leaves both
             # sides empty
             if (y_tag is None) != (prev is None and nxt is None):
                 raise AssertionError("the root's other side disagrees with x's neighbors")
-            rec.desc = _replace_side(rec.desc, x_side, None)
+            if x_side:
+                rec.right = None
+            else:
+                rec.left = None
             a_depth, a_real = 0, False
         else:
             # v's own order-0 index entry holds the depth of a, its lowest
@@ -630,14 +638,17 @@ class RangeReporter:
             if a_depth is None or a_depth >= d_v:
                 raise AssertionError("v's index entry holds no ancestor depth")
             a_rec, side_a = self._ancestor(a_depth, xc)
-            if a_rec.desc[side_a] != v_key:
+            if (a_rec.right if side_a else a_rec.left) != v_key:
                 raise AssertionError("v's ancestor does not name v as its descendant")
             del self.table[v_key]
             self._sbar_pred.delete(v_key)
-            a_rec.desc = a_desc = _replace_side(a_rec.desc, side_a, y_tag)
+            if side_a:
+                a_rec.right = y_tag
+            else:
+                a_rec.left = y_tag
             nav.delete(rec.open_h)
             nav.delete(rec.close_h)
-            a_real = a_desc[0] is not None and a_desc[1] is not None
+            a_real = a_rec.left is not None and a_rec.right is not None
 
         nav.delete(self.leaves.pop(x))
         to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
@@ -678,7 +689,7 @@ class RangeReporter:
         rec = self.table.get(vc & self._codes[0][depth])
         if rec is None:
             return None
-        desc = rec.desc[(vc >> (_TAG_BITS + self.w - 1 - depth)) & 1]
+        desc = rec.right if (vc >> (_TAG_BITS + self.w - 1 - depth)) & 1 else rec.left
         if (desc is None or (desc & _TAG_MASK) >> _ORDER_BITS < v_d
                 or (desc ^ vc) >> (_TAG_BITS + self.w - v_d)):
             return None
@@ -724,7 +735,7 @@ class RangeReporter:
         codes = self._codes
         rec = self.table.get(vc & codes[0][v_d])
         if rec is not None:
-            left, right = rec.desc
+            left, right = rec.left, rec.right
         else:
             # v does not branch: search the orders for the first whose trie
             # maps v to a branching node, then read v's lowest branching
@@ -837,9 +848,9 @@ class RangeReporter:
             )
         for key, desc in expected.items():
             rec = self.table[key]
-            if rec.desc != desc:
-                raise AssertionError(
-                    f"descendant mismatch at {self._dec(key)}: {rec.desc} vs {desc}")
+            got = rec.left, rec.right
+            if got != desc:
+                raise AssertionError(f"descendant mismatch at {self._dec(key)}: {got} vs {desc}")
 
         self.nav.validate()
         self._check_sequence(expected)
@@ -872,8 +883,8 @@ class RangeReporter:
 
         if len(elems) == 1 or lca_depth(elems[0], elems[-1], w):
             # every key lies on one side of the root
-            out[root_key] = _replace_side((None, None), elems[0] >> (w - 1),
-                                          top_tag(0, len(elems)))
+            tag = top_tag(0, len(elems))
+            out[root_key] = (None, tag) if elems[0] >> (w - 1) else (tag, None)
         if len(elems) > 1:
             build(0, len(elems))
         return out
@@ -1002,13 +1013,13 @@ class RangeReporter:
 
         # a record's ancestor is the record that names it as a descendant
         anc_depth = {desc: self._dec(key)[0] for key, rec in self.table.items()
-                     for desc in rec.desc
+                     for desc in (rec.left, rec.right)
                      if desc is not None and (desc & _TAG_MASK) != _TAG_MASK}
         lines = []
         for key in sorted(self.table):
             rec = self.table[key]
             anc = anc_depth.get(key, "-")
             lines.append(
-                f"{name(key)} anc={anc} left={tag(rec.desc[0])} right={tag(rec.desc[1])}"
+                f"{name(key)} anc={anc} left={tag(rec.left)} right={tag(rec.right)}"
             )
         return "\n".join(lines)
