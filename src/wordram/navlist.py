@@ -30,9 +30,14 @@ summary, at most two superbuckets with no element, the superbucket holding
 the answer and the bucket holding it: at most 6 summary words.  (Lowering
 the bucket floor to base/2 would let a superbucket hold width/2 entries and
 raise that bound to 8.)  Calling the walk again from the element it returns
-walks the elements in list order.  An entry is its own handle: the caller
-holds the entry object, which stays valid across splits and merges until it
-is deleted.
+walks the elements in list order.
+
+An entry is its own handle: the caller builds it, inserts it, and holds it,
+and it stays valid across splits and merges until it is deleted.  An entry
+holds only its value and its bucket; its kind is its class's, ``Element``,
+``Open`` or ``Close``, so a caller may subclass ``Open`` or ``Close`` to
+keep its own fields on the entry itself.  An insert reads the new entry's
+kind once; deletes and walks read only the buckets' summary bits.
 """
 
 from __future__ import annotations
@@ -49,12 +54,27 @@ CLOSE = 3
 class _Entry:
     """One list entry; its place is its slot in its bucket's entries."""
 
-    __slots__ = ("kind", "value", "bucket")
+    __slots__ = ("value", "bucket")
+    kind: int
 
-    def __init__(self, kind: int, value: int | None, bucket: _Bucket):
-        self.kind = kind
+    def __init__(self, value: int | None):
         self.value = value  # an element's key, or a parenthesis's owner key
-        self.bucket = bucket  # None once deleted
+        self.bucket: _Bucket | None = None  # None while not listed
+
+
+class Element(_Entry):
+    __slots__ = ()
+    kind = ELEMENT
+
+
+class Open(_Entry):
+    __slots__ = ()
+    kind = OPEN
+
+
+class Close(_Entry):
+    __slots__ = ()
+    kind = CLOSE
 
 
 class _Bucket:
@@ -101,36 +121,42 @@ class NavList:
 
     # -- insertion ----------------------------------------------------------
 
-    def insert_first(self, kind: int, value: int | None = None) -> _Entry:
+    def insert_first(self, e: _Entry) -> None:
+        """Put the new entry e first in the list."""
         if self._head is not None:
-            return self._insert(self._head.buckets[0], 0, kind, value)
+            self._insert(self._head.buckets[0], 0, e)
+            return
         sup = self._head = _Super()
         bucket = _Bucket(sup, [], 0)
         sup.buckets.append(bucket)
-        return self._insert(bucket, 0, kind, value)
+        self._insert(bucket, 0, e)
 
-    def insert_after(self, after: _Entry, kind: int, value: int | None = None) -> _Entry:
+    def insert_after(self, after: _Entry, e: _Entry) -> None:
+        """Put the new entry e just after the listed entry `after`."""
         bucket = after.bucket
         if bucket is None:
-            raise KeyError("insert after a deleted entry")
-        return self._insert(bucket, bucket.entries.index(after) + 1, kind, value)
+            raise KeyError("insert after an unlisted entry")
+        self._insert(bucket, bucket.entries.index(after) + 1, e)
 
-    def insert_before(self, before: _Entry, kind: int, value: int | None = None) -> _Entry:
+    def insert_before(self, before: _Entry, e: _Entry) -> None:
+        """Put the new entry e just before the listed entry `before`."""
         bucket = before.bucket
         if bucket is None:
-            raise KeyError("insert before a deleted entry")
-        return self._insert(bucket, bucket.entries.index(before), kind, value)
+            raise KeyError("insert before an unlisted entry")
+        self._insert(bucket, bucket.entries.index(before), e)
 
-    def _insert(self, bucket: _Bucket, pos: int, kind: int, value: int | None) -> _Entry:
-        """Put a new entry at position pos of bucket."""
-        e = _Entry(kind, value, bucket)
+    def _insert(self, bucket: _Bucket, pos: int, e: _Entry) -> None:
+        """Put e, which no list holds, at position pos of bucket."""
+        if e.bucket is not None:
+            raise KeyError("insert of a listed entry")
+        e.bucket = bucket
         entries = bucket.entries
         entries.insert(pos, e)
         summary = bucket.summary
         # adding the bits at and above pos to the word shifts them up by one
         # and leaves bit pos clear
         shifted = summary + (summary >> pos << pos)
-        if kind == ELEMENT:
+        if e.kind == ELEMENT:
             bucket.summary = shifted | (1 << pos)
             if not summary:
                 self._refresh_sup_bit(bucket)
@@ -138,7 +164,6 @@ class NavList:
             bucket.summary = shifted
         if len(entries) > self.cap:
             self._split_bucket(bucket)
-        return e
 
     def _refresh_sup_bit(self, bucket: _Bucket) -> None:
         sup = bucket.sup
@@ -185,16 +210,16 @@ class NavList:
     def delete(self, e: _Entry) -> None:
         bucket = e.bucket
         if bucket is None:
-            raise KeyError("delete of a deleted entry")
+            raise KeyError("delete of an unlisted entry")
         e.bucket = None
         entries = bucket.entries
         pos = entries.index(e)
         del entries[pos]
-        summary = bucket.summary
+        old = bucket.summary
         # _bit_remove, inline: keep the bits below pos, shift those above down
-        summary = (summary & ((1 << pos) - 1)) | (summary >> (pos + 1) << pos)
-        bucket.summary = summary
-        if e.kind == ELEMENT and not summary:
+        summary = bucket.summary = (old & ((1 << pos) - 1)) | (old >> (pos + 1) << pos)
+        # bit pos says whether e was an element
+        if not summary and old >> pos & 1:
             self._refresh_sup_bit(bucket)
         if len(entries) < self.base:
             self._shrink(bucket)
@@ -262,7 +287,7 @@ class NavList:
         try:
             pos = bucket.entries.index(e)
         except AttributeError:
-            raise KeyError("nearest element of a deleted entry") from None
+            raise KeyError("nearest element of an unlisted entry") from None
         examined = 1
         mask = bucket.summary & ((1 << pos) - 1)
         if mask:
@@ -293,7 +318,7 @@ class NavList:
         try:
             pos = bucket.entries.index(e)
         except AttributeError:
-            raise KeyError("nearest element of a deleted entry") from None
+            raise KeyError("nearest element of an unlisted entry") from None
         examined = 1
         mask = bucket.summary >> (pos + 1)
         if mask:

@@ -79,13 +79,15 @@ key z just before v's is a itself or the last branching node in a's left
 subtree, whose path parts from v's at a.  Either way a's depth is the
 smaller of z's depth and the length of the prefix z's key shares with v's.
 Navigation-list entries, which are their own handles, live only with their
-owners: ``leaves[x]`` holds x's element entry, a branching record its Open
-and Close, whose value is the record's node key.  Entries keep no links;
-the list's buckets alone hold their order, which is the tree's: Open(v),
-v's left subtree, v's right subtree, Close(v).  So the tree places every
-entry: v's Open goes just before the first entry of y, the one old child
-subtree v takes over, its Close just after y's last, and x's element just
-inside the parentheses of the node x hangs from.
+owners.  ``leaves[x]`` holds x's element entry.  A branching record is
+itself v's Open entry, one object with v's order-0 key as its value, so
+``table[v_key]`` is the listed entry; its slot ``close`` holds v's Close,
+whose value is the same key.  Entries keep no links; the list's buckets
+alone hold their order, which is the tree's: Open(v), v's left subtree,
+v's right subtree, Close(v).  So the tree places every entry: v's record
+goes just before the first entry of y, the one old child subtree v takes
+over, its Close just after y's last, and x's element just inside the
+parentheses of the node x hangs from.
 
 ``stats`` keeps three per-query maxima (branching tests, navigation
 queries, index reads), which findany updates.  ``pred_queries_during_query``
@@ -101,7 +103,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .bloomier import BloomierConfig, BloomierFilter
-from .navlist import CLOSE, ELEMENT, OPEN, NavList, _Entry
+from .navlist import CLOSE, ELEMENT, OPEN, Close, Element, NavList, Open, _Entry
 from .predecessor import PredecessorSet
 from .wordops import VALID_WIDTHS, ensure, lca_depth, top_order, trie_depth
 
@@ -259,13 +261,20 @@ class AncestorIndex:
         return total
 
 
-@dataclass(slots=True)
-class BranchingRecord:
-    # the descendant tags of the two sides: None, a leaf code or a node key
-    left: int | None
-    right: int | None
-    open_h: _Entry | None = None
-    close_h: _Entry | None = None
+class BranchingRecord(Open):
+    """A branching node's record, which is also the node's Open entry in the
+    navigation list; its value is the node's order-0 key.  It compares by
+    identity: ``list.index`` finds an entry by ``==``."""
+
+    __slots__ = ("left", "right", "close")
+
+    def __init__(self, key: int, left: int | None, right: int | None):
+        self.value = key
+        self.bucket = None
+        # the descendant tags of the two sides: None, a leaf code or a node key
+        self.left = left
+        self.right = right
+        self.close = Close(key)
 
 
 @dataclass
@@ -302,7 +311,7 @@ class RangeReporter:
         self._sbar_pred = PredecessorSet(self.w + _TAG_BITS)
         self.nav = NavList(self.w)
         self.table: dict[int, BranchingRecord] = {}
-        self.leaves: dict[int, _Entry] = {}
+        self.leaves: dict[int, Element] = {}
         index_cap = 4 * config.capacity * (self.top + 2)
         if config.variant == VARIANT_FAST_QUERY:
             index_cap *= self.B
@@ -324,10 +333,10 @@ class RangeReporter:
         # the root's record, with both sides empty, lives as long as the
         # reporter
         root_key = self._root_key = self._enc(0, 0, 0)
-        root = self.table[root_key] = BranchingRecord(None, None)
+        root = self.table[root_key] = BranchingRecord(root_key, None, None)
         self._sbar_pred.insert(root_key)
-        root.open_h = self.nav.insert_first(OPEN, root_key)
-        root.close_h = self.nav.insert_after(root.open_h, CLOSE, root_key)
+        self.nav.insert_first(root)
+        self.nav.insert_after(root, root.close)
 
     # -- encodings ----------------------------------------------------------
 
@@ -448,7 +457,7 @@ class RangeReporter:
                 if (y_tag & _TAG_MASK) == _TAG_MASK:
                     y_first = y_last = self.leaves.get(y_tag >> _TAG_BITS)
                 elif (y_rec := self.table.get(y_tag)) is not None:
-                    y_first, y_last = y_rec.open_h, y_rec.close_h
+                    y_first, y_last = y_rec, y_rec.close
                 else:
                     y_first = None
                 if y_first is None:
@@ -456,12 +465,12 @@ class RangeReporter:
             except AssertionError:
                 self._sbar_pred.delete(v_key)
                 raise
-            open_h = nav.insert_before(y_first, OPEN, v_key)
-            close_h = nav.insert_after(y_last, CLOSE, v_key)
             if x_side:
-                rec = BranchingRecord(y_tag, xc, open_h, close_h)
+                rec = BranchingRecord(v_key, y_tag, xc)
             else:
-                rec = BranchingRecord(xc, y_tag, open_h, close_h)
+                rec = BranchingRecord(v_key, xc, y_tag)
+            nav.insert_before(y_first, rec)
+            nav.insert_after(y_last, rec.close)
             if side_a:
                 a_rec.right = v_key
             else:
@@ -471,10 +480,11 @@ class RangeReporter:
 
         # x's element goes just inside the parentheses of the node it hangs
         # from, on x's side
+        e = self.leaves[x] = Element(x)
         if x_side:
-            self.leaves[x] = nav.insert_before(rec.close_h, ELEMENT, x)
+            nav.insert_before(rec.close, e)
         else:
-            self.leaves[x] = nav.insert_after(rec.open_h, ELEMENT, x)
+            nav.insert_after(rec, e)
         to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
         index = self.index
         # most updates make no node branching in any order
@@ -646,8 +656,8 @@ class RangeReporter:
                 a_rec.right = y_tag
             else:
                 a_rec.left = y_tag
-            nav.delete(rec.open_h)
-            nav.delete(rec.close_h)
+            nav.delete(rec)
+            nav.delete(rec.close)
             a_real = a_rec.left is not None and a_rec.right is not None
 
         nav.delete(self.leaves.pop(x))
@@ -699,13 +709,13 @@ class RangeReporter:
         if (desc & _TAG_MASK) == _TAG_MASK:
             return desc >> _TAG_BITS
         self._q_nav += 1
-        return self.nav.nearest_element_left(self.table[desc].close_h).value
+        return self.nav.nearest_element_left(self.table[desc].close).value
 
     def _min_under(self, desc) -> int:
         if (desc & _TAG_MASK) == _TAG_MASK:
             return desc >> _TAG_BITS
         self._q_nav += 1
-        return self.nav.nearest_element_right(self.table[desc].open_h).value
+        return self.nav.nearest_element_right(self.table[desc]).value
 
     def findany(self, a: int, b: int) -> int | None:
         """Some element of S in [a, b], or None exactly when none exists.
@@ -908,10 +918,10 @@ class RangeReporter:
                 want.append((ELEMENT, x, self.leaves[x]))
                 return
             rec = self.table[tag]
-            want.append((OPEN, tag, rec.open_h))
+            want.append((OPEN, tag, rec))
             for desc in expected[tag]:
                 walk(desc)
-            want.append((CLOSE, tag, rec.close_h))
+            want.append((CLOSE, tag, rec.close))
 
         walk(self._root_key)
         entries = list(self.nav)

@@ -2,7 +2,19 @@ import random
 
 import pytest
 
-from wordram.navlist import CLOSE, ELEMENT, OPEN, NavList
+from wordram.navlist import CLOSE, ELEMENT, OPEN, Close, Element, NavList, Open
+
+# an entry of each kind, built by the caller
+ENTRY = {ELEMENT: Element, OPEN: Open, CLOSE: Close}
+
+
+def put_after(nl, last, e):
+    """Insert e first, or after last when last is an entry; return e."""
+    if last is None:
+        nl.insert_first(e)
+    else:
+        nl.insert_after(last, e)
+    return e
 
 
 def naive_nearest(mirror, idx, want_kind, direction):
@@ -24,10 +36,7 @@ def fuzz(width: int, ops: int, seed: int, element_bias: float = 0.34) -> NavList
         if not mirror or rng.random() < 0.6:
             kind = ELEMENT if rng.random() < element_bias else rng.choice([OPEN, CLOSE])
             i = rng.randrange(len(mirror) + 1)
-            if i == 0:
-                h = nl.insert_first(kind, value=step)
-            else:
-                h = nl.insert_after(mirror[i - 1][0], kind, value=step)
+            h = put_after(nl, mirror[i - 1][0] if i else None, ENTRY[kind](step))
             mirror.insert(i, (h, kind))
         else:
             i = rng.randrange(len(mirror))
@@ -58,9 +67,7 @@ def test_merge_of_full_neighbor_keeps_order(width):
     handles = []
     last = None
     for i in range(6 * nl.cap):
-        last = nl.insert_first(ELEMENT, value=i) if last is None else nl.insert_after(
-            last, ELEMENT, value=i
-        )
+        last = put_after(nl, last, Element(i))
         handles.append(last)
     rng = random.Random(width)
     mirror = list(handles)
@@ -73,11 +80,11 @@ def test_merge_of_full_neighbor_keeps_order(width):
 
 def test_single_entry_and_boundaries():
     nl = NavList(8)
-    h_open = nl.insert_first(OPEN, value=0)
+    h_open = put_after(nl, None, Open(0))
     assert nl.nearest_element_left(h_open) is None
     assert nl.nearest_element_right(h_open) is None
-    h_el = nl.insert_after(h_open, ELEMENT, value=5)
-    h_close = nl.insert_after(h_el, CLOSE, value=12)
+    h_el = put_after(nl, h_open, Element(5))
+    h_close = put_after(nl, h_el, Close(12))
     assert nl.nearest_element_left(h_close) == h_el
     assert nl.nearest_element_right(h_open) == h_el
     # querying at an element looks strictly past it
@@ -88,11 +95,11 @@ def test_single_entry_and_boundaries():
 
 def test_delete_sole_entry_empties_structure():
     nl = NavList(8)
-    h = nl.insert_first(ELEMENT, value=1)
+    h = put_after(nl, None, Element(1))
     nl.delete(h)
     assert len(nl) == 0
     assert list(nl) == []
-    h2 = nl.insert_first(ELEMENT, value=2)
+    h2 = put_after(nl, None, Element(2))
     assert list(nl) == [h2]
 
 
@@ -105,9 +112,9 @@ def test_split_leaves_a_gap_before_merge(width):
     split, shrink = nl._split_bucket, nl._shrink
     nl._split_bucket = lambda bucket: (calls.append("split"), split(bucket))
     nl._shrink = lambda bucket: (calls.append("shrink"), shrink(bucket))
-    handles = [nl.insert_first(OPEN)]
+    handles = [put_after(nl, None, Open(None))]
     for i in range(nl.cap):
-        handles.append(nl.insert_after(handles[-1], CLOSE, value=i))
+        handles.append(put_after(nl, handles[-1], Close(i)))
     assert calls == ["split"]
     for h in handles[: nl.base // 2]:
         nl.delete(h)
@@ -120,15 +127,20 @@ def test_invalid_handles():
     # a deleted entry is a stale handle: using it raises, and leaves the
     # structure as it was
     nl = NavList(8)
-    h = nl.insert_first(OPEN)
-    stale = nl.insert_after(h, ELEMENT, value=1)
+    h = put_after(nl, None, Open(None))
+    stale = put_after(nl, h, Element(1))
     nl.delete(stale)
     with pytest.raises(KeyError):
         nl.delete(stale)
     with pytest.raises(KeyError):
-        nl.insert_after(stale, ELEMENT)
+        nl.insert_after(stale, Element(2))
     with pytest.raises(KeyError):
-        nl.insert_before(stale, ELEMENT)
+        nl.insert_before(stale, Element(2))
+    # a listed entry cannot be inserted a second time
+    with pytest.raises(KeyError):
+        nl.insert_after(h, h)
+    with pytest.raises(KeyError):
+        nl.insert_first(h)
     with pytest.raises(KeyError):
         nl.nearest_element_left(stale)
     with pytest.raises(KeyError):
@@ -152,9 +164,7 @@ def test_bounded_examination_with_short_runs(width=64):
         else:
             kind = rng.choice([OPEN, CLOSE])
             run += 1
-        last = nl.insert_first(kind, value=i) if last is None else nl.insert_after(
-            last, kind, value=i
-        )
+        last = put_after(nl, last, ENTRY[kind](i))
         handles.append(last)
     nl.max_examined = 0
     for h in rng.sample(handles, 2000):
@@ -188,11 +198,11 @@ def test_bounded_examination_at_the_floors(width):
     # over half of them, they are still close to 2*width; a last pass cuts
     # any run above 2*width. Deletes only ever remove non-elements.
     nl = NavList(width)
-    last = nl.insert_first(ELEMENT, value=0)
+    last = put_after(nl, None, Element(0))
     for r in range(40):
         for i in range(4 * width):
-            last = nl.insert_after(last, OPEN if i % 2 else CLOSE, value=i)
-        last = nl.insert_after(last, ELEMENT, value=r + 1)
+            last = put_after(nl, last, Open(i) if i % 2 else Close(i))
+        last = put_after(nl, last, Element(r + 1))
     for sup in list(_superbuckets(nl)):
         for bucket in list(sup.buckets):
             _trim(nl, bucket, nl.base)

@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import os
 import pickle
 import random
@@ -102,7 +103,8 @@ def test_two_keys_build_one_branching_node():
     rec = rr.table[key]
     assert rr._dec(key) == (5, 10 >> 3)
     entries = list(rr.nav)
-    inner = entries[entries.index(rec.open_h) + 1]
+    # the record is the node's Open entry
+    inner = entries[entries.index(rec) + 1]
     assert inner.kind == 1 and inner.value == 10
     assert rr.findany(9, 11) == 10
     assert rr.findany(11, 13) == 12
@@ -352,15 +354,19 @@ def test_delete_undoes_insert(variant, branch, backend):
             x = rng.randrange(1 << 16)
             if x in rr:
                 continue
-            # records are copied one by one: their entries compare by identity
-            table = {key: copy.copy(rec) for key, rec in rr.table.items()}
+            # records compare by identity: keep each one and its tags
+            table = {key: (rec, rec.left, rec.right) for key, rec in rr.table.items()}
+            entries = list(rr.nav)
             snapshot, dump = rr.index.snapshot(), rr.dump()
             before = rr.index.writes
             rr.insert(x)
             inserted = rr.index.writes
             rr.delete(x)
             assert rr.index.snapshot() == snapshot
-            assert rr.table == table
+            assert {key: (rec, rec.left, rec.right)
+                    for key, rec in rr.table.items()} == table
+            after = list(rr.nav)
+            assert len(after) == len(entries) and all(map(operator.is_, after, entries))
             assert rr.dump() == dump
             assert rr.index.writes - inserted == inserted - before
 
@@ -807,16 +813,17 @@ def shape_keys(rng, rr, x, d_v, y_tag, a_depth, a_real):
     return keys
 
 
-@pytest.mark.parametrize("variant,branch", [("5a", 2), ("5a", 4), ("5a", 8),
-                                            ("5b", 2), ("5b", 4), ("5b", 8)])
+@pytest.mark.parametrize("variant,branch", [key for key in W64_MAX_WRITES if key[0] != "core"])
 def test_variant_argmax_shapes_write_their_maximum(variant, branch):
-    # the rule's argmax shapes, built on the real w=64 structure
+    # the rule's argmax shapes, built on the real w=64 structure; 5b has
+    # one argmax shape at B >= 16
     rng = random.Random(67)
     most = W64_MAX_WRITES[variant, branch]
     probe = make(width=64, branch=branch, variant=variant, audit=False)
     shapes = [shape for shape in change_shapes(rng, probe)
               if sum(map(len, probe._index_changes(*shape))) == most]
-    for shape in shapes[:1] + rng.sample(shapes, 5):
+    assert shapes
+    for shape in shapes[:1] + rng.sample(shapes, min(5, len(shapes))):
         rr = make(width=64, branch=branch, variant=variant, capacity=64, seed=61)
         for key in shape_keys(rng, rr, *shape):
             rr.insert(key)

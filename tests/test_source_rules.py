@@ -4,8 +4,9 @@ import ast
 import random
 from pathlib import Path
 
+from wordram.navlist import CLOSE, OPEN, Close, Element, Open, _Entry
 from wordram.perfecthash import PerfectHash, PerfectHashConfig
-from wordram.rangereport import BACKEND_BLOOMIER, RangeConfig, RangeReporter
+from wordram.rangereport import BACKEND_BLOOMIER, BranchingRecord, RangeConfig, RangeReporter
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wordram"
 
@@ -69,3 +70,36 @@ def test_traced_instances_accept_method_shadows():
     for key in ("SmallDict.insert", "SmallDict.lookup", "SmallDict.delete",
                 "AncestorIndex.get"):
         assert calls.get(key), (key, calls)
+
+
+def test_navigation_entries_hold_one_object_per_node():
+    # every navigation entry, the branching record among them, is one
+    # slotted object: its kind is its class's, and it compares by identity,
+    # because list.index finds an entry by == and a field-wise __eq__ could
+    # return another entry's slot.  A new per-key field shows up here.
+    classes, todo = [], [_Entry]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo += cls.__subclasses__()
+    assert {Element, Open, Close, BranchingRecord} <= set(classes)
+    for cls in classes:
+        for klass in cls.__mro__[:-1]:
+            assert "__slots__" in vars(klass), klass
+            assert "kind" not in vars(klass)["__slots__"], klass
+            assert "__eq__" not in vars(klass), klass
+    for e in (Element(1), Open(2), Close(3), BranchingRecord(4, None, None)):
+        assert not hasattr(e, "__dict__"), e
+
+    # on a filled w=64 reporter, every table value is a live Open entry of
+    # the list, under its own key, and its Close is listed too
+    rng = random.Random(11)
+    rr = RangeReporter(RangeConfig(width=64, capacity=1024, seed=11))
+    for _ in range(600):
+        rr.insert(rng.getrandbits(64))
+    listed = {id(e) for e in rr.nav}
+    assert len(rr.table) > 500
+    for key, rec in rr.table.items():
+        assert rec.bucket is not None and rec.kind == OPEN and rec.value == key
+        assert id(rec) in listed
+        assert rec.close.kind == CLOSE and id(rec.close) in listed

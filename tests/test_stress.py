@@ -14,7 +14,7 @@ from bisect import bisect_left, insort
 import pytest
 
 from wordram.gtgame import STRATEGIES, sweep
-from wordram.navlist import CLOSE, ELEMENT, OPEN, NavList
+from wordram.navlist import CLOSE, ELEMENT, OPEN, Close, Element, NavList, Open
 from wordram.predecessor import PredecessorSet
 from wordram.rangereport import RangeConfig, RangeReporter
 
@@ -47,6 +47,10 @@ def test_predecessor_hundred_thousand_ops(width):
     assert list(ps) == ref
 
 
+# an entry of each kind, built by the caller
+ENTRY = {ELEMENT: Element, OPEN: Open, CLOSE: Close}
+
+
 def test_navlist_hundred_thousand_insertions():
     rng = random.Random(77)
     nl = NavList(64)
@@ -55,10 +59,11 @@ def test_navlist_hundred_thousand_insertions():
     for step in range(100_000):
         kind = ELEMENT if rng.random() < 0.4 else rng.choice((OPEN, CLOSE))
         i = rng.randrange(len(mirror) + 1)
+        h = ENTRY[kind](step)
         if i == 0:
-            h = nl.insert_first(kind, value=step)
+            nl.insert_first(h)
         else:
-            h = nl.insert_after(mirror[i - 1], kind, value=step)
+            nl.insert_after(mirror[i - 1], h)
         mirror.insert(i, h)
         kinds.insert(i, kind)
         if step % 20_000 == 0:
@@ -87,10 +92,11 @@ def test_navlist_heavy_churn_with_deletes():
         if not mirror or rng.random() < 0.55:
             kind = ELEMENT if rng.random() < 0.5 else rng.choice((OPEN, CLOSE))
             i = rng.randrange(len(mirror) + 1)
+            h = ENTRY[kind](step)
             if i == 0:
-                h = nl.insert_first(kind, value=step)
+                nl.insert_first(h)
             else:
-                h = nl.insert_after(mirror[i - 1], kind, value=step)
+                nl.insert_after(mirror[i - 1], h)
             mirror.insert(i, h)
         else:
             nl.delete(mirror.pop(rng.randrange(len(mirror))))
