@@ -5,9 +5,11 @@ buckets, each a SmallDict of short bucket-local keys whose slot index gives
 the key's position inside the bucket's value interval.  A bucket holds its
 own occupancy and full-block summary words, so placing, reading or removing
 a key is one call into one bucket object.  Keys that land in a
-full bucket or collide inside one spill into an exact dictionary covering a
-small dedicated interval at the end of the range.  A live key keeps its
-value until deleted; reinserting may assign a different value.
+full bucket or collide inside one spill into one more SmallDict, of full
+keys, whose slots cover a small dedicated interval at the end of the
+range; it hands out the lowest vacant spill slot, as a bucket does.  A live
+key keeps its value until deleted; reinserting may assign a different
+value.
 
 Evaluating an absent key returns an arbitrary in-range value, as perfect
 hashing semantics permit.  Deleting one is not harmless: delete only live
@@ -95,10 +97,12 @@ class PerfectHash:
             SmallDict(config.bucket_capacity, config.bucket_key_bits, config.summary_block)
             for _ in range(config.bucket_count)
         ]
-        self._spill: dict[int, int] = {}
-        # stack of vacant spill slots; popping from the tail hands out the
-        # lowest index first on a fresh structure
-        self._spill_free = list(range(config.spill_capacity - 1, -1, -1))
+        self._spill = SmallDict(config.spill_capacity, config.universe_bits,
+                                config.summary_block)
+        # the spill's own key -> slot dict, read directly so that every op
+        # probes the spill with one dict read (the dict and not its bound
+        # get: copy.deepcopy would share a builtin method with the original)
+        self._spilled = self._spill.slot_of
         self.live_count = 0
         self.spill_peak = 0
         self._universe_bits = config.universe_bits
@@ -141,16 +145,16 @@ class PerfectHash:
     def insert(self, key: int) -> tuple[int, bool]:
         """Assign a stable in-range value to `key`; returns (value, inserted).
 
-        A key already resident in the spill dictionary is flagged as a
-        duplicate; duplicates hiding in a bucket are indistinguishable from
-        genuine collisions and are routed to the spill (callers must not
-        insert live keys).  The key is placed with one call to its bucket's
+        A key already resident in the spill is flagged as a duplicate;
+        duplicates hiding in a bucket are indistinguishable from genuine
+        collisions and are routed to the spill (callers must not insert
+        live keys).  The key is placed with one call to its bucket's
         `SmallDict.insert`, whose refusal (bucket full, or short key already
         present) sends it to the spill.
         """
         if key >> self._universe_bits:
             raise ValueError("key does not fit the universe")
-        slot = self._spill.get(key)
+        slot = self._spilled.get(key)
         if slot is not None:
             return self._spill_base + slot, False
         if self.live_count >= self._capacity:
@@ -161,13 +165,15 @@ class PerfectHash:
         except ValueError:
             # short < 2**bucket_key_bits by construction, so the bucket
             # refused it for being full or for holding it already
-            if not self._spill_free:
+            try:
+                slot = self._spill.insert(key)
+            except ValueError:
+                # the key fits the universe and is not spilled, so the
+                # spill refused it for being full
                 raise RebuildRequired("rebuild required") from None
-            slot = self._spill_free.pop()
-            self._spill[key] = slot
             self.live_count += 1
-            if len(self._spill) > self.spill_peak:
-                self.spill_peak = len(self._spill)
+            if len(self._spilled) > self.spill_peak:
+                self.spill_peak = len(self._spilled)
             return self._spill_base + slot, True
         self.live_count += 1
         return b * self._cap + slot, True
@@ -178,9 +184,8 @@ class PerfectHash:
         Delete only live keys: an absent key that shares its route (bucket
         and short key) with a live one removes that key and returns True.
         """
-        slot = self._spill.pop(key, None)
-        if slot is not None:
-            self._spill_free.append(slot)
+        if key in self._spilled:
+            self._spill.delete(key)
             self.live_count -= 1
             return True
         b, short = self._route(key)
@@ -192,7 +197,7 @@ class PerfectHash:
         return True
 
     def evaluate(self, key: int) -> int:
-        slot = self._spill.get(key)
+        slot = self._spilled.get(key)
         if slot is not None:
             return self._spill_base + slot
         b, short = self._route(key)
@@ -203,17 +208,12 @@ class PerfectHash:
 
     def space_bits(self) -> int:
         """Exact serialized size of every component."""
-        cfg = self.config
-        spill_slot_bits = max(1, (cfg.spill_capacity - 1).bit_length())
-        spill_bits = 64 + cfg.spill_capacity + len(self._spill) * (
-            cfg.universe_bits + spill_slot_bits
-        )
         return (
             5 * 64
             + self._reduce.representation_bits()
             + self._family.representation_bits()
-            + sum(d.occupied_space_bits() for d in self._buckets)
-            + spill_bits
+            + sum(d.space_bits() for d in self._buckets)
+            + self._spill.space_bits()
         )
 
     def rebuild(self, live_keys, seed: int) -> "PerfectHash":

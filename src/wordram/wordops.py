@@ -28,13 +28,6 @@ def msb(x: int) -> int:
     return x.bit_length() - 1
 
 
-def lsb(x: int) -> int:
-    """Index of the lowest set bit."""
-    if x <= 0:
-        raise ValueError("lsb of zero")
-    return (x & -x).bit_length() - 1
-
-
 def lca_depth(a: int, b: int, width: int) -> int:
     """Depth of the lowest common ancestor of leaves a and b in the binary trie."""
     if a == b:

@@ -73,13 +73,14 @@ def test_vacancy_errors():
                          [(4, 4, 1), (12, 8, 4), (64, 12, 8), (100, 10, 7), (5, 4, 8),
                           (358, 36, 16)])
 def test_space_bits_match_slot_array_layout(capacity, key_bits, block):
-    # header, key array, occupancy vector (capacity + n_blocks bits)
+    # header, occupancy vector (capacity + n_blocks bits), occupied slots' keys
     d = SmallDict(capacity, key_bits, summary_block=block)
     occupancy = capacity + -(-capacity // block)
     for n in range(3):
-        assert d.space_bits() == 64 + capacity * key_bits + occupancy
-        assert d.occupied_space_bits() == 64 + occupancy + n * key_bits
+        assert d.space_bits() == 64 + occupancy + n * key_bits
         d.insert(n)
+    d.delete(1)
+    assert d.space_bits() == 64 + occupancy + 2 * key_bits
 
 
 def test_smalldict_slot_examples():
@@ -135,19 +136,34 @@ def test_smalldict_oracle_replay():
 
 
 def test_space_bits_bound_and_packing():
+    # a full dictionary stays within a packed array of (key, value) fields
     capacity, key_bits = 64, 12
     d = SmallDict(capacity, key_bits, summary_block=8)
-    got = d.space_bits()
     value_bits = (capacity - 1).bit_length()
     bound = capacity * (key_bits + value_bits) + capacity + 64 + 64
-    assert got <= bound
     keys = [5, 99, 2048]
     slots = [d.insert(k) for k in keys]
     for k, s in zip(keys, slots):
         assert d.lookup(k) == s
-    assert d.occupied_space_bits() <= d.space_bits()
+    for k in range(3000, 3000 + capacity - len(keys)):
+        before = d.space_bits()
+        d.insert(k)
+        assert d.space_bits() == before + key_bits
+    assert len(d) == capacity and d.space_bits() <= bound
 
 
-def test_parameter_clamps():
-    d = SmallDict(1, 1)
-    assert d.capacity == 4 and d.key_bits == 4
+def test_capacity_zero_refuses_first_insert():
+    # capacity and key width are not clamped: a spill interval of size 0
+    # is a SmallDict that is full from the start
+    d = SmallDict(0, 64, summary_block=8)
+    assert d.capacity == 0 and d.key_bits == 64
+    assert d.space_bits() == 64
+    with pytest.raises(ValueError, match="bucket full"):
+        d.insert(1 << 63)
+    assert len(d) == 0
+    tiny = SmallDict(1, 1, summary_block=4)
+    assert tiny.insert(1) == 0
+    with pytest.raises(ValueError, match="bucket full"):
+        tiny.insert(0)
+    with pytest.raises(ValueError):
+        SmallDict(-1, 4)

@@ -212,10 +212,12 @@ def test_copies_evaluate_alike_and_stay_independent():
     pair = shared_routes(ph, 16)[0][:2]
     keys = pair + [x for x in rng.sample(range(1 << 16), 200) if x not in pair]
     want = {x: ph.insert(x)[0] for x in keys}
-    assert pair[1] in ph._spill  # the spill is copied too
+    assert ph._spill.lookup(pair[1]) is not None  # the spill is copied too
     probes = keys + [rng.randrange(1 << 16) for _ in range(500)]
     copies = [copy.deepcopy(ph), pickle.loads(pickle.dumps(ph))]
     for c in copies:
+        # the hot path's spill map is the copy's own spill's map
+        assert c._spilled is c._spill.slot_of and c._spilled is not ph._spilled
         assert [c.evaluate(x) for x in probes] == [ph.evaluate(x) for x in probes]
         assert c.space_bits() == ph.space_bits() and c.spill_peak == ph.spill_peak
     for x in keys:
@@ -228,6 +230,46 @@ def test_copies_evaluate_alike_and_stay_independent():
     for x in keys:
         assert second.evaluate(x) == want[x]
     assert second.live_count == len(keys) and first.live_count == 0
+
+
+def spilled_keys(ph, u_bits, count):
+    """Insert the first two keys of `count` shared-route groups; returns the
+    second key of each, which the first's bucket slot sends to the spill."""
+    out = []
+    for group in shared_routes(ph, u_bits)[:count]:
+        ph.insert(group[0])
+        value, inserted = ph.insert(group[1])
+        assert inserted and value >= ph.config.bucket_range
+        out.append(group[1])
+    return out
+
+
+def test_spill_reuses_its_lowest_vacant_slot():
+    # the spill hands out slots as a bucket does, lowest vacant first,
+    # whatever order they were freed in
+    ph = make(n=64, u_bits=16, seed=1)
+    base = ph.config.bucket_range
+    a, b, c = spilled_keys(ph, 16, 3)
+    assert [ph.evaluate(x) - base for x in (a, b, c)] == [0, 1, 2]
+    assert ph.delete(a) and ph.delete(b)
+    # a's route-mate still holds their bucket slot, so a spills again
+    value, inserted = ph.insert(a)
+    assert inserted and value == base
+    assert ph.evaluate(c) == base + 2 and len(ph._spill) == 2
+
+
+def test_spilling_one_key_costs_its_universe_bits():
+    # a spilled key is stored whole; its slot is implied by the spill's
+    # occupancy vector, which is accounted whether or not a key is spilled
+    ph = make(n=64, u_bits=16, seed=1)
+    live, mate = shared_routes(ph, 16)[0][:2]
+    ph.insert(live)
+    before = ph.space_bits()
+    value, _ = ph.insert(mate)
+    assert value >= ph.config.bucket_range
+    assert ph.space_bits() - before == ph.config.universe_bits
+    ph.delete(mate)
+    assert ph.space_bits() == before
 
 
 STATEFUL_SETTINGS = settings(
@@ -263,12 +305,19 @@ def test_matches_dict_oracle():
                 with pytest.raises(ValueError):
                     self.ph.insert(x)
                 return
+            # the key spills when its bucket is full or holds its short key
+            b, short = self.ph._route(x)
+            bucket = self.ph._buckets[b]
+            spills = short in bucket.slot_of or len(bucket) == cfg.bucket_capacity
+            spill_full = len(self.ph._spill) == cfg.spill_capacity
             try:
                 value, inserted = self.ph.insert(x)
             except RebuildRequired:
-                assert len(self.ph._spill) == cfg.spill_capacity
+                assert spills and spill_full
                 return
+            assert not (spills and spill_full)
             assert inserted and 0 <= value < cfg.range_size
+            assert (value >= cfg.bucket_range) == spills
             self.model[x] = value
 
         @precondition(lambda self: self.model)
@@ -295,8 +344,9 @@ def test_matches_dict_oracle():
         def counts(self):
             assert self.ph.live_count == len(self.model)
             assert self.ph.spill_peak >= len(self.ph._spill)
-            # each spill slot is held by one key or free, never both or lost
-            held_or_free = [*self.ph._spill.values(), *self.ph._spill_free]
-            assert sorted(held_or_free) == list(range(cfg.spill_capacity))
+            # spilled keys hold distinct slots of the spill interval
+            slots = list(self.ph._spill.slot_of.values())
+            assert len(set(slots)) == len(slots)
+            assert all(0 <= slot < cfg.spill_capacity for slot in slots)
 
     run_state_machine_as_test(PerfectHashMachine, settings=STATEFUL_SETTINGS)
