@@ -22,19 +22,24 @@ neighbors, at most one on S̄ (below), plus O(top) index writes that follow
 one rule.  Per trie order, entries are mandated for every branching node
 and (depending on the variant) for active children of branching nodes or
 for active nodes with a branching ancestor inside their natural depth-B
-subtree; each holds the depth of its lowest branching ancestor.  A key x
-with neighbor-LCA v, whose lowest branching ancestor is a, changes three
-sets of entries: keys absent without x that hold a's depth with it (the
-order-k node that x makes branching), keys absent without x that hold v's
-depth with it, and keys that hold a's depth without x and v's depth with
-it.  ``_index_changes`` alone computes the three, for every key, as key
-lists in a fixed order; an insert applies them forwards and a delete
+subtree.  An order-t node at depth k is the binary trie's node at bit
+depth min(k*B**t, w), and its entry holds the depth of that node's lowest
+branching ancestor, a value of the node and not of the order.  So the
+index holds one entry per node that some order mandates.  A key x with
+neighbor-LCA v, whose lowest branching ancestor is a, changes three sets
+of nodes: nodes no order mandates without x that hold a's depth with it
+(v's node in an order where x makes it branching), nodes no order
+mandates without x that hold v's depth with it, and nodes that hold a's
+depth without x and v's depth with it.  ``_index_changes`` alone computes
+the three, for every key, as lists of node keys in a fixed order that
+name each node once; an insert applies them forwards and a delete
 backwards, each non-empty list with one batch call into the index, so a
 delete is the exact inverse of the insert it undoes.  The rule has one
 loop over the orders for 5b and two for core and 5a, the shorter one for
-a lone key y, which has no branching node on its path below v;
-``tests/indexrule.py`` keeps the general loop they specialize as the
-oracle.
+a lone key y, which has no branching node on its path below v.  Each
+visits the orders coarsest first, and the first order to name a node
+decides its change.  ``tests/indexrule.py`` keeps the per-order loop they
+fold as the oracle.
 
 The root's record exists for the reporter's lifetime: ``__init__`` creates
 it with both sides empty, along with its S̄ key, its Open and its Close, and
@@ -47,40 +52,42 @@ own record.  Both cases end alike: x's element is placed or removed, then
 the index batches run.
 
 A node's identity lives only in its key: the prefix, left-aligned in a
-width-bit field, above ten tag bits for depth and order.  ``_enc`` builds
-the key and ``_dec`` reads depth and prefix back, both from the chunk
-sizes.  One key table addresses every node: ``_codes[t][d]`` is the
-order-t depth-d key with every prefix bit set, so and-ed with a code below
-a node whose tag bits are all set, such as a leaf code, it gives the key
-of the order-t depth-d node on that node's path.  Updates key their
-records and index changes this way from x's leaf code, and findany from
-a's.  ``_ancestor`` and ``_verified_descendant`` take such a code, not a
-prefix, and read the side a path takes and whether a tag lies in a
-subtree off it with one shift each, so neither an update nor a findany
-probe calls the encoder.
+width-bit field, above seven tag bits that hold its bit depth, 0 to w.
+Index entries, branching records and S̄ share these keys, and no key names
+an order.  ``_enc`` builds the key from bit depth and prefix and ``_dec``
+reads them back.  One key table addresses every node: one code per bit
+depth with every prefix bit set, so and-ed with a code below a node whose
+tag bits are all set, such as a leaf code, it gives the key of the node at
+that bit depth on that node's path.  ``_codes[t][d]`` is the table's code
+for the order-t depth-d node, the same int for every order that reaches
+its bit depth.  Updates key their records and index changes this way from
+x's leaf code, and findany from a's.  ``_ancestor`` and
+``_verified_descendant`` take such a code, not a prefix, and read the side
+a path takes and whether a tag lies in a subtree off it with one shift
+each, so neither an update nor a findany probe calls the encoder.
 
-A branching record, stored under its order-0 key, keeps no depth or
+A branching record, stored under its node's key, keeps no depth or
 prefix.  Its slots ``left`` and ``right`` name its two child subtrees by
-a descendant tag each: the leaf code ``(x << 10) | 1023`` of a lone key x
-(``_leaf_code``), or the branching child's order-0 key; None marks an
-empty side of the root.  An update overwrites the tag of the side it
-changes in place, after every consistency check has passed.  Both kinds
-of tag hold their prefix above the tag bits, and the depth field reads d
-for a node and 127 for a leaf, so ``_verified_descendant``, which checks
+a descendant tag each: the leaf code ``(x << 7) | 127`` of a lone key x
+(``_leaf_code``), or the branching child's key; None marks an empty side
+of the root.  An update overwrites the tag of the side it changes in
+place, after every consistency check has passed.  Both kinds of tag hold
+their prefix above the tag bits, and the depth field reads d for a node
+and 127 for a leaf, so ``_verified_descendant``, which checks
 every index answer a query uses, reads a descendant's place from its tag
 alone.
 
 A record keeps no link to its lowest branching ancestor a.  A delete reads
-a's depth from v's own order-0 index entry, which every branching node
-has.  An insert, before v has one, reads it from S̄, the predecessor set
-over the branching nodes' order-0 keys: a key holds its prefix
+a's depth from v's own index entry, which every branching node has.  An
+insert, before v has one, reads it from S̄, the predecessor set over the
+branching nodes' keys: a key holds its prefix
 left-aligned above the depth field, so the keys sort in preorder, and the
 key z just before v's is a itself or the last branching node in a's left
 subtree, whose path parts from v's at a.  Either way a's depth is the
 smaller of z's depth and the length of the prefix z's key shares with v's.
 Navigation-list entries, which are their own handles, live only with their
 owners.  ``leaves[x]`` holds x's element entry.  A branching record is
-itself v's Open entry, one object with v's order-0 key as its value, so
+itself v's Open entry, one object with v's key as its value, so
 ``table[v_key]`` is the listed entry; its slot ``close`` holds v's Close,
 whose value is the same key.  Entries keep no links; the list's buckets
 alone hold their order, which is the tree's: Open(v), v's left subtree,
@@ -116,11 +123,8 @@ BACKEND_EXACT = "exact"
 BACKEND_BLOOMIER = "bloomier"
 BACKENDS = (BACKEND_EXACT, BACKEND_BLOOMIER)
 
-# tag fields of an encoded node name: depth <= 64 needs 7 bits, order <= 6
-# needs 3
-_DEPTH_BITS = 7
-_ORDER_BITS = 3
-_TAG_BITS = _DEPTH_BITS + _ORDER_BITS
+# the tag field of an encoded node name: a bit depth 0..64, or 127 for a leaf
+_TAG_BITS = 7
 _TAG_MASK = (1 << _TAG_BITS) - 1
 
 
@@ -263,7 +267,7 @@ class AncestorIndex:
 
 class BranchingRecord(Open):
     """A branching node's record, which is also the node's Open entry in the
-    navigation list; its value is the node's order-0 key.  It compares by
+    navigation list; its value is the node's key.  It compares by
     identity: ``list.index`` finds an entry by ``==``."""
 
     __slots__ = ("left", "right", "close")
@@ -307,7 +311,7 @@ class RangeReporter:
         self._chunks = [self.B**t for t in range(self.top + 1)]
         self._tdepth = [trie_depth(self.w, t, self.B) for t in range(self.top + 1)]
         self.pred = PredecessorSet(self.w)
-        # S̄: the branching nodes' order-0 keys, which sort in preorder
+        # S̄: the branching nodes' keys, which sort in preorder
         self._sbar_pred = PredecessorSet(self.w + _TAG_BITS)
         self.nav = NavList(self.w)
         self.table: dict[int, BranchingRecord] = {}
@@ -323,16 +327,20 @@ class RangeReporter:
         )
         self.stats = OpStats(pred_sets=(self.pred, self._sbar_pred))
         self._fast_query = config.variant == VARIANT_FAST_QUERY
-        # _codes[t][d] is the order-t depth-d code with every prefix bit set:
-        # and-ed with _leaf_code(x) it gives the code of that node on x's path
+        # one code per bit depth, with every prefix bit set: and-ed with
+        # _leaf_code(x) it gives the key of that node on x's path.
+        # _codes[t][d] is the order-t depth-d node's entry of that table
+        node_codes = [self._enc(bd, (1 << bd) - 1) for bd in range(self.w + 1)]
         self._codes = [
-            [self._enc(t, d, (1 << min(d * ch, self.w)) - 1) for d in range(td + 1)]
-            for t, (ch, td) in enumerate(zip(self._chunks, self._tdepth))
+            [node_codes[min(d * ch, self.w)] for d in range(td + 1)]
+            for ch, td in zip(self._chunks, self._tdepth)
         ]
+        # the index rule visits the orders coarsest first
+        self._coarse_first = list(zip(self._chunks, self._codes))[::-1]
         self._q_nav = 0
         # the root's record, with both sides empty, lives as long as the
         # reporter
-        root_key = self._root_key = self._enc(0, 0, 0)
+        root_key = self._root_key = self._enc(0, 0)
         root = self.table[root_key] = BranchingRecord(root_key, None, None)
         self._sbar_pred.insert(root_key)
         self.nav.insert_first(root)
@@ -340,20 +348,18 @@ class RangeReporter:
 
     # -- encodings ----------------------------------------------------------
 
-    def _enc(self, t: int, d: int, p: int) -> int:
-        """The index key of the order-t node at depth d with prefix p.
+    def _enc(self, bd: int, p: int) -> int:
+        """The key of the node at bit depth bd with prefix p.
 
         The prefix is left-aligned in a width-bit field, so that names of
-        different depths cannot collide, and depth and order follow it.
+        different depths cannot collide, and the bit depth follows it.
         """
-        pb = min(d * self._chunks[t], self.w)
-        return (p << (_TAG_BITS + self.w - pb)) | (d << _ORDER_BITS) | t
+        return (p << (_TAG_BITS + self.w - bd)) | bd
 
     def _dec(self, key: int) -> tuple[int, int]:
-        """(depth, prefix) of the index key of a node of any order."""
-        d = (key >> _ORDER_BITS) & ((1 << _DEPTH_BITS) - 1)
-        pb = min(d * self._chunks[key & ((1 << _ORDER_BITS) - 1)], self.w)
-        return d, key >> (_TAG_BITS + self.w - pb)
+        """(bit depth, prefix) of a node's key."""
+        bd = key & _TAG_MASK
+        return bd, key >> (_TAG_BITS + self.w - bd)
 
     @staticmethod
     def _leaf_code(x: int) -> int:
@@ -446,7 +452,7 @@ class RangeReporter:
             if not fresh:
                 raise AssertionError("x's neighbors diverge at a branching node")
             try:
-                a_depth = min((z & _TAG_MASK) >> _ORDER_BITS,
+                a_depth = min(z & _TAG_MASK,
                               w - ((z ^ v_key) >> _TAG_BITS).bit_length())
                 a_rec, side_a = self._ancestor(a_depth, xc)
                 y_tag = a_rec.right if side_a else a_rec.left
@@ -495,7 +501,8 @@ class RangeReporter:
 
     def _index_changes(self, x: int, d_v: int, y_tag, a_depth: int,
                        a_real: bool) -> tuple[list[int], list[int], list[int]]:
-        """The index entries that x's presence changes, as three key lists.
+        """The index entries that x's presence changes, as three lists of
+        node keys that name each node once.
 
         v = LCA(x, its nearer key neighbor) sits at depth d_v, y_tag names
         v's child subtree other than x (None when x is alone under the
@@ -503,80 +510,118 @@ class RangeReporter:
         when v is the root); a_real says whether a branches without x (it
         then branches with x too), so an insert and the delete that undoes
         it pass the same arguments.
-        Returns the keys that are absent without x and hold a_depth with it
-        (the order-k node that x makes branching), the keys that are absent
-        without x and hold d_v with it, and the keys that hold a_depth
-        without x and d_v with it.  In each order, v's order-k node covers
-        the depths [k*ch, (k+1)*ch); it branches without x iff it is the
-        root, or a branching a or y's node lies in that chunk.
+        Returns the nodes that no order mandates without x and that hold
+        a_depth with it (a node on v's path that x makes branching), the
+        nodes that no order mandates without x and that hold d_v with it,
+        and the nodes that hold a_depth without x and d_v with it.
+
+        Each order names nodes of its own trie.  In each order, v's order-k
+        node covers the bit depths [k*ch, (k+1)*ch); it branches without x
+        iff it is the root, or a branching a or y's node lies in that
+        chunk.  Orders whose chunks share a bit depth name the same node,
+        and the orders that name one node in the same role are consecutive.
+        The loops visit the orders coarsest first and let the first visit
+        decide: every test that keeps a node out of an order without x
+        (neither it nor its parent branches) is hardest to pass in the
+        coarsest order.  So v's node is added only if that order adds it,
+        and a node below v already holds an entry if that order or y's own
+        node's order holds one.
         """
         # a branches without x and lies at or below depth m iff a_lim >= m
         a_lim = a_depth if a_real else -1
         # a code below x, or below y, also addresses every node on its path
         xc = (x << _TAG_BITS) | _TAG_MASK
-        if y_tag is None:
-            # nothing survives below v without x: the surviving path ends
-            # at v, which branches as the root
+        if y_tag is None or not d_v:
+            # nothing survives below v without x, or v is the root, whose
+            # depth, 0, the nodes on y's side hold already: either way only
+            # x's nodes change, as if the surviving path ended at v
             y_d0, yc = d_v, 0
         elif (y_tag & _TAG_MASK) == _TAG_MASK:
             y_d0, yc = -1, y_tag
         else:
-            # a node key's low ten bits are its depth over the order-0 field
-            y_d0, yc = (y_tag & _TAG_MASK) >> _ORDER_BITS, y_tag | _TAG_MASK
+            y_d0, yc = y_tag & _TAG_MASK, y_tag | _TAG_MASK
         if self._fast_query:
             return self._index_changes_5b(xc, d_v, y_d0, yc, a_lim)
         to_a: list[int] = []
         to_v: list[int] = []
         a_to_v: list[int] = []
+        # v's node's bit depth and the code of the node below it, as the
+        # last order visited named them
+        last_kc = last_code = -1
         if y_d0 < 0:
             # y is a lone key: no branching node lies on its path below v,
             # and its one entry per order sits right below v's node
-            for ch, codes in zip(self._chunks, self._codes):
+            for ch, codes in self._coarse_first:
                 k = d_v // ch
                 kc = k * ch
-                code = codes[k + 1]
                 # v's node, unless it or its parent branches without x
-                if k > 1 and a_lim + ch < kc:
-                    to_a.append(xc & codes[k])
-                to_v.append(xc & code)
-                if not k or a_lim >= kc:
-                    a_to_v.append(yc & code)
-                else:
-                    to_v.append(yc & code)
+                if kc != last_kc:
+                    last_kc = kc
+                    if k > 1 and a_lim + ch < kc:
+                        to_a.append(xc & codes[k])
+                code = codes[k + 1]
+                if code != last_code:
+                    last_code = code
+                    to_v.append(xc & code)
+                    if not k or a_lim >= kc:
+                        a_to_v.append(yc & code)
+                    else:
+                        to_v.append(yc & code)
             return to_a, to_v, a_to_v
-        for ch, codes in zip(self._chunks, self._codes):
+        # the code of y's own node as the last order visited named it
+        last_own = -1
+        for ch, codes in self._coarse_first:
             k = d_v // ch
             kc = k * ch
             yk = y_d0 // ch
+            if kc != last_kc:
+                last_kc = kc
+                if k > 1 and a_lim + ch < kc and yk != k:
+                    to_a.append(xc & codes[k])
             code = codes[k + 1]
-            if k > 1 and a_lim + ch < kc and yk != k:
-                to_a.append(xc & codes[k])
-            to_v.append(xc & code)
-            if yk > k:
-                if yk == k + 1 or not k or a_lim >= kc:
+            if code != last_code:
+                last_code = code
+                to_v.append(xc & code)
+                if yk == k + 1:
+                    # y's own node, branching in this order
+                    last_own = code
                     a_to_v.append(yc & code)
-                else:
-                    to_v.append(yc & code)
-                if yk > k + 1:
-                    # y's own node, branching in this order too
-                    a_to_v.append(yc & codes[yk])
+                elif yk > k:
+                    if not k or a_lim >= kc:
+                        a_to_v.append(yc & code)
+                    else:
+                        to_v.append(yc & code)
+            if yk > k + 1:
+                # y's own node, branching in this order too
+                code = codes[yk]
+                if code != last_own:
+                    last_own = code
+                    a_to_v.append(yc & code)
         return to_a, to_v, a_to_v
 
     def _index_changes_5b(self, xc: int, d_v: int, y_d0: int, yc: int,
                           a_lim: int) -> tuple[list[int], list[int], list[int]]:
         """``_index_changes`` for variant 5b, where an active node is
         stored when a branching node sits between its natural depth-B
-        subtree's root and it; y_d0 is -1 for a lone key y."""
+        subtree's root and it; y_d0 is -1 for a lone key y.
+
+        An order names the nodes below v's down to the border of v's
+        natural subtree, all above the first node below v that the next
+        coarser order names.  So the orders share only v's node, the
+        leaf-level node at bit depth w, and y's own node.
+        """
         B = self.B
         y_real = y_d0 >= 0
         to_a: list[int] = []
         to_v: list[int] = []
         a_to_v: list[int] = []
-        for ch, codes in zip(self._chunks, self._codes):
+        last_kc = last_own = -1
+        leaf_named = False
+        for ch, codes in self._coarse_first:
             k = d_v // ch
+            kc = k * ch
             yk = y_d0 // ch
             ns_root = (k // B) * B
-            border = min(ns_root + B - 1, len(codes) - 1)
             # a surviving-path node inside this natural subtree is stored
             # without x iff some branching node sits between the subtree
             # root and it: the deepest candidate is a
@@ -584,19 +629,33 @@ class RangeReporter:
             # v's node, unless it branches without x or is stored already;
             # with no branching node in its natural subtree above it, k > 0
             # and a lies above v's chunk
-            if not had_ns_anc and yk != k:
-                to_a.append(xc & codes[k])
+            if kc != last_kc:
+                last_kc = kc
+                if not had_ns_anc and yk != k:
+                    to_a.append(xc & codes[k])
+            leaf = len(codes) - 1
+            border = ns_root + B - 1
+            if border >= leaf:
+                # the coarsest order to reach the leaf level names its node
+                border = leaf - leaf_named
+                leaf_named = True
             for dd in range(k + 1, border + 1):
                 to_v.append(xc & codes[dd])
             for dd in range(k + 1, border + 1):
-                if y_real and dd > yk:
+                if y_real and dd >= yk:
+                    if dd == yk:
+                        last_own = codes[dd]
+                        a_to_v.append(yc & last_own)
                     break
-                if had_ns_anc or dd == yk:
+                if had_ns_anc:
                     a_to_v.append(yc & codes[dd])
                 else:
                     to_v.append(yc & codes[dd])
             if y_real and yk > border:
-                a_to_v.append(yc & codes[yk])
+                code = codes[yk]
+                if code != last_own:
+                    last_own = code
+                    a_to_v.append(yc & code)
         return to_a, to_v, a_to_v
 
     def delete(self, x: int) -> bool:
@@ -641,8 +700,8 @@ class RangeReporter:
                 rec.left = None
             a_depth, a_real = 0, False
         else:
-            # v's own order-0 index entry holds the depth of a, its lowest
-            # branching ancestor
+            # v's own index entry holds the depth of a, its lowest branching
+            # ancestor
             self.index.reads += 1
             a_depth = self.index.get(v_key)
             if a_depth is None or a_depth >= d_v:
@@ -677,16 +736,16 @@ class RangeReporter:
         if d >= self._tdepth[t]:
             return False
         ch = self._chunks[t]
-        key = self._enc(t, d, p)
+        key = self._enc(d * ch, p)
         self.index.reads += 1
         desc = self._verified_descendant(self.index.get(key), d * ch, key | _TAG_MASK)
         # the node branches iff that descendant is a node inside its chunk;
         # a leaf's depth field, 127, lies past the end of every chunk
-        return desc is not None and (desc & _TAG_MASK) >> _ORDER_BITS < (d + 1) * ch
+        return desc is not None and desc & _TAG_MASK < (d + 1) * ch
 
     def _verified_descendant(self, depth: int | None, v_d: int, vc: int):
         """The descendant tag on v's side of the branching record at `depth`
-        on the order-0 node v's path, or None unless that record exists, is
+        on the node v's path, or None unless that record exists, is
         a strict ancestor of v, and its tag lies inside v's subtree.
 
         v is the depth-v_d node on the path of vc, a code with every tag bit
@@ -700,7 +759,7 @@ class RangeReporter:
         if rec is None:
             return None
         desc = rec.right if (vc >> (_TAG_BITS + self.w - 1 - depth)) & 1 else rec.left
-        if (desc is None or (desc & _TAG_MASK) >> _ORDER_BITS < v_d
+        if (desc is None or desc & _TAG_MASK < v_d
                 or (desc ^ vc) >> (_TAG_BITS + self.w - v_d)):
             return None
         return desc
@@ -766,7 +825,7 @@ class RangeReporter:
                     reads += 1
                     kc = k * ch
                     desc = verified(get(vc & codes[mid][k]), kc, vc)
-                    if desc is None or (desc & _TAG_MASK) >> _ORDER_BITS >= kc + ch:
+                    if desc is None or desc & _TAG_MASK >= kc + ch:
                         lo = mid + 1
                         continue
                 hi = mid
@@ -878,14 +937,14 @@ class RangeReporter:
             if hi - lo == 1:
                 return self._leaf_code(elems[lo])
             d = lca_depth(elems[lo], elems[hi - 1], w)
-            return self._enc(0, d, elems[lo] >> (w - d))
+            return self._enc(d, elems[lo] >> (w - d))
 
         def build(lo: int, hi: int):
             d = lca_depth(elems[lo], elems[hi - 1], w)
             p = elems[lo] >> (w - d)
             threshold = ((p << 1) | 1) << (w - d - 1)
             m = bisect_left(elems, threshold, lo, hi)
-            out[self._enc(0, d, p)] = (top_tag(lo, m), top_tag(m, hi))
+            out[self._enc(d, p)] = (top_tag(lo, m), top_tag(m, hi))
             if m - lo >= 2:
                 build(lo, m)
             if hi - m >= 2:
@@ -933,60 +992,56 @@ class RangeReporter:
                "S̄ keys differ from the branching table")
 
     def _mandated_entries(self, elems: list[int]) -> dict[int, int]:
-        """Brute-force mandated index keys and their exact values."""
+        """Brute-force mandated index entries, keyed by node, with their
+        exact values; nodes that several orders mandate must agree."""
         w = self.w
         B = self.B
         real: set[int] = set()
         for i in range(len(elems) - 1):
             d = lca_depth(elems[i], elems[i + 1], w)
-            real.add(self._enc(0, d, elems[i] >> (w - d)))
+            real.add(self._enc(d, elems[i] >> (w - d)))
 
-        def lba_depth(d0: int, path: int) -> int:
-            # deepest real branching node strictly above depth d0 on the path
-            # of a key with the given leading bits (path has >= d0 bits here)
-            for dd in range(d0 - 1, 0, -1):
-                if self._enc(0, dd, path >> (d0 - dd)) in real:
+        def lba_depth(bd: int, path: int) -> int:
+            # deepest real branching node strictly above bit depth bd on the
+            # path of a key with the given leading bits (path has bd bits)
+            for dd in range(bd - 1, 0, -1):
+                if self._enc(dd, path >> (bd - dd)) in real:
                     return dd
             return 0
 
+        def node(bd: int, x: int) -> int:
+            return self._enc(bd, x >> (w - bd))
+
         mandated: dict[int, int] = {}
         fast_query = self.config.variant == VARIANT_FAST_QUERY
-        for t in range(self.top + 1):
-            ch = self._chunks[t]
-            td = self._tdepth[t]
+        for ch, td in zip(self._chunks, self._tdepth):
+            # this order's branching nodes, keyed by their bit depth k*ch
             branching_t: set[int] = set()
             for d, p in map(self._dec, real):
                 k = d // ch
                 if k:
-                    branching_t.add(self._enc(t, k, p >> (d - k * ch)))
-            for key in branching_t:
-                d_t, p_t = self._dec(key)
-                mandated[key] = lba_depth(d_t * ch, p_t)
+                    branching_t.add(self._enc(k * ch, p >> (d - k * ch)))
+            order_t = dict.fromkeys(branching_t)
             for x in elems:
                 for dd in range(1, td + 1):
-                    r0d = min(dd * ch, w)
-                    key = self._enc(t, dd, x >> (w - r0d))
-                    if key in mandated:
+                    key = node(min(dd * ch, w), x)
+                    if key in order_t:
                         continue
                     if fast_query:
                         ns_root = (dd // B) * B
-                        ok = False
-                        if dd % B != 0:
-                            if ns_root == 0:
-                                ok = True  # the trie root heads this subtree
-                            else:
-                                for au in range(ns_root, dd):
-                                    if self._enc(
-                                        t, au, x >> (w - min(au * ch, w))
-                                    ) in branching_t:
-                                        ok = True
-                                        break
+                        ok = dd % B != 0 and (
+                            # the trie root heads this subtree
+                            ns_root == 0
+                            or any(node(au * ch, x) in branching_t
+                                   for au in range(ns_root, dd)))
                     else:
-                        ok = dd == 1 or self._enc(
-                            t, dd - 1, x >> (w - (dd - 1) * ch)
-                        ) in branching_t
+                        ok = dd == 1 or node((dd - 1) * ch, x) in branching_t
                     if ok:
-                        mandated[key] = lba_depth(r0d, x >> (w - r0d))
+                        order_t[key] = None
+            for key in order_t:
+                value = lba_depth(*self._dec(key))
+                if mandated.setdefault(key, value) != value:
+                    raise AssertionError(f"orders disagree on the entry of {self._dec(key)}")
         return mandated
 
     def _check_index(self, elems: list[int]) -> None:

@@ -1,20 +1,24 @@
-"""The index-entry rule in its general form, as a test oracle.
+"""The index-entry rule per trie order, as a test oracle.
 
 ``index_changes`` is one loop over the trie orders that reads every case
-(a lone key or a node as y, each variant) through the same flags.  The
-range reporter computes the same three lists from per-variant loops that
-fold those flags; tests check that both agree, list by list and in order,
-as ``nodemap`` does for the key encoding.
+(a lone key or a node as y, each variant) through the same flags, and
+names the entries each order changes.  Orders whose chunks share a bit
+depth name the same node, so a node may appear once per order.  The range
+reporter folds these lists into one change per node; tests check that each
+node it names appears here, that it sets exactly the nodes some order sets,
+and at small widths that it equals the brute-force diff of the mandated
+entries.
 """
 
 from __future__ import annotations
 
-from wordram.rangereport import _ORDER_BITS, _TAG_BITS, _TAG_MASK, RangeReporter
+from wordram.rangereport import _TAG_BITS, _TAG_MASK, RangeReporter
 
 
 def index_changes(rr: RangeReporter, x: int, d_v: int, y_tag, a_depth: int,
                   a_real: bool) -> tuple[list[int], list[int], list[int]]:
-    """The index entries that x's presence changes, as three key lists.
+    """The index entries that x's presence changes in each order, as three
+    lists of node keys.
 
     v = LCA(x, its nearer key neighbor) sits at depth d_v, y_tag names v's
     child subtree other than x (None when x is alone under the root), and
@@ -30,8 +34,8 @@ def index_changes(rr: RangeReporter, x: int, d_v: int, y_tag, a_depth: int,
         y_real, y_d0, nc = True, d_v, 0
     else:
         y_real = (y_tag & _TAG_MASK) != _TAG_MASK
-        # a node key's low ten bits are its depth over the order-0 field
-        y_d0 = (y_tag & _TAG_MASK) >> _ORDER_BITS if y_real else rr.w
+        # a node key's tag bits are its bit depth
+        y_d0 = y_tag & _TAG_MASK if y_real else rr.w
         # a code below y also addresses every node on y's path
         nc = y_tag | _TAG_MASK
     fast_query = rr._fast_query

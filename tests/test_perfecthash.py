@@ -128,6 +128,76 @@ def test_spill_overflow_raises_rebuild_required():
     assert len(seen) <= ph.config.bucket_capacity + 1
 
 
+def spill_forcing_keys(ph, rng, buckets):
+    """Endless distinct random keys that route to one of `buckets`, found
+    with the structure's own route: fed to insert, they fill those buckets
+    and then the spill."""
+    seen = set()
+    while True:
+        key = rng.getrandbits(ph.config.universe_bits)
+        if key not in seen and ph._route(key)[0] in buckets:
+            seen.add(key)
+            yield key
+
+
+def test_spill_fills_at_full_size():
+    # at capacity 2**16 over 64-bit keys, random keys never reach the spill
+    # in bulk; keys that route to four chosen buckets overflow them and
+    # then fill the spill's 8,192 slots
+    ph = make(n=1 << 16, u_bits=64, seed=5)
+    cfg = ph.config
+    rng = random.Random(5)
+    stream = spill_forcing_keys(ph, rng, set(rng.sample(range(cfg.bucket_count), 4)))
+    values = {}
+    for key in stream:
+        b, short = ph._route(key)
+        bucket = ph._buckets[b]
+        spills = len(bucket) == cfg.bucket_capacity or short in bucket.slot_of
+        if spills and len(ph._spill) == cfg.spill_capacity:
+            # RebuildRequired fires exactly when a key must spill into a
+            # full spill, and changes nothing
+            with pytest.raises(RebuildRequired):
+                ph.insert(key)
+            refused = key
+            break
+        value, inserted = ph.insert(key)
+        assert inserted and (value >= cfg.bucket_range) == spills
+        values[key] = value
+    assert len(ph._spill) == ph.spill_peak == cfg.spill_capacity
+    assert ph.live_count == len(values) < cfg.capacity
+    # values stay injective and in range
+    assert len(set(values.values())) == len(values)
+    assert all(0 <= v < cfg.range_size for v in values.values())
+    assert all(ph.evaluate(key) == v for key, v in values.items())
+    # spilled keys delete, which makes room for the refused key, and
+    # reinsert, into the spill again as their buckets are still full
+    spilled = [key for key, v in values.items() if v >= cfg.bucket_range]
+    gone = rng.sample(spilled, 100)
+    for key in gone:
+        assert ph.delete(key)
+        del values[key]
+    value, inserted = ph.insert(refused)
+    assert inserted and value >= cfg.bucket_range
+    values[refused] = value
+    for key in gone[1:]:
+        value, inserted = ph.insert(key)
+        assert inserted and value >= cfg.bucket_range
+        values[key] = value
+    with pytest.raises(RebuildRequired):
+        ph.insert(gone[0])
+    assert len(set(values.values())) == len(values) == ph.live_count
+    assert all(ph.evaluate(key) == v for key, v in values.items())
+    # a rebuild under a fresh seed scatters the live keys over every bucket
+    # and serves inserts again
+    fresh = ph.rebuild(list(values), seed=6)
+    assert fresh.live_count == len(values) and fresh.spill_peak < cfg.spill_capacity
+    value, inserted = fresh.insert(gone[0])
+    assert inserted
+    values = {key: fresh.evaluate(key) for key in [*values, gone[0]]}
+    assert len(set(values.values())) == len(values)
+    assert all(0 <= v < cfg.range_size for v in values.values())
+
+
 def test_rebuild_reinserts_live_keys():
     ph = make(n=64, u_bits=32, seed=1)
     keys = random.Random(1).sample(range(1 << 32), 40)

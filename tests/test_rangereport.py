@@ -14,6 +14,7 @@ import pytest
 from wordram.rangereport import (
     BACKEND_BLOOMIER,
     BACKEND_EXACT,
+    _TAG_BITS,
     RangeConfig,
     RangeReporter,
 )
@@ -99,7 +100,7 @@ def test_two_keys_build_one_branching_node():
     rr.insert(10)
     rr.insert(12)
     # their paths diverge at depth 5; the node's parentheses enclose both
-    key = rr._enc(0, 5, 10 >> 3)
+    key = rr._enc(5, 10 >> 3)
     rec = rr.table[key]
     assert rr._dec(key) == (5, 10 >> 3)
     entries = list(rr.nav)
@@ -157,7 +158,7 @@ def test_failed_delete_leaves_structure_unchanged():
         rr.insert(x)
     # LCA(3, 100), at depth 1, names its leaves the wrong way round, so the
     # delete's own descendant check fires
-    key = rr._enc(0, 1, 0)
+    key = rr._enc(1, 0)
     rec = rr.table[key]
     rec.left, rec.right = rec.right, rec.left
     dump = rr.dump()
@@ -177,7 +178,7 @@ def test_failed_insert_leaves_structure_unchanged():
         rr.insert(x)
     # LCA(3, 100), at depth 1, loses its left descendant, so inserting 2
     # finds an empty side where the new node's sibling subtree should be
-    key = rr._enc(0, 1, 0)
+    key = rr._enc(1, 0)
     rec = rr.table[key]
     left, rec.left = rec.left, None
     sbar_keys, entries, dump = list(rr._sbar_pred), list(rr.nav), rr.dump()
@@ -227,7 +228,7 @@ def test_insert_finds_the_ancestor_from_the_preorder_predecessor():
     root = rr._root_key
 
     def enc(d, p):
-        return rr._enc(0, d, p)
+        return rr._enc(d, p)
 
     steps = [
         # (x, v, a, v's side of a, z)
@@ -411,12 +412,12 @@ def test_variants_w8_fuzz_with_audit(variant, branch, backend):
 DEEP_BASE = 0x9E3779B97F4A7C15  # any fixed 64-bit word
 
 
-def deep_key(rng):
-    """DEEP_BASE with a random-length random suffix: two such keys diverge
-    at any depth, so branching nodes fall at every depth 0-63, not only
-    above about 2 lg n as with uniform keys."""
-    k = rng.randrange(65)
-    return DEEP_BASE >> k << k | rng.getrandbits(k)
+def deep_key(rng, width=64):
+    """DEEP_BASE's top width bits with a random-length random suffix: two
+    such keys diverge at any depth, so branching nodes fall at every depth,
+    not only above about 2 lg n as with uniform keys."""
+    k = rng.randrange(width + 1)
+    return DEEP_BASE >> (64 - width) >> k << k | rng.getrandbits(k)
 
 
 @pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5a", 8), ("5b", 4),
@@ -541,7 +542,7 @@ def test_verify_lowest_ancestor_public_contract():
     rr = make(seed=13)
     for x in (0b00000001, 0b00000011, 0b11000000):
         rr.insert(x)
-    d6_depth, _ = rr._dec(rr._enc(0, 6, 0b000000))
+    d6_depth, _ = rr._dec(rr._enc(6, 0b000000))
     root_depth, _ = rr._dec(rr._root_key)
     assert rr._verified_descendant(d6_depth, 7, rr._leaf_code(0b0000001 << 1)) is not None
     # the root is an ancestor but its descendant on v's side sits above v
@@ -553,15 +554,23 @@ def test_verify_lowest_ancestor_public_contract():
 @pytest.mark.parametrize("branch", [2, 4, 8])
 def test_node_encoding_injective_w8(branch):
     rr = make(branch=branch, variant="core" if branch == 2 else "5a")
-    seen = set()
+    keys = {}
+    for bd in range(9):
+        for p in range(1 << bd):
+            key = rr._enc(bd, p)
+            assert key not in keys and rr._dec(key) == (bd, p)
+            keys[key] = bd, p
+            # w + 7 tag bits: the key width the index is built for
+            assert key.bit_length() <= 8 + 7
+    # every order's node is the node at its bit depth, and the key table
+    # gives its key from a leaf code below it
     for t in range(rr.top + 1):
         for d in range(rr._tdepth[t] + 1):
-            for p in range(1 << min(d * branch**t, 8)):
-                key = rr._enc(t, d, p)
-                assert key not in seen
-                seen.add(key)
-                # w + 10 tag bits: the key width the index is built for
-                assert key.bit_length() <= 8 + 10
+            bd = min(d * branch**t, 8)
+            for p in range(1 << bd):
+                key = rr._enc(bd, p)
+                assert keys[key] == (bd, p)
+                assert rr._codes[t][d] & rr._leaf_code(p << (8 - bd)) == key
 
 
 def test_dump_format():
@@ -700,11 +709,11 @@ def test_query_keys_are_encoder_keys(variant, branch, width):
         del index_keys[:], table_keys[:]
         rr.findany(a, b)
         # every probed node lies on a's path: the key the query built must
-        # be the one _enc gives for that node's order, depth and prefix
+        # be the one _enc gives for that node's bit depth and prefix
         for key in index_keys + table_keys:
-            t, d = key & 7, (key >> 3) & 127
-            assert key == rr._enc(t, d, a >> (width - min(d * branch**t, width))), (a, b)
-        assert all(key & 7 == 0 for key in table_keys)
+            bd = key & 127
+            assert key == rr._enc(bd, a >> (width - bd)), (a, b)
+        assert all(key & 127 < width for key in table_keys)
         reads += len(index_keys)
     assert reads > 0 and rr.stats.max_test_branching >= 1
 
@@ -723,7 +732,7 @@ def change_shapes(rng, rr):
         # y shares x's d_v leading bits and takes v's other side
         y = (((x >> low) ^ 1) << low) | rng.getrandbits(low)
         y_tags = [rr._leaf_code(y)]
-        y_tags += [rr._enc(0, y_d0, y >> (w - y_d0)) for y_d0 in range(d_v + 1, w)]
+        y_tags += [rr._enc(y_d0, y >> (w - y_d0)) for y_d0 in range(d_v + 1, w)]
         if d_v:
             a_shapes = [(0, False)] + [(a_depth, True) for a_depth in range(d_v)]
         else:
@@ -734,21 +743,23 @@ def change_shapes(rng, rr):
                 yield x, d_v, y_tag, a_depth, a_real
 
 
-# the exact maximum index writes of one update at w=64, over every shape:
-# 5a trades fewer writes for longer resolution walks as B grows, 5b the
-# other way round
+# the exact maximum index writes of one update at w=64, over every shape,
+# one write per node: 5a trades fewer writes for longer resolution walks
+# as B grows, 5b the other way round
 W64_MAX_WRITES = {
-    ("core", 2): 22,
-    ("5a", 2): 22, ("5a", 4): 12, ("5a", 8): 9, ("5a", 16): 8, ("5a", 32): 7, ("5a", 64): 5,
-    ("5b", 2): 20, ("5b", 4): 21, ("5b", 8): 30, ("5b", 16): 40, ("5b", 32): 68, ("5b", 64): 128,
+    ("core", 2): 16,
+    ("5a", 2): 16, ("5a", 4): 12, ("5a", 8): 9, ("5a", 16): 8, ("5a", 32): 7, ("5a", 64): 5,
+    ("5b", 2): 16, ("5b", 4): 19, ("5b", 8): 28, ("5b", 16): 36, ("5b", 32): 64, ("5b", 64): 126,
 }
 
 
 @pytest.mark.parametrize("variant,branch", list(W64_MAX_WRITES))
 def test_index_rule_matches_its_general_form(variant, branch):
-    # the per-variant loops fold the general loop's flags; both must name
-    # the same keys in the same order, which the filter's choice of
-    # verbatim keys depends on
+    # the rule folds the per-order rule's lists into one change per node:
+    # it names each node once and only nodes some order names, sets
+    # exactly the nodes some order sets, and adds with d_v exactly the
+    # other nodes some order adds with d_v; of the nodes that orders add
+    # with a's depth, it drops those another order holds already
     from indexrule import index_changes
 
     rng = random.Random(53)
@@ -758,10 +769,14 @@ def test_index_rule_matches_its_general_form(variant, branch):
         rr = make(width=width, branch=branch, variant=variant, audit=False)
         shapes = most = 0
         for shape in change_shapes(rng, rr):
-            got = rr._index_changes(*shape)
-            assert got == index_changes(rr, *shape), shape
-            keys = [key for keys in got for key in keys]
-            assert len(set(keys)) == len(keys), shape  # a batch names a key once
+            to_a, to_v, a_to_v = rr._index_changes(*shape)
+            keys = to_a + to_v + a_to_v
+            assert len(set(keys)) == len(keys), shape  # one write per node
+            by_order = [set(keys) for keys in index_changes(rr, *shape)]
+            # at the root every node keeps its value: the root's depth, 0
+            assert set(a_to_v) == (by_order[2] if shape[1] else set()), shape
+            assert set(to_v) == by_order[1] - by_order[2], shape
+            assert set(to_a) <= by_order[0], shape
             shapes += 1
             most = max(most, len(keys))
         assert shapes == {8: 121, 16: 817, 32: 5985, 64: 45761}[width]
@@ -774,26 +789,6 @@ def test_index_rule_matches_its_general_form(variant, branch):
             assert most == W64_MAX_WRITES[variant, branch]
 
 
-def test_core_argmax_shape_writes_its_maximum():
-    # core's argmax shape on the real structure: v at depth 16, y a
-    # branching node at depth 48, and a the root with both sides full
-    rng = random.Random(61)
-    for _ in range(4):
-        p = rng.getrandbits(47)  # 48 bits with the top bit 0
-        y1, y2 = p << 16, (p << 16) | 0x8000
-        rr = make(width=64, capacity=64, seed=61)
-        for key in (1 << 63, y1, y2):
-            rr.insert(key)
-        # x keeps y1's first 16 bits and flips bit 16
-        x = ((y1 >> 47) ^ 1) << 47 | rng.getrandbits(47)
-        before = rr.index.writes
-        rr.insert(x)
-        inserted = rr.index.writes
-        rr.delete(x)
-        assert inserted - before == W64_MAX_WRITES["core", 2]
-        assert rr.index.writes - inserted == W64_MAX_WRITES["core", 2]
-
-
 def shape_keys(rng, rr, x, d_v, y_tag, a_depth, a_real):
     """Keys whose insertion gives x the update shape that change_shapes
     yielded: y (a lone key, or two keys branching at y's node) and, when a
@@ -801,8 +796,8 @@ def shape_keys(rng, rr, x, d_v, y_tag, a_depth, a_real):
     w = rr.w
     keys = []
     if y_tag is not None:
-        if rr._leaf_code(y_tag >> 10) == y_tag:
-            keys.append(y_tag >> 10)
+        if rr._leaf_code(y_tag >> _TAG_BITS) == y_tag:
+            keys.append(y_tag >> _TAG_BITS)
         else:
             y_d0, p = rr._dec(y_tag)
             low = w - 1 - y_d0
@@ -813,10 +808,59 @@ def shape_keys(rng, rr, x, d_v, y_tag, a_depth, a_real):
     return keys
 
 
+@pytest.mark.parametrize("variant,branch", [key for key in W64_MAX_WRITES if key[1] <= 16])
+def test_index_rule_is_the_brute_force_diff(variant, branch):
+    # every shape built on the real structure: the lists the update applies
+    # are the brute-force diff of the mandated entries without and with x
+    rng = random.Random(59)
+    for width in (8, 16):
+        if width < branch:
+            continue
+        probe = make(width=width, branch=branch, variant=variant, audit=False)
+        for shape in change_shapes(rng, probe):
+            x, d_v, _, a_depth, _ = shape
+            rr = make(width=width, branch=branch, variant=variant, audit=False)
+            for key in shape_keys(rng, rr, *shape):
+                rr.insert(key)
+            before = rr._mandated_entries(sorted(rr.leaves))
+            assert rr.index.snapshot() == before, shape
+            seen = []
+            rule = rr._index_changes
+            rr._index_changes = lambda *args: seen.append(args) or rule(*args)
+            rr.insert(x)
+            assert seen == [shape]  # the update took the intended shape
+            after = rr._mandated_entries(sorted(rr.leaves))
+            assert rr.index.snapshot() == after, shape
+            to_a, to_v, a_to_v = rule(*shape)
+            assert after.keys() >= before.keys()
+            assert {key: after[key] for key in after.keys() - before.keys()} == (
+                dict.fromkeys(to_a, a_depth) | dict.fromkeys(to_v, d_v)), shape
+            assert {key for key in before if before[key] != after[key]} == set(a_to_v), shape
+            assert all(after[key] == d_v for key in a_to_v)
+
+
+def test_core_argmax_shape_writes_its_maximum():
+    # core's argmax shape on the real structure: v at depth 1, y a
+    # branching node at depth 63, and a the root with both sides full
+    rng = random.Random(61)
+    for _ in range(4):
+        p = rng.getrandbits(61)  # 63 bits starting 00
+        rr = make(width=64, capacity=64, seed=61)
+        for key in (1 << 63 | rng.getrandbits(63), p << 1, p << 1 | 1):
+            rr.insert(key)
+        # x keeps y's first bit and flips the second
+        x = 1 << 62 | rng.getrandbits(62)
+        before = rr.index.writes
+        rr.insert(x)
+        inserted = rr.index.writes
+        rr.delete(x)
+        assert inserted - before == W64_MAX_WRITES["core", 2]
+        assert rr.index.writes - inserted == W64_MAX_WRITES["core", 2]
+
+
 @pytest.mark.parametrize("variant,branch", [key for key in W64_MAX_WRITES if key[0] != "core"])
 def test_variant_argmax_shapes_write_their_maximum(variant, branch):
-    # the rule's argmax shapes, built on the real w=64 structure; 5b has
-    # one argmax shape at B >= 16
+    # the rule's argmax shapes, built on the real w=64 structure
     rng = random.Random(67)
     most = W64_MAX_WRITES[variant, branch]
     probe = make(width=64, branch=branch, variant=variant, audit=False)
@@ -837,6 +881,27 @@ def test_variant_argmax_shapes_write_their_maximum(variant, branch):
         assert seen == [shape, shape]  # the update took the intended shape
         assert inserted - before == most
         assert rr.index.writes - inserted == most
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_core_and_5b_at_b2_hold_one_index(width):
+    # keyed by node, core and 5b at B=2 mandate the same entries: after the
+    # same deep-key stream their indexes are equal, and so are their writes
+    rrs = []
+    for variant in ("core", "5b"):
+        rng = random.Random(71)
+        rr = make(width=width, variant=variant, audit=False, capacity=4096, seed=71)
+        keys = []
+        while len(keys) < 2000:
+            x = deep_key(rng, width)
+            if rr.insert(x):
+                keys.append(x)
+        for x in rng.sample(keys, 1000):
+            assert rr.delete(x)
+        rrs.append(rr)
+    core, fast_query = rrs
+    assert core.index.snapshot() == fast_query.index.snapshot()
+    assert core.index.writes == fast_query.index.writes
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
@@ -1023,7 +1088,7 @@ def misdirect_leaf(rr):
 def swap_desc(rr):
     # LCA(3, 100), at depth 1, names its leaves the wrong way round; with
     # no audit, only the delete's own descendant check can see it
-    rec = rr.table[rr._enc(0, 1, 0)]
+    rec = rr.table[rr._enc(1, 0)]
     rec.left, rec.right = rec.right, rec.left
     rr.delete(100)
 

@@ -272,7 +272,9 @@ def test_w64_bloomier_verbatim_entries_audited():
     # a full w=64 core reporter holds colliding index entries verbatim, and
     # deletes then read ancestor depths from them; check() reads the filter's
     # mirror, which audit mode builds, but a full audit after every one of
-    # 2,048 updates would take minutes, so it runs every 128 deletes instead
+    # 2,048 updates would take minutes, so it runs every 128 deletes instead.
+    # The keys under a record held verbatim go first: no delete below the
+    # record writes its entry, so the record's own delete reads it verbatim
     rr = RangeReporter(RangeConfig(width=64, backend="bloomier", audit=True,
                                    capacity=1024, seed=9))
     rr.config = dataclasses.replace(rr.config, audit=False)
@@ -293,6 +295,10 @@ def test_w64_bloomier_verbatim_entries_audited():
     rr.index.get = counting_get
     keys = rr.sorted_elements()
     rng.shuffle(keys)
+    held = [key for key in rr.table if key in bloom._exact]
+    assert held
+    bd, p = rr._dec(held[0])
+    keys.sort(key=lambda x: x >> (64 - bd) != p)
     for i, x in enumerate(keys, 1):
         assert rr.delete(x)
         if i % 128 == 0:
