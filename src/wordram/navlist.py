@@ -38,6 +38,14 @@ holds only its value and its bucket; its kind is its class's, ``Element``,
 ``Open`` or ``Close``, so a caller may subclass ``Open`` or ``Close`` to
 keep its own fields on the entry itself.  An insert reads the new entry's
 kind once; deletes and walks read only the buckets' summary bits.
+
+A deep copy or a pickle of the list is flat: an entry's state leaves out
+its bucket, and the list's state holds, per superbucket, its buckets'
+entry lists and summary words, from which a load rebuilds the buckets and
+the superbuckets' links.  So neither follows the superbucket chain or an
+entry's bucket link by link, and the copy's depth of recursion does not
+grow with the list's length.  A shallow copy raises TypeError: it would
+share the entries, and an entry belongs to one list.
 """
 
 from __future__ import annotations
@@ -60,6 +68,18 @@ class _Entry:
     def __init__(self, value: int | None):
         self.value = value  # an element's key, or a parenthesis's owner key
         self.bucket: _Bucket | None = None  # None while not listed
+
+    def __getstate__(self) -> dict:
+        # every slot but the bucket: the list's own state places its
+        # entries, and a bucket would pull the whole list into the state of
+        # each entry that reaches it
+        return {name: getattr(self, name) for cls in type(self).__mro__[:-1]
+                for name in cls.__slots__ if name != "bucket"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.bucket = None
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 class Element(_Entry):
@@ -118,6 +138,42 @@ class NavList:
     def __len__(self) -> int:
         """The number of entries, counted by a walk (for audits and tests)."""
         return sum(1 for _ in self)
+
+    def __getstate__(self) -> dict:
+        # flat: per superbucket its summary and its buckets' entry lists and
+        # summaries, so that neither pickle nor deepcopy recurses along the
+        # superbucket chain; buckets and links are rebuilt on load
+        state = self.__dict__.copy()
+        sups = []
+        sup = state.pop("_head")
+        while sup is not None:
+            sups.append((sup.summary, [(b.entries, b.summary) for b in sup.buckets]))
+            sup = sup.next
+        state["_sups"] = sups
+        return state
+
+    def __copy__(self):
+        # a load points every entry at the new buckets, so a copy that
+        # shared its entries would take them from this list
+        raise TypeError("a navigation list shares no entries; use copy.deepcopy")
+
+    def __setstate__(self, state: dict) -> None:
+        sups = state.pop("_sups")
+        self.__dict__.update(state)
+        self._head = prev = None
+        for summary, buckets in sups:
+            sup = _Super()
+            sup.summary = summary
+            for entries, b_summary in buckets:
+                bucket = _Bucket(sup, entries, b_summary)
+                for e in entries:
+                    e.bucket = bucket
+                sup.buckets.append(bucket)
+            if prev is None:
+                self._head = sup
+            else:
+                prev.next, sup.prev = sup, prev
+            prev = sup
 
     # -- insertion ----------------------------------------------------------
 

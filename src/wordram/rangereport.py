@@ -57,25 +57,29 @@ Index entries, branching records and S̄ share these keys, and no key names
 an order.  ``_enc`` builds the key from bit depth and prefix and ``_dec``
 reads them back.  One key table addresses every node: one code per bit
 depth with every prefix bit set, so and-ed with a code below a node whose
-tag bits are all set, such as a leaf code, it gives the key of the node at
-that bit depth on that node's path.  ``_codes[t][d]`` is the table's code
-for the order-t depth-d node, the same int for every order that reaches
-its bit depth.  Updates key their records and index changes this way from
-x's leaf code, and findany from a's.  ``_ancestor`` and
-``_verified_descendant`` take such a code, not a prefix, and read the side
-a path takes and whether a tag lies in a subtree off it with one shift
-each, so neither an update nor a findany probe calls the encoder.
+tag bits are all set, such as a leaf code ``(x << 7) | 127``
+(``_leaf_code``), it gives the key of the node at that bit depth on that
+node's path.  ``_codes[t][d]`` is the table's code for the order-t depth-d
+node, the same int for every order that reaches its bit depth.  Updates
+key their records and index changes this way from x's leaf code, and
+findany from a's.  ``_ancestor`` and ``_verified_descendant`` take such a
+code, not a prefix, and read the side a path takes and whether a child
+lies in a subtree off it with one shift each, so neither an update nor a
+findany probe calls the encoder.
 
 A branching record, stored under its node's key, keeps no depth or
-prefix.  Its slots ``left`` and ``right`` name its two child subtrees by
-a descendant tag each: the leaf code ``(x << 7) | 127`` of a lone key x
-(``_leaf_code``), or the branching child's key; None marks an empty side
-of the root.  An update overwrites the tag of the side it changes in
-place, after every consistency check has passed.  Both kinds of tag hold
-their prefix above the tag bits, and the depth field reads d for a node
-and 127 for a leaf, so ``_verified_descendant``, which checks
-every index answer a query uses, reads a descendant's place from its tag
-alone.
+prefix.  Its slots ``left`` and ``right`` hold its two children's own
+navigation entries: a lone key's element (``leaves[x]``) or the branching
+child's record; None marks an empty side of the root.  No tag integer is
+stored.  An update places v's parentheses around y, the child it takes
+over, from the object itself, and overwrites the side it changes in place,
+after every consistency check has passed.  ``_verified_descendant``,
+which checks every index answer a query uses, reads a child's place from
+its value: an element, whose class says it is a leaf below every node,
+holds its key, and a record holds its node's key, with the prefix
+left-aligned above the depth field.  The index rule still reads y as a
+descendant tag, the leaf code or the node key, which ``_tag`` computes
+from the child for the update that applies it.
 
 A record keeps no link to its lowest branching ancestor a.  A delete reads
 a's depth from v's own index entry, which every branching node has.  An
@@ -86,7 +90,8 @@ key z just before v's is a itself or the last branching node in a's left
 subtree, whose path parts from v's at a.  Either way a's depth is the
 smaller of z's depth and the length of the prefix z's key shares with v's.
 Navigation-list entries, which are their own handles, live only with their
-owners.  ``leaves[x]`` holds x's element entry.  A branching record is
+owners and the records that hold them as children.  ``leaves[x]`` holds
+x's element entry.  A branching record is
 itself v's Open entry, one object with v's key as its value, so
 ``table[v_key]`` is the listed entry; its slot ``close`` holds v's Close,
 whose value is the same key.  Entries keep no links; the list's buckets
@@ -272,13 +277,24 @@ class BranchingRecord(Open):
 
     __slots__ = ("left", "right", "close")
 
-    def __init__(self, key: int, left: int | None, right: int | None):
+    def __init__(self, key: int, left: _Entry | None, right: _Entry | None):
         self.value = key
         self.bucket = None
-        # the descendant tags of the two sides: None, a leaf code or a node key
+        # the children on the two sides: None, a lone key's Element or a
+        # branching child's record
         self.left = left
         self.right = right
         self.close = Close(key)
+
+
+def _tag(child: _Entry | None) -> int | None:
+    """The descendant tag of a record side's child: a lone key's leaf code,
+    a branching child's key, or None for an empty side."""
+    if child is None:
+        return None
+    if type(child) is Element:
+        return (child.value << _TAG_BITS) | _TAG_MASK
+    return child.value
 
 
 @dataclass
@@ -430,19 +446,20 @@ class RangeReporter:
         xc = self._leaf_code(x)
         v_key = xc & self._codes[0][d_v]
         x_side = (x >> (w - 1 - d_v)) & 1
+        e = Element(x)
 
         if not d_v:
             # the new divergence point is the root: x fills its empty side,
             # and the first key finds both sides empty
             rec = self.table[v_key]
-            y_tag = rec.left if x_side else rec.right
+            y = rec.left if x_side else rec.right
             if ((rec.right if x_side else rec.left) is not None
-                    or (y_tag is None) != (prev is None and nxt is None)):
+                    or (y is None) != (prev is None and nxt is None)):
                 raise AssertionError("the root's sides disagree with x's neighbors")
             if x_side:
-                rec.right = xc
+                rec.right = e
             else:
-                rec.left = xc
+                rec.left = e
             a_depth, a_real = 0, False
         else:
             # z, the branching node before v in preorder, is a itself or the
@@ -455,43 +472,37 @@ class RangeReporter:
                 a_depth = min(z & _TAG_MASK,
                               w - ((z ^ v_key) >> _TAG_BITS).bit_length())
                 a_rec, side_a = self._ancestor(a_depth, xc)
-                y_tag = a_rec.right if side_a else a_rec.left
-                if y_tag is None:
+                y = a_rec.right if side_a else a_rec.left
+                if y is None:
                     raise AssertionError("the new branching node's ancestor has an empty side")
-                # v's parentheses enclose y, its one old child subtree: a lone
-                # key's element, or a node's Open to its Close
-                if (y_tag & _TAG_MASK) == _TAG_MASK:
-                    y_first = y_last = self.leaves.get(y_tag >> _TAG_BITS)
-                elif (y_rec := self.table.get(y_tag)) is not None:
-                    y_first, y_last = y_rec, y_rec.close
-                else:
-                    y_first = None
-                if y_first is None:
+                if y.bucket is None:
                     raise AssertionError("v's old child subtree has no navigation entry")
             except AssertionError:
                 self._sbar_pred.delete(v_key)
                 raise
             if x_side:
-                rec = BranchingRecord(v_key, y_tag, xc)
+                rec = BranchingRecord(v_key, y, e)
             else:
-                rec = BranchingRecord(v_key, xc, y_tag)
-            nav.insert_before(y_first, rec)
-            nav.insert_after(y_last, rec.close)
+                rec = BranchingRecord(v_key, e, y)
+            # v's parentheses enclose y, its one old child subtree: a lone
+            # key's element, or a node's Open to its Close
+            nav.insert_before(y, rec)
+            nav.insert_after(y if type(y) is Element else y.close, rec.close)
             if side_a:
-                a_rec.right = v_key
+                a_rec.right = rec
             else:
-                a_rec.left = v_key
+                a_rec.left = rec
             self.table[v_key] = rec
             a_real = a_rec.left is not None and a_rec.right is not None
 
         # x's element goes just inside the parentheses of the node it hangs
         # from, on x's side
-        e = self.leaves[x] = Element(x)
+        self.leaves[x] = e
         if x_side:
             nav.insert_before(rec.close, e)
         else:
             nav.insert_after(rec, e)
-        to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
+        to_a, to_v, a_to_v = self._index_changes(x, d_v, _tag(y), a_depth, a_real)
         index = self.index
         # most updates make no node branching in any order
         if to_a:
@@ -504,12 +515,12 @@ class RangeReporter:
         """The index entries that x's presence changes, as three lists of
         node keys that name each node once.
 
-        v = LCA(x, its nearer key neighbor) sits at depth d_v, y_tag names
-        v's child subtree other than x (None when x is alone under the
-        root), and a is v's lowest branching ancestor at depth a_depth (0
-        when v is the root); a_real says whether a branches without x (it
-        then branches with x too), so an insert and the delete that undoes
-        it pass the same arguments.
+        v = LCA(x, its nearer key neighbor) sits at depth d_v, y_tag is the
+        descendant tag (``_tag``) of v's child subtree other than x (None
+        when x is alone under the root), and a is v's lowest branching
+        ancestor at depth a_depth (0 when v is the root); a_real says
+        whether a branches without x (it then branches with x too), so an
+        insert and the delete that undoes it pass the same arguments.
         Returns the nodes that no order mandates without x and that hold
         a_depth with it (a node on v's path that x makes branching), the
         nodes that no order mandates without x and that hold d_v with it,
@@ -684,15 +695,16 @@ class RangeReporter:
         xc = self._leaf_code(x)
         v_key = xc & self._codes[0][d_v]
         x_side = (x >> (w - 1 - d_v)) & 1
+        e = self.leaves[x]
         rec = self.table.get(v_key)
-        if rec is None or (rec.right if x_side else rec.left) != xc:
+        if rec is None or (rec.right if x_side else rec.left) is not e:
             raise AssertionError("v's descendant on x's side is not x")
-        y_tag = rec.left if x_side else rec.right
+        y = rec.left if x_side else rec.right
 
         if not d_v:
             # x empties its side of the root, and the last key leaves both
             # sides empty
-            if (y_tag is None) != (prev is None and nxt is None):
+            if (y is None) != (prev is None and nxt is None):
                 raise AssertionError("the root's other side disagrees with x's neighbors")
             if x_side:
                 rec.right = None
@@ -707,20 +719,21 @@ class RangeReporter:
             if a_depth is None or a_depth >= d_v:
                 raise AssertionError("v's index entry holds no ancestor depth")
             a_rec, side_a = self._ancestor(a_depth, xc)
-            if (a_rec.right if side_a else a_rec.left) != v_key:
+            if (a_rec.right if side_a else a_rec.left) is not rec:
                 raise AssertionError("v's ancestor does not name v as its descendant")
             del self.table[v_key]
             self._sbar_pred.delete(v_key)
             if side_a:
-                a_rec.right = y_tag
+                a_rec.right = y
             else:
-                a_rec.left = y_tag
+                a_rec.left = y
             nav.delete(rec)
             nav.delete(rec.close)
             a_real = a_rec.left is not None and a_rec.right is not None
 
-        nav.delete(self.leaves.pop(x))
-        to_a, to_v, a_to_v = self._index_changes(x, d_v, y_tag, a_depth, a_real)
+        del self.leaves[x]
+        nav.delete(e)
+        to_a, to_v, a_to_v = self._index_changes(x, d_v, _tag(y), a_depth, a_real)
         index = self.index
         index.set_all(a_to_v, a_depth)
         index.drop_all(to_v)
@@ -739,19 +752,20 @@ class RangeReporter:
         key = self._enc(d * ch, p)
         self.index.reads += 1
         desc = self._verified_descendant(self.index.get(key), d * ch, key | _TAG_MASK)
-        # the node branches iff that descendant is a node inside its chunk;
-        # a leaf's depth field, 127, lies past the end of every chunk
-        return desc is not None and desc & _TAG_MASK < (d + 1) * ch
+        # the node branches iff that descendant is a node inside its chunk
+        return (desc is not None and type(desc) is not Element
+                and desc.value & _TAG_MASK < (d + 1) * ch)
 
     def _verified_descendant(self, depth: int | None, v_d: int, vc: int):
-        """The descendant tag on v's side of the branching record at `depth`
-        on the node v's path, or None unless that record exists, is
-        a strict ancestor of v, and its tag lies inside v's subtree.
+        """The child on v's side of the branching record at `depth` on the
+        node v's path, or None unless that record exists, is a strict
+        ancestor of v, and its child lies inside v's subtree.
 
         v is the depth-v_d node on the path of vc, a code with every tag bit
-        set.  The tag is checked from its own bits: its prefix sits
-        left-aligned above the tag bits, and its depth field is 127 for a
-        leaf.
+        set.  The child is checked from its value: a lone key's Element
+        holds the key, a leaf below every node, and a branching child's
+        record holds its node's key, whose prefix sits left-aligned above
+        the depth field.
         """
         if depth is None or depth >= v_d:
             return None
@@ -759,22 +773,25 @@ class RangeReporter:
         if rec is None:
             return None
         desc = rec.right if (vc >> (_TAG_BITS + self.w - 1 - depth)) & 1 else rec.left
-        if (desc is None or desc & _TAG_MASK < v_d
-                or (desc ^ vc) >> (_TAG_BITS + self.w - v_d)):
+        if type(desc) is Element:
+            # a leaf, below every node: only its key's prefix counts
+            return None if (desc.value ^ (vc >> _TAG_BITS)) >> (self.w - v_d) else desc
+        if (desc is None or desc.value & _TAG_MASK < v_d
+                or (desc.value ^ vc) >> (_TAG_BITS + self.w - v_d)):
             return None
         return desc
 
     def _max_under(self, desc) -> int:
-        if (desc & _TAG_MASK) == _TAG_MASK:
-            return desc >> _TAG_BITS
+        if type(desc) is Element:
+            return desc.value
         self._q_nav += 1
-        return self.nav.nearest_element_left(self.table[desc].close).value
+        return self.nav.nearest_element_left(desc.close).value
 
     def _min_under(self, desc) -> int:
-        if (desc & _TAG_MASK) == _TAG_MASK:
-            return desc >> _TAG_BITS
+        if type(desc) is Element:
+            return desc.value
         self._q_nav += 1
-        return self.nav.nearest_element_right(self.table[desc]).value
+        return self.nav.nearest_element_right(desc).value
 
     def findany(self, a: int, b: int) -> int | None:
         """Some element of S in [a, b], or None exactly when none exists.
@@ -825,7 +842,8 @@ class RangeReporter:
                     reads += 1
                     kc = k * ch
                     desc = verified(get(vc & codes[mid][k]), kc, vc)
-                    if desc is None or desc & _TAG_MASK >= kc + ch:
+                    if (desc is None or type(desc) is Element
+                            or desc.value & _TAG_MASK >= kc + ch):
                         lo = mid + 1
                         continue
                 hi = mid
@@ -915,10 +933,18 @@ class RangeReporter:
                 f"branching table keys differ: extra={set(self.table) - set(expected)} "
                 f"missing={set(expected) - set(self.table)}"
             )
+        def child(tag):
+            if tag is None:
+                return None
+            if (tag & _TAG_MASK) == _TAG_MASK:
+                return self.leaves[tag >> _TAG_BITS]
+            return self.table[tag]
+
+        # a side holds the child's own entry, not an equal one
         for key, desc in expected.items():
             rec = self.table[key]
-            got = rec.left, rec.right
-            if got != desc:
+            if rec.left is not child(desc[0]) or rec.right is not child(desc[1]):
+                got = _tag(rec.left), _tag(rec.right)
                 raise AssertionError(f"descendant mismatch at {self._dec(key)}: {got} vs {desc}")
 
         self.nav.validate()
@@ -1001,16 +1027,20 @@ class RangeReporter:
             d = lca_depth(elems[i], elems[i + 1], w)
             real.add(self._enc(d, elems[i] >> (w - d)))
 
-        def lba_depth(bd: int, path: int) -> int:
-            # deepest real branching node strictly above bit depth bd on the
-            # path of a key with the given leading bits (path has bd bits)
-            for dd in range(bd - 1, 0, -1):
-                if self._enc(dd, path >> (bd - dd)) in real:
+        # per bit depth, the key of the node with every prefix bit set:
+        # and-ed with a code below a node whose tag bits are all set, it
+        # gives the key of the node at that depth on the code's path.  Built
+        # from the encoder, not read from _codes, which the queries use
+        masks = [self._enc(bd, (1 << bd) - 1) for bd in range(w + 1)]
+
+        def lba_depth(key: int) -> int:
+            # deepest real branching node strictly above the node's bit depth
+            # on its path
+            code = key | _TAG_MASK
+            for dd in range((key & _TAG_MASK) - 1, 0, -1):
+                if code & masks[dd] in real:
                     return dd
             return 0
-
-        def node(bd: int, x: int) -> int:
-            return self._enc(bd, x >> (w - bd))
 
         mandated: dict[int, int] = {}
         fast_query = self.config.variant == VARIANT_FAST_QUERY
@@ -1022,9 +1052,13 @@ class RangeReporter:
                 if k:
                     branching_t.add(self._enc(k * ch, p >> (d - k * ch)))
             order_t = dict.fromkeys(branching_t)
+            order_masks = [masks[min(dd * ch, w)] for dd in range(td + 1)]
             for x in elems:
+                # the keys of this order's nodes on x's path, by depth
+                xc = self._leaf_code(x)
+                path = [xc & mask for mask in order_masks]
                 for dd in range(1, td + 1):
-                    key = node(min(dd * ch, w), x)
+                    key = path[dd]
                     if key in order_t:
                         continue
                     if fast_query:
@@ -1032,14 +1066,13 @@ class RangeReporter:
                         ok = dd % B != 0 and (
                             # the trie root heads this subtree
                             ns_root == 0
-                            or any(node(au * ch, x) in branching_t
-                                   for au in range(ns_root, dd)))
+                            or any(path[au] in branching_t for au in range(ns_root, dd)))
                     else:
-                        ok = dd == 1 or node((dd - 1) * ch, x) in branching_t
+                        ok = dd == 1 or path[dd - 1] in branching_t
                     if ok:
                         order_t[key] = None
             for key in order_t:
-                value = lba_depth(*self._dec(key))
+                value = lba_depth(key)
                 if mandated.setdefault(key, value) != value:
                     raise AssertionError(f"orders disagree on the entry of {self._dec(key)}")
         return mandated
@@ -1072,14 +1105,14 @@ class RangeReporter:
         def tag(desc) -> str:
             if desc is None:
                 return "-"
-            if (desc & _TAG_MASK) == _TAG_MASK:
-                return f"leaf:{desc >> _TAG_BITS}"
-            return f"node:{name(desc)}"
+            if type(desc) is Element:
+                return f"leaf:{desc.value}"
+            return f"node:{name(desc.value)}"
 
-        # a record's ancestor is the record that names it as a descendant
-        anc_depth = {desc: self._dec(key)[0] for key, rec in self.table.items()
+        # a record's ancestor is the record that holds it as a child
+        anc_depth = {desc.value: self._dec(key)[0] for key, rec in self.table.items()
                      for desc in (rec.left, rec.right)
-                     if desc is not None and (desc & _TAG_MASK) != _TAG_MASK}
+                     if desc is not None and type(desc) is not Element}
         lines = []
         for key in sorted(self.table):
             rec = self.table[key]

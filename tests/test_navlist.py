@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -241,3 +243,33 @@ def test_bounded_examination_at_the_floors(width):
             elements[after] if after < len(elements) else None)
         seen = after
     assert nl.max_examined <= 6
+
+
+def test_deepcopy_and_pickle_a_long_list():
+    # a w=64 reporter's list at 2^14 keys: about 3 entries per key, so a
+    # superbucket chain of some 200 links.  A copy must not recurse along
+    # that chain or from an entry through its bucket into the whole list,
+    # and it owns its entries: changing it leaves the original as it was
+    rng = random.Random(79)
+    nl, last, kinds = NavList(64), None, []
+    for i in range(3 << 14):
+        kind = rng.choice((ELEMENT, OPEN, CLOSE))
+        last = put_after(nl, last, ENTRY[kind](i))
+        kinds.append((kind, i))
+    nl.validate()
+    for c in (copy.deepcopy(nl), pickle.loads(pickle.dumps(nl))):
+        c.validate()
+        entries = list(c)
+        assert [(e.kind, e.value) for e in entries] == kinds
+        assert not {id(e) for e in entries} & {id(e) for e in nl}
+        e = entries[len(entries) // 2]
+        assert c.nearest_element_right(e).value == next(
+            value for kind, value in kinds[e.value + 1:] if kind == ELEMENT)
+        for e in entries[::2]:
+            c.delete(e)
+        c.validate()
+    # a shallow copy would share the entries, each of which knows its bucket
+    with pytest.raises(TypeError):
+        copy.copy(nl)
+    nl.validate()
+    assert [(e.kind, e.value) for e in nl] == kinds

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from wordram.navlist import Element
 from wordram.rangereport import (
     BACKEND_BLOOMIER,
     BACKEND_EXACT,
@@ -204,17 +205,20 @@ def test_failed_insert_leaves_structure_unchanged():
     assert 2 not in rr.leaves
     rr.table[key] = rec
     rr.check()
-    # x's new sibling subtree, the lone key 3, has lost its element entry;
-    # the insert reads it among its checks, before any list change
-    leaf = rr.leaves.pop(3)
-    with pytest.raises(AssertionError):
+    # x's new sibling subtree, the lone key 3, is held by an element that
+    # the list does not hold; the audit compares sides by identity, and the
+    # insert checks that y is listed, before any list change
+    leaf, rec.left = rec.left, Element(3)
+    with pytest.raises(AssertionError, match="descendant mismatch"):
+        rr.check()
+    with pytest.raises(AssertionError, match="no navigation entry"):
         rr.insert(2)
     assert list(rr.pred) == [3, 100, 200]
     assert list(rr._sbar_pred) == sbar_keys
     assert list(rr.nav) == entries
     assert rr.index.snapshot() == snapshot
     assert 2 not in rr.leaves
-    rr.leaves[3] = leaf
+    rec.left = leaf
     rr.check()
     assert rr.insert(2)
 
@@ -248,11 +252,11 @@ def test_insert_finds_the_ancestor_from_the_preorder_predecessor():
         assert rr.insert(x)
         rr.check()
         a_rec = rr.table[a_key]
-        assert (a_rec.left, a_rec.right)[side] == v_key
+        assert (a_rec.left, a_rec.right)[side] is rr.table[v_key]
 
 
 @pytest.mark.parametrize("keys,corrupt,x", [
-    # the last key's root side names another leaf
+    # the last key's root side holds another key's element
     ((5,), (6, None), 5),
     # the last key's root has a key on its other side
     ((5,), (5, 200), 5),
@@ -265,7 +269,9 @@ def test_failed_root_side_delete_leaves_structure_unchanged(keys, corrupt, x):
         rr.insert(key)
     root = rr.table[rr._root_key]
     desc = root.left, root.right
-    root.left, root.right = (None if k is None else rr._leaf_code(k) for k in corrupt)
+    # a stored key's side holds its own element, any other key an unlisted one
+    root.left, root.right = (None if k is None else rr.leaves.get(k) or Element(k)
+                             for k in corrupt)
     entries, snapshot, dump = list(rr.nav), rr.index.snapshot(), rr.dump()
     table, leaves = dict(rr.table), dict(rr.leaves)
     with pytest.raises(AssertionError):
@@ -355,7 +361,7 @@ def test_delete_undoes_insert(variant, branch, backend):
             x = rng.randrange(1 << 16)
             if x in rr:
                 continue
-            # records compare by identity: keep each one and its tags
+            # records compare by identity: keep each one and its children
             table = {key: (rec, rec.left, rec.right) for key, rec in rr.table.items()}
             entries = list(rr.nav)
             snapshot, dump = rr.index.snapshot(), rr.dump()
@@ -393,6 +399,30 @@ def test_copies_read_their_own_index(backend):
         for x in keys:
             assert c.delete(x)
         assert list(c.table) == [c._root_key] and c.index.snapshot() == {}
+
+
+@pytest.mark.parametrize("keys", ["uniform", "deep"])
+def test_copies_of_a_large_w64_reporter(keys):
+    # 2^14 keys make a navigation list whose superbucket chain, and a
+    # branching table whose records hold records, run deeper than the
+    # interpreter's recursion limit if a copy follows them link by link
+    rng = random.Random(83)
+    rr = make(width=64, audit=False, capacity=1 << 14, seed=83)
+    while len(rr) < 1 << 14:
+        rr.insert(rng.getrandbits(64) if keys == "uniform" else deep_key(rng))
+    elems = sorted(rr.leaves)
+    queries = [short_bounds(rng, elems, 64, 56) for _ in range(400)]
+    want = [rr.findany(a, b) for a, b in queries]
+    reports = [list(rr.report(a, b)) for a, b in queries[::8]]
+    for c in (copy.deepcopy(rr), pickle.loads(pickle.dumps(rr))):
+        c.check()
+        assert [c.findany(a, b) for a, b in queries] == want
+        assert [list(c.report(a, b)) for a, b in queries[::8]] == reports
+        # the copy owns its entries: deleting from it leaves the original
+        for x in elems[::64]:
+            assert c.delete(x)
+    assert sorted(rr.leaves) == elems
+    assert [rr.findany(a, b) for a, b in queries] == want
 
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
@@ -615,19 +645,19 @@ def test_verified_ancestor_rejects_non_ancestors():
     for x in (0b00000001, 0b00000011, 0b11000000):
         rr.insert(x)
     # the node covering {1, 3} is branching at depth 6; on the side of the
-    # depth-7 node holding 2 and 3 its descendant is the leaf 3
-    assert rr._verified_descendant(6, 7, rr._leaf_code(0b0000001 << 1)) == rr._leaf_code(3)
+    # depth-7 node holding 2 and 3 its child is the leaf 3's element
+    assert rr._verified_descendant(6, 7, rr._leaf_code(0b0000001 << 1)) is rr.leaves[3]
     # a depth that does not truncate to a branching node fails
     assert rr._verified_descendant(3, 7, rr._leaf_code(0b0000001 << 1)) is None
-    # the root is an ancestor, but its descendant on this side, the
-    # depth-6 node, sits above v; for v = 0000000 only the tag's depth
-    # field tells, since the node's left-aligned prefix is all zeros
+    # the root is an ancestor, but its child on this side, the depth-6
+    # node, sits above v; for v = 0000000 only the child's depth field
+    # tells, since the node's left-aligned prefix is all zeros
     assert rr._verified_descendant(0, 7, rr._leaf_code(0b0000001 << 1)) is None
     assert rr._verified_descendant(0, 7, rr._leaf_code(0b0000000 << 1)) is None
-    # the root's right descendant, the leaf 11000000, verifies under the
+    # the root's right child, the leaf 11000000, verifies under the
     # depth-2 node 11 but not under its empty sibling 10, which only the
-    # tag's prefix tells
-    assert rr._verified_descendant(0, 2, rr._leaf_code(0b11 << 6)) == rr._leaf_code(0b11000000)
+    # child's prefix tells
+    assert rr._verified_descendant(0, 2, rr._leaf_code(0b11 << 6)) is rr.leaves[0b11000000]
     assert rr._verified_descendant(0, 2, rr._leaf_code(0b10 << 6)) is None
     # a depth whose node on v's path is not branching at all
     assert rr._verified_descendant(6, 7, rr._leaf_code(0b1100000 << 1)) is None

@@ -103,3 +103,10 @@ def test_navigation_entries_hold_one_object_per_node():
         assert rec.bucket is not None and rec.kind == OPEN and rec.value == key
         assert id(rec) in listed
         assert rec.close.kind == CLOSE and id(rec.close) in listed
+        # a side holds its child's own entry, a lone key's element or a
+        # branching child's record, and never a tag integer
+        for side in (rec.left, rec.right):
+            assert not isinstance(side, int) and side.bucket is not None
+            assert id(side) in listed
+            assert side is (rr.leaves[side.value] if type(side) is Element
+                            else rr.table[side.value])
