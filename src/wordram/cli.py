@@ -144,6 +144,8 @@ def _filled_bloomier(args) -> tuple[BloomierFilter, set[int], random.Random, flo
 
 
 def _run_fp_rate(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     bf, keys, rng, bound = _filled_bloomier(args)
     universe = 1 << args.u_bits
     stored_errors = sum(1 for k in keys if bf.lookup(k) == 0)

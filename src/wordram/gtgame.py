@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .wordops import ensure
+from .wordops import ensure, top_order
 
 QUERY_HEAVY = "query-heavy"
 UPDATE_HEAVY = "update-heavy"
@@ -57,7 +57,7 @@ class GreaterThanScheme:
         self.n = n
         self.branch = branch
         self.strategy = strategy
-        self.levels = max(1, math.ceil(math.log(n, branch)))
+        self.levels = max(1, top_order(n, branch))
         # level-major contiguous blocks: on-path region first, then the
         # disjoint left-sibling region used by the update-heavy strategy
         self._level_base = [0] * (self.levels + 1)
@@ -136,7 +136,7 @@ class SweepRow:
 
 def probe_bounds(n: int, branch: int, strategy: str) -> tuple[int, int]:
     """Exact combinatorial probe ceilings implied by the construction."""
-    levels = max(1, math.ceil(math.log(n, branch)))
+    levels = max(1, top_order(n, branch))
     search = math.ceil(math.log2(levels + 1))
     if strategy == QUERY_HEAVY:
         return levels, search + (branch - 1)

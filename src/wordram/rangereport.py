@@ -72,14 +72,14 @@ prefix.  Its slots ``left`` and ``right`` hold its two children's own
 navigation entries: a lone key's element (``leaves[x]``) or the branching
 child's record; None marks an empty side of the root.  No tag integer is
 stored.  An update places v's parentheses around y, the child it takes
-over, from the object itself, and overwrites the side it changes in place,
-after every consistency check has passed.  ``_verified_descendant``,
-which checks every index answer a query uses, reads a child's place from
-its value: an element, whose class says it is a leaf below every node,
-holds its key, and a record holds its node's key, with the prefix
-left-aligned above the depth field.  The index rule still reads y as a
-descendant tag, the leaf code or the node key, which ``_tag`` computes
-from the child for the update that applies it.
+over, from the object itself, overwrites the side it changes in place,
+after every consistency check has passed, and hands y itself to the index
+rule.  The rule and ``_verified_descendant``, which checks every index
+answer a query uses, read a child's place from its value: an element,
+whose class says it is a leaf below every node, holds its key, and a
+record holds its node's key, with the prefix left-aligned above the depth
+field.  Only the audit's brute force names children by tag (a leaf code
+or a node key), and the audit reads a tag back as the entry it names.
 
 A record keeps no link to its lowest branching ancestor a.  A delete reads
 a's depth from v's own index entry, which every branching node has.  An
@@ -287,16 +287,6 @@ class BranchingRecord(Open):
         self.close = Close(key)
 
 
-def _tag(child: _Entry | None) -> int | None:
-    """The descendant tag of a record side's child: a lone key's leaf code,
-    a branching child's key, or None for an empty side."""
-    if child is None:
-        return None
-    if type(child) is Element:
-        return (child.value << _TAG_BITS) | _TAG_MASK
-    return child.value
-
-
 @dataclass
 class OpStats:
     max_index_writes_insert: int = 0
@@ -502,7 +492,7 @@ class RangeReporter:
             nav.insert_before(rec.close, e)
         else:
             nav.insert_after(rec, e)
-        to_a, to_v, a_to_v = self._index_changes(x, d_v, _tag(y), a_depth, a_real)
+        to_a, to_v, a_to_v = self._index_changes(xc, d_v, y, a_depth, a_real)
         index = self.index
         # most updates make no node branching in any order
         if to_a:
@@ -510,17 +500,18 @@ class RangeReporter:
         index.add_all(to_v, d_v)
         index.set_all(a_to_v, d_v)
 
-    def _index_changes(self, x: int, d_v: int, y_tag, a_depth: int,
+    def _index_changes(self, xc: int, d_v: int, y: _Entry | None, a_depth: int,
                        a_real: bool) -> tuple[list[int], list[int], list[int]]:
         """The index entries that x's presence changes, as three lists of
         node keys that name each node once.
 
-        v = LCA(x, its nearer key neighbor) sits at depth d_v, y_tag is the
-        descendant tag (``_tag``) of v's child subtree other than x (None
-        when x is alone under the root), and a is v's lowest branching
-        ancestor at depth a_depth (0 when v is the root); a_real says
-        whether a branches without x (it then branches with x too), so an
-        insert and the delete that undoes it pass the same arguments.
+        xc is x's leaf code, v = LCA(x, its nearer key neighbor) sits at
+        depth d_v, y is v's child other than x as v's record side holds it
+        (None when x is alone under the root, a lone key's element or a
+        branching child's record), and a is v's lowest branching ancestor
+        at depth a_depth (0 when v is the root); a_real says whether a
+        branches without x (it then branches with x too), so an insert and
+        the delete that undoes it pass the same arguments.
         Returns the nodes that no order mandates without x and that hold
         a_depth with it (a node on v's path that x makes branching), the
         nodes that no order mandates without x and that hold d_v with it,
@@ -541,16 +532,16 @@ class RangeReporter:
         # a branches without x and lies at or below depth m iff a_lim >= m
         a_lim = a_depth if a_real else -1
         # a code below x, or below y, also addresses every node on its path
-        xc = (x << _TAG_BITS) | _TAG_MASK
-        if y_tag is None or not d_v:
+        if y is None or not d_v:
             # nothing survives below v without x, or v is the root, whose
             # depth, 0, the nodes on y's side hold already: either way only
             # x's nodes change, as if the surviving path ended at v
             y_d0, yc = d_v, 0
-        elif (y_tag & _TAG_MASK) == _TAG_MASK:
-            y_d0, yc = -1, y_tag
+        elif type(y) is Element:
+            y_d0, yc = -1, (y.value << _TAG_BITS) | _TAG_MASK
         else:
-            y_d0, yc = y_tag & _TAG_MASK, y_tag | _TAG_MASK
+            yc = y.value
+            y_d0, yc = yc & _TAG_MASK, yc | _TAG_MASK
         if self._fast_query:
             return self._index_changes_5b(xc, d_v, y_d0, yc, a_lim)
         to_a: list[int] = []
@@ -733,7 +724,7 @@ class RangeReporter:
 
         del self.leaves[x]
         nav.delete(e)
-        to_a, to_v, a_to_v = self._index_changes(x, d_v, _tag(y), a_depth, a_real)
+        to_a, to_v, a_to_v = self._index_changes(xc, d_v, y, a_depth, a_real)
         index = self.index
         index.set_all(a_to_v, a_depth)
         index.drop_all(to_v)
@@ -933,20 +924,6 @@ class RangeReporter:
                 f"branching table keys differ: extra={set(self.table) - set(expected)} "
                 f"missing={set(expected) - set(self.table)}"
             )
-        def child(tag):
-            if tag is None:
-                return None
-            if (tag & _TAG_MASK) == _TAG_MASK:
-                return self.leaves[tag >> _TAG_BITS]
-            return self.table[tag]
-
-        # a side holds the child's own entry, not an equal one
-        for key, desc in expected.items():
-            rec = self.table[key]
-            if rec.left is not child(desc[0]) or rec.right is not child(desc[1]):
-                got = _tag(rec.left), _tag(rec.right)
-                raise AssertionError(f"descendant mismatch at {self._dec(key)}: {got} vs {desc}")
-
         self.nav.validate()
         self._check_sequence(expected)
         self._check_index(elems)
@@ -985,8 +962,9 @@ class RangeReporter:
         return out
 
     def _check_sequence(self, expected: dict[int, tuple]) -> None:
-        """The navigation list is the walk of the expected tree, each entry
-        the one its owner holds, and S̄ holds exactly the branching keys.
+        """Each record's sides hold the expected children's own entries, the
+        navigation list is the walk of the expected tree, each entry the one
+        its owner holds, and S̄ holds exactly the branching keys.
 
         The walk lists Open(v), v's left subtree, v's right subtree and
         Close(v), with a lone key as its element, so the parentheses nest,
@@ -995,20 +973,33 @@ class RangeReporter:
         """
         want: list[tuple[int, int, _Entry]] = []
 
-        def walk(tag) -> None:
+        def child(tag):
+            # the entry a descendant tag names: a lone key's element or a record
             if tag is None:
-                return
+                return None
             if (tag & _TAG_MASK) == _TAG_MASK:
-                x = tag >> _TAG_BITS
-                want.append((ELEMENT, x, self.leaves[x]))
-                return
-            rec = self.table[tag]
-            want.append((OPEN, tag, rec))
-            for desc in expected[tag]:
-                walk(desc)
-            want.append((CLOSE, tag, rec.close))
+                return self.leaves[tag >> _TAG_BITS]
+            return self.table[tag]
 
-        walk(self._root_key)
+        def walk(tag, entry) -> None:
+            if type(entry) is Element:
+                want.append((ELEMENT, tag >> _TAG_BITS, entry))
+                return
+            left, right = expected[tag]
+            # a side holds the child's own entry, not an equal one
+            if entry.left is not child(left) or entry.right is not child(right):
+                raise AssertionError(
+                    f"descendant mismatch at {self._name(tag)}: left={self._label(entry.left)} "
+                    f"right={self._label(entry.right)}, expected the owners' own "
+                    f"{self._label(child(left))} and {self._label(child(right))}")
+            want.append((OPEN, tag, entry))
+            if left is not None:
+                walk(left, entry.left)
+            if right is not None:
+                walk(right, entry.right)
+            want.append((CLOSE, tag, entry.close))
+
+        walk(self._root_key, self.table[self._root_key])
         entries = list(self.nav)
         ensure(len(entries) == len(want)
                and all(e is h and e.kind == kind and e.value == value
@@ -1098,17 +1089,6 @@ class RangeReporter:
         """One line per branching node for audit diffs: name, ancestor depth,
         descendants (in key order)."""
 
-        def name(key: int) -> str:
-            d, p = self._dec(key)
-            return f"{d}/{p:0{max(1, d)}b}"
-
-        def tag(desc) -> str:
-            if desc is None:
-                return "-"
-            if type(desc) is Element:
-                return f"leaf:{desc.value}"
-            return f"node:{name(desc.value)}"
-
         # a record's ancestor is the record that holds it as a child
         anc_depth = {desc.value: self._dec(key)[0] for key, rec in self.table.items()
                      for desc in (rec.left, rec.right)
@@ -1118,6 +1098,20 @@ class RangeReporter:
             rec = self.table[key]
             anc = anc_depth.get(key, "-")
             lines.append(
-                f"{name(key)} anc={anc} left={tag(rec.left)} right={tag(rec.right)}"
+                f"{self._name(key)} anc={anc} left={self._label(rec.left)} "
+                f"right={self._label(rec.right)}"
             )
         return "\n".join(lines)
+
+    def _name(self, key: int) -> str:
+        """A node's name in ``dump()``: bit depth, then the prefix in binary."""
+        d, p = self._dec(key)
+        return f"{d}/{p:0{max(1, d)}b}"
+
+    def _label(self, desc: _Entry | None) -> str:
+        """A record side's child in ``dump()``."""
+        if desc is None:
+            return "-"
+        if type(desc) is Element:
+            return f"leaf:{desc.value}"
+        return f"node:{self._name(desc.value)}"

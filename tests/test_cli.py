@@ -10,25 +10,33 @@ from wordram.perfecthash import PerfectHash
 RUN = [sys.executable, "-m", "wordram.cli"]
 
 
-def capture(args):
-    proc = subprocess.run(RUN + args, capture_output=True, timeout=120)
+def capture(args, python_flags=()):
+    run = [sys.executable, *python_flags, *RUN[1:]]
+    proc = subprocess.run(run + args, capture_output=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_oracle_fuzz_clean_exit():
-    code, out, _ = capture(
-        ["oracle-fuzz", "--w", "8", "--ops", "120", "--audit", "--seed", "3"]
-    )
+@pytest.mark.parametrize("python_flags", [(), ("-O",)], ids=["plain", "O"])
+def test_oracle_fuzz_clean_exit(python_flags):
+    args = ["oracle-fuzz", "--w", "8", "--ops", "120", "--audit", "--seed", "3"]
+    code, out, _ = capture(args, python_flags)
     assert code == 0
     report = json.loads(out)
     assert report["mismatches"] == 0
     assert report["pred_queries_during_query"] == 0
+    if python_flags:
+        # the checks raise without assert: -O changes no byte of stdout
+        assert out == capture(args)[1]
 
 
-def test_invalid_branch_usage_error():
-    code, _, err = capture(["oracle-fuzz", "--w", "8", "--B", "3", "--variant", "5a"])
+@pytest.mark.parametrize("args,message", [
+    (["oracle-fuzz", "--w", "8", "--B", "3", "--variant", "5a"], b"power of two"),
+    (["fp-rate", "--n", "64", "--trials", "0"], b"--trials must be at least 1"),
+], ids=["branch", "fp-trials"])
+def test_invalid_branch_usage_error(args, message):
+    code, _, err = capture(args)
     assert code == 2  # parameter validation failures are usage errors
-    assert b"power of two" in err
+    assert message in err
 
 
 def test_unknown_flag_exits_2():

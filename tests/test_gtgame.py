@@ -71,6 +71,12 @@ def test_probe_bound_formulas():
     # update-heavy: levels * branch writes, search + 1 reads
     assert probe_bounds(1 << 16, 16, UPDATE_HEAVY) == (64, 4)
     assert probe_bounds(1 << 16, 2, UPDATE_HEAVY) == (32, math.ceil(math.log2(17)) + 1)
+    # exact powers of the branch take no extra level: n = B**3 has 3 levels,
+    # which float logarithms overcount (math.log(125, 5) > 3)
+    for n, branch in ((125, 5), (216, 6)):
+        assert GreaterThanScheme(n, branch, QUERY_HEAVY).levels == 3
+        assert probe_bounds(n, branch, QUERY_HEAVY) == (3, 2 + (branch - 1))
+        assert probe_bounds(n, branch, UPDATE_HEAVY) == (3 * branch, 2 + 1)
 
 
 def test_range_and_reuse_errors():

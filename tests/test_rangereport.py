@@ -16,6 +16,7 @@ from wordram.rangereport import (
     BACKEND_BLOOMIER,
     BACKEND_EXACT,
     _TAG_BITS,
+    BranchingRecord,
     RangeConfig,
     RangeReporter,
 )
@@ -209,7 +210,7 @@ def test_failed_insert_leaves_structure_unchanged():
     # the list does not hold; the audit compares sides by identity, and the
     # insert checks that y is listed, before any list change
     leaf, rec.left = rec.left, Element(3)
-    with pytest.raises(AssertionError, match="descendant mismatch"):
+    with pytest.raises(AssertionError, match="descendant mismatch at 1/0: left=leaf:3 "):
         rr.check()
     with pytest.raises(AssertionError, match="no navigation entry"):
         rr.insert(2)
@@ -773,6 +774,41 @@ def change_shapes(rng, rr):
                 yield x, d_v, y_tag, a_depth, a_real
 
 
+def rule_args(rr, x, d_v, y_tag, a_depth, a_real):
+    """The index rule's arguments for a shape of change_shapes, which names
+    y by its tag: x's leaf code, and y as a record side would hold it."""
+    if y_tag is None:
+        y = None
+    elif rr._leaf_code(y_tag >> _TAG_BITS) == y_tag:
+        y = Element(y_tag >> _TAG_BITS)
+    else:
+        y = BranchingRecord(y_tag, None, None)
+    return rr._leaf_code(x), d_v, y, a_depth, a_real
+
+
+def record_rule(rr):
+    """Wrap rr's index rule; returns the list of its calls, each in the tag
+    form of change_shapes.  Each y must be the child's own entry, the one
+    its owner holds (rr.leaves or rr.table), not an equal copy."""
+    seen = []
+    rule = rr._index_changes
+
+    def recording(xc, d_v, y, a_depth, a_real):
+        if y is None:
+            y_tag = None
+        elif type(y) is Element:
+            assert y is rr.leaves[y.value]
+            y_tag = rr._leaf_code(y.value)
+        else:
+            assert y is rr.table[y.value]
+            y_tag = y.value
+        seen.append((xc >> _TAG_BITS, d_v, y_tag, a_depth, a_real))
+        return rule(xc, d_v, y, a_depth, a_real)
+
+    rr._index_changes = recording
+    return seen
+
+
 # the exact maximum index writes of one update at w=64, over every shape,
 # one write per node: 5a trades fewer writes for longer resolution walks
 # as B grows, 5b the other way round
@@ -799,7 +835,7 @@ def test_index_rule_matches_its_general_form(variant, branch):
         rr = make(width=width, branch=branch, variant=variant, audit=False)
         shapes = most = 0
         for shape in change_shapes(rng, rr):
-            to_a, to_v, a_to_v = rr._index_changes(*shape)
+            to_a, to_v, a_to_v = rr._index_changes(*rule_args(rr, *shape))
             keys = to_a + to_v + a_to_v
             assert len(set(keys)) == len(keys), shape  # one write per node
             by_order = [set(keys) for keys in index_changes(rr, *shape)]
@@ -854,14 +890,12 @@ def test_index_rule_is_the_brute_force_diff(variant, branch):
                 rr.insert(key)
             before = rr._mandated_entries(sorted(rr.leaves))
             assert rr.index.snapshot() == before, shape
-            seen = []
-            rule = rr._index_changes
-            rr._index_changes = lambda *args: seen.append(args) or rule(*args)
+            seen = record_rule(rr)
             rr.insert(x)
             assert seen == [shape]  # the update took the intended shape
             after = rr._mandated_entries(sorted(rr.leaves))
             assert rr.index.snapshot() == after, shape
-            to_a, to_v, a_to_v = rule(*shape)
+            to_a, to_v, a_to_v = probe._index_changes(*rule_args(probe, *shape))
             assert after.keys() >= before.keys()
             assert {key: after[key] for key in after.keys() - before.keys()} == (
                 dict.fromkeys(to_a, a_depth) | dict.fromkeys(to_v, d_v)), shape
@@ -895,15 +929,13 @@ def test_variant_argmax_shapes_write_their_maximum(variant, branch):
     most = W64_MAX_WRITES[variant, branch]
     probe = make(width=64, branch=branch, variant=variant, audit=False)
     shapes = [shape for shape in change_shapes(rng, probe)
-              if sum(map(len, probe._index_changes(*shape))) == most]
+              if sum(map(len, probe._index_changes(*rule_args(probe, *shape)))) == most]
     assert shapes
     for shape in shapes[:1] + rng.sample(shapes, min(5, len(shapes))):
         rr = make(width=64, branch=branch, variant=variant, capacity=64, seed=61)
         for key in shape_keys(rng, rr, *shape):
             rr.insert(key)
-        seen = []
-        rule = rr._index_changes
-        rr._index_changes = lambda *args: seen.append(args) or rule(*args)
+        seen = record_rule(rr)
         before = rr.index.writes
         rr.insert(shape[0])
         inserted = rr.index.writes
@@ -911,6 +943,29 @@ def test_variant_argmax_shapes_write_their_maximum(variant, branch):
         assert seen == [shape, shape]  # the update took the intended shape
         assert inserted - before == most
         assert rr.index.writes - inserted == most
+
+
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8), ("5b", 4)])
+def test_updates_hand_the_rule_the_sides_own_child(variant, branch):
+    # on real inserts and deletes, y reaches the rule as the entry its owner
+    # holds (record_rule checks identity): an empty side, a lone key's
+    # element and a branching child's record all occur
+    rng = random.Random(73)
+    rr = make(width=64, branch=branch, variant=variant, audit=False, capacity=1024)
+    seen = record_rule(rr)
+    keys = []
+    inserted = 0
+    for i in range(1500):
+        if keys and rng.random() < 0.4:
+            assert rr.delete(keys.pop(rng.randrange(len(keys))))
+        elif rr.insert(x := rng.getrandbits(64) if i % 2 else deep_key(rng)):
+            keys.append(x)
+            inserted += 1
+    for x in keys:
+        assert rr.delete(x)
+    kinds = {None if y is None else y & 127 == 127 for _, _, y, _, _ in seen}
+    assert kinds == {None, True, False} and len(seen) == 2 * inserted
+    rr.check()
 
 
 @pytest.mark.parametrize("width", [16, 64])
