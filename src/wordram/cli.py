@@ -100,6 +100,8 @@ def _run_fuzz(args) -> int:
 
 
 def _run_probe_bench(args) -> int:
+    if args.trials < 1 and not args.exhaustive:
+        raise ValueError("--trials must be at least 1")
     branches = [int(b) for b in args.B.split(",")]
     strategies = STRATEGIES if args.strategy == "both" else (args.strategy,)
     rows = sweep(args.n, branches, strategies, args.trials, args.seed,

@@ -8,8 +8,9 @@ edge) for the first order at which the query node's chunk contains a
 branching node, then resolve the lowest branching ancestor through a
 compressed-pointer index and verify every candidate against the branching
 table before trusting it.  findany runs the search and the resolution as
-one flat loop, in which each index read is one ``index.get`` call and one
-call of the verifier, ``_verified_descendant``; ``get`` counts nothing, so
+one flat loop, in which each index read is one ``index.get`` call checked
+by the verifier, ``_verified_descendant``, and the resolution first checks
+the entries the search's last probes read; ``get`` counts nothing, so
 findany counts its reads and adds them to ``index.reads`` once.  The index
 may be backed by an exact dictionary or by a Bloomier filter; arbitrary
 answers for unstored keys are harmless because of the verification step.
@@ -814,13 +815,14 @@ class RangeReporter:
         if rec is not None:
             left, right = rec.left, rec.right
         else:
-            # v does not branch: search the orders for the first whose trie
-            # maps v to a branching node, then read v's lowest branching
-            # ancestor off that order's index entries, verifying each read
+            # v does not branch: search the orders for the first, lo, whose
+            # trie maps v to a branching node; up and down keep the entries
+            # of v's order-lo node (None for the root) and order-(lo-1) node
             get = self.index.get
             verified = self._verified_descendant
             chunks = self._chunks
             lo, hi = 1, self.top
+            up = down = None
             while lo < hi:
                 mid = (lo + hi) // 2
                 ch = chunks[mid]
@@ -832,35 +834,31 @@ class RangeReporter:
                 if k:
                     reads += 1
                     kc = k * ch
-                    desc = verified(get(vc & codes[mid][k]), kc, vc)
+                    desc = verified(depth := get(vc & codes[mid][k]), kc, vc)
                     if (desc is None or type(desc) is Element
                             or desc.value & _TAG_MASK >= kc + ch):
                         lo = mid + 1
+                        down = depth
                         continue
+                    up = depth
                 hi = mid
-            # v's nodes in the order-(lo-1) and order-lo tries sit at depths
-            # z_d and k_star
-            codes1 = codes[lo - 1]
-            z_d = v_d // chunks[lo - 1]
-            k_star = v_d // chunks[lo]
-            if self.config.variant == VARIANT_CORE:
-                reads += 1
-                desc = verified(get(vc & (codes1[z_d] if z_d & 1 else codes[lo][k_star])),
-                                v_d, vc)
-            else:
-                desc = None
-                if k_star:
+            # v's lowest branching ancestor is the one of the two entries
+            # that verifies at v; down is read here when lo is 1, as order 0
+            # is never probed.  5a walks on up the order-(lo-1) trie within
+            # the natural subtree of v's node z_d, a walk empty at B=2
+            desc = verified(up, v_d, vc)
+            if desc is None:
+                if lo == 1:
                     reads += 1
-                    desc = verified(get(vc & codes[lo][k_star]), v_d, vc)
-                if desc is None:
-                    # walk up the order-(lo-1) trie within the natural
-                    # subtree; 5b reads v's node alone
-                    ns_root = z_d - 1 if self._fast_query else (z_d // self.B) * self.B
-                    for dd in range(z_d, ns_root, -1):
-                        reads += 1
-                        desc = verified(get(vc & codes1[dd]), v_d, vc)
-                        if desc is not None:
-                            break
+                    down = get(vc & codes[0][v_d])
+                desc = verified(down, v_d, vc)
+            if desc is None and not self._fast_query:
+                z_d = v_d // chunks[lo - 1]
+                for dd in range(z_d - 1, z_d // self.B * self.B, -1):
+                    reads += 1
+                    desc = verified(get(vc & codes[lo - 1][dd]), v_d, vc)
+                    if desc is not None:
+                        break
             left = right = desc
         # the answer is the largest key under left or the smallest under
         # right, whichever lies in [a, b]

@@ -32,7 +32,8 @@ def test_oracle_fuzz_clean_exit(python_flags):
 @pytest.mark.parametrize("args,message", [
     (["oracle-fuzz", "--w", "8", "--B", "3", "--variant", "5a"], b"power of two"),
     (["fp-rate", "--n", "64", "--trials", "0"], b"--trials must be at least 1"),
-], ids=["branch", "fp-trials"])
+    (["probe-bench", "--n", "64", "--B", "2", "--trials", "0"], b"--trials must be at least 1"),
+], ids=["branch", "fp-trials", "probe-trials"])
 def test_invalid_branch_usage_error(args, message):
     code, _, err = capture(args)
     assert code == 2  # parameter validation failures are usage errors
