@@ -46,6 +46,8 @@ def _fuzz_bound(rng: random.Random, shadow: list[int], universe: int) -> int:
 def _run_fuzz(args) -> int:
     from bisect import bisect_left, bisect_right, insort
 
+    if args.ops < 1 or args.queries_per_op < 0:
+        raise ValueError("--ops must be at least 1 and --queries-per-op at least 0")
     cfg = RangeConfig(
         width=args.w, branch=args.B, variant=args.variant, backend=args.backend,
         capacity=max(1024, 2 * args.ops), audit=args.audit, seed=args.seed,
@@ -174,6 +176,8 @@ def _run_fp_rate(args) -> int:
 
 
 def _run_perfect_hash_demo(args) -> int:
+    if args.ops < 0:
+        raise ValueError("--ops must be at least 0 (0 runs 3n ops)")
     cfg = PerfectHashConfig.create(args.n, args.u_bits)
     ph = PerfectHash(cfg, args.seed)
     rng = random.Random(args.seed)

@@ -40,7 +40,11 @@ loop over the orders for 5b and two for core and 5a, the shorter one for
 a lone key y, which has no branching node on its path below v.  Each
 visits the orders coarsest first, and the first order to name a node
 decides its change.  ``tests/indexrule.py`` keeps the per-order loop they
-fold as the oracle.
+fold as the oracle.  No order mandates a node at the leaf level, bit depth
+w, which nothing reads: findany reads nodes no deeper than v = LCA(a, b),
+which lies above the leaves as a < b, a delete reads v's own entry, and v
+branches, and ``test_branching`` answers there without a read.  So the
+rule skips the top order, whose trie holds only the root and the leaves.
 
 The root's record exists for the reporter's lifetime: ``__init__`` creates
 it with both sides empty, along with its S̄ key, its Open and its Close, and
@@ -265,10 +269,7 @@ class AncestorIndex:
     def space_bits(self) -> int:
         if self._filter is not None:
             return self._filter.space_bits()
-        total = 64
-        for key, _ in (self._store or {}).items():
-            total += key.bit_length() + 8
-        return total
+        return 64 + sum(key.bit_length() + 8 for key in self._store)
 
 
 class BranchingRecord(Open):
@@ -342,11 +343,10 @@ class RangeReporter:
             [node_codes[min(d * ch, self.w)] for d in range(td + 1)]
             for ch, td in zip(self._chunks, self._tdepth)
         ]
-        # the index rule visits the orders coarsest first
-        self._coarse_first = list(zip(self._chunks, self._codes))[::-1]
+        # the index rule visits the orders below the top coarsest first
+        self._coarse_first = list(zip(self._chunks, self._codes))[:self.top][::-1]
         self._q_nav = 0
-        # the root's record, with both sides empty, lives as long as the
-        # reporter
+        # the root's record, both sides empty, lives as long as the reporter
         root_key = self._root_key = self._enc(0, 0)
         root = self.table[root_key] = BranchingRecord(root_key, None, None)
         self._sbar_pred.insert(root_key)
@@ -549,8 +549,9 @@ class RangeReporter:
         to_v: list[int] = []
         a_to_v: list[int] = []
         # v's node's bit depth and the code of the node below it, as the
-        # last order visited named them
-        last_kc = last_code = -1
+        # last order visited named them; the orders that name the leaf level
+        # come first, and as no order mandates it, it counts as named
+        last_kc, last_code = -1, self._codes[0][self.w]
         if y_d0 < 0:
             # y is a lone key: no branching node lies on its path below v,
             # and its one entry per order sits right below v's node
@@ -609,9 +610,9 @@ class RangeReporter:
         subtree's root and it; y_d0 is -1 for a lone key y.
 
         An order names the nodes below v's down to the border of v's
-        natural subtree, all above the first node below v that the next
-        coarser order names.  So the orders share only v's node, the
-        leaf-level node at bit depth w, and y's own node.
+        natural subtree or the level above the leaves, all above the first
+        node below v that the next coarser order names.  So the orders share
+        only v's node and y's own node.
         """
         B = self.B
         y_real = y_d0 >= 0
@@ -619,7 +620,6 @@ class RangeReporter:
         to_v: list[int] = []
         a_to_v: list[int] = []
         last_kc = last_own = -1
-        leaf_named = False
         for ch, codes in self._coarse_first:
             k = d_v // ch
             kc = k * ch
@@ -636,12 +636,8 @@ class RangeReporter:
                 last_kc = kc
                 if not had_ns_anc and yk != k:
                     to_a.append(xc & codes[k])
-            leaf = len(codes) - 1
-            border = ns_root + B - 1
-            if border >= leaf:
-                # the coarsest order to reach the leaf level names its node
-                border = leaf - leaf_named
-                leaf_named = True
+            # the leaf level, at depth len(codes) - 1, holds no entry
+            border = min(ns_root + B - 1, len(codes) - 2)
             for dd in range(k + 1, border + 1):
                 to_v.append(xc & codes[dd])
             for dd in range(k + 1, border + 1):
@@ -704,8 +700,7 @@ class RangeReporter:
                 rec.left = None
             a_depth, a_real = 0, False
         else:
-            # v's own index entry holds the depth of a, its lowest branching
-            # ancestor
+            # v's own index entry holds the depth of a, v's lowest branching ancestor
             self.index.reads += 1
             a_depth = self.index.get(v_key)
             if a_depth is None or a_depth >= d_v:
@@ -1041,12 +1036,13 @@ class RangeReporter:
                 if k:
                     branching_t.add(self._enc(k * ch, p >> (d - k * ch)))
             order_t = dict.fromkeys(branching_t)
-            order_masks = [masks[min(dd * ch, w)] for dd in range(td + 1)]
+            # no node at the leaf level, depth td, is mandated
+            order_masks = [masks[dd * ch] for dd in range(td)]
             for x in elems:
                 # the keys of this order's nodes on x's path, by depth
                 xc = self._leaf_code(x)
                 path = [xc & mask for mask in order_masks]
-                for dd in range(1, td + 1):
+                for dd in range(1, td):
                     key = path[dd]
                     if key in order_t:
                         continue

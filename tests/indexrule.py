@@ -2,8 +2,9 @@
 
 ``index_changes`` is one loop over the trie orders that reads every case
 (a lone key or a node as y, each variant) through the same flags, and
-names the entries each order changes.  Orders whose chunks share a bit
-depth name the same node, so a node may appear once per order.  The range
+names the entries each order changes, but none at the leaf level, bit
+depth w, which no order mandates.  Orders whose chunks share a bit depth
+name the same node, so a node may appear once per order.  The range
 reporter folds these lists into one change per node; tests check that each
 node it names appears here, that it sets exactly the nodes some order sets,
 and at small widths that it equals the brute-force diff of the mandated
@@ -88,4 +89,6 @@ def index_changes(rr: RangeReporter, x: int, d_v: int, y_tag, a_depth: int,
                     to_v.append(nc & code)
             if y_real and yk >= k + 2:
                 a_to_v.append(nc & codes[yk])
-    return to_a, to_v, a_to_v
+    # no order mandates a node at the leaf level, bit depth w
+    return tuple([key for key in keys if key & _TAG_MASK != rr.w]
+                 for keys in (to_a, to_v, a_to_v))

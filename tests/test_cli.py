@@ -33,7 +33,12 @@ def test_oracle_fuzz_clean_exit(python_flags):
     (["oracle-fuzz", "--w", "8", "--B", "3", "--variant", "5a"], b"power of two"),
     (["fp-rate", "--n", "64", "--trials", "0"], b"--trials must be at least 1"),
     (["probe-bench", "--n", "64", "--B", "2", "--trials", "0"], b"--trials must be at least 1"),
-], ids=["branch", "fp-trials", "probe-trials"])
+    (["oracle-fuzz", "--ops", "-3"], b"--ops must be at least 1"),
+    (["oracle-fuzz", "--ops", "0"], b"--ops must be at least 1"),
+    (["oracle-fuzz", "--queries-per-op", "-1"], b"--queries-per-op at least 0"),
+    (["perfect-hash-demo", "--n", "64", "--ops", "-1"], b"--ops must be at least 0"),
+], ids=["branch", "fp-trials", "probe-trials", "fuzz-ops", "fuzz-ops-zero", "fuzz-queries",
+        "demo-ops"])
 def test_invalid_branch_usage_error(args, message):
     code, _, err = capture(args)
     assert code == 2  # parameter validation failures are usage errors

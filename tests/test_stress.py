@@ -274,14 +274,21 @@ def test_w64_bloomier_verbatim_entries_audited():
     # mirror, which audit mode builds, but a full audit after every one of
     # 2,048 updates would take minutes, so it runs every 128 deletes instead.
     # The keys under a record held verbatim go first: no delete below the
-    # record writes its entry, so the record's own delete reads it verbatim
-    rr = RangeReporter(RangeConfig(width=64, backend="bloomier", audit=True,
-                                   capacity=1024, seed=9))
-    rr.config = dataclasses.replace(rr.config, audit=False)
-    rng = random.Random(9)
-    while len(rr) < 1024:
-        rr.insert(rng.getrandbits(64))
-    bloom = rr.index._filter
+    # record writes its entry, so the record's own delete reads it verbatim.
+    # Which records collide depends on the seed: the test takes the first
+    # seed in a fixed range whose filled reporter holds one
+    for seed in range(9, 40):
+        rr = RangeReporter(RangeConfig(width=64, backend="bloomier", audit=True,
+                                       capacity=1024, seed=seed))
+        rr.config = dataclasses.replace(rr.config, audit=False)
+        rng = random.Random(seed)
+        while len(rr) < 1024:
+            rr.insert(rng.getrandbits(64))
+        bloom = rr.index._filter
+        if any(key in bloom._exact for key in rr.table):
+            break
+    else:
+        pytest.fail("no seed in 9-39 holds a record's entry verbatim")
     assert bloom._exact
     rr.check()
     verbatim_reads = 0
