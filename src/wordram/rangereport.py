@@ -7,13 +7,14 @@ binary-search over re-chunked tries (order t summarizes branch**t bits per
 edge) for the first order at which the query node's chunk contains a
 branching node, then resolve the lowest branching ancestor through a
 compressed-pointer index and verify every candidate against the branching
-table before trusting it.  findany runs the search and the resolution as
-one flat loop, in which each index read is one ``index.get`` call checked
-by the verifier, ``_verified_descendant``, and the resolution first checks
-the entries the search's last probes read; ``get`` counts nothing, so
-findany counts its reads and adds them to ``index.reads`` once.  The index
-may be backed by an exact dictionary or by a Bloomier filter; arbitrary
-answers for unstored keys are harmless because of the verification step.
+table before trusting it.  findany runs both as one flat loop that reads
+and verifies each node once: a read is one ``index.get`` call checked by
+``_verified_descendant``, a probe of a node already probed reuses its
+verified descendant, and the resolution takes the last probes' descendant
+that lies inside v's subtree (``_inside``).  ``get`` counts nothing, so
+findany adds its reads to ``index.reads`` once.  The index may be backed
+by an exact dictionary or by a Bloomier filter; arbitrary answers for
+unstored keys are harmless because of the verification step.
 ``report(a, b)`` seeds from findany and walks the navigation list's
 element entries outward from the seed's entry, each step examining a
 bounded number of buckets, so it too touches no predecessor structure.
@@ -746,13 +747,9 @@ class RangeReporter:
     def _verified_descendant(self, depth: int | None, v_d: int, vc: int):
         """The child on v's side of the branching record at `depth` on the
         node v's path, or None unless that record exists, is a strict
-        ancestor of v, and its child lies inside v's subtree.
-
+        ancestor of v, and its child lies inside v's subtree (``_inside``).
         v is the depth-v_d node on the path of vc, a code with every tag bit
-        set.  The child is checked from its value: a lone key's Element
-        holds the key, a leaf below every node, and a branching child's
-        record holds its node's key, whose prefix sits left-aligned above
-        the depth field.
+        set.
         """
         if depth is None or depth >= v_d:
             return None
@@ -760,13 +757,17 @@ class RangeReporter:
         if rec is None:
             return None
         desc = rec.right if (vc >> (_TAG_BITS + self.w - 1 - depth)) & 1 else rec.left
+        return desc if self._inside(desc, v_d, vc) else None
+
+    def _inside(self, desc, d: int, vc: int) -> bool:
+        """Whether desc, a record side's child or None, lies inside the
+        subtree of the depth-d node on the path of vc, read from its value:
+        a lone key's Element holds the key, a leaf below every node, and a
+        record holds its node's key, prefix left-aligned above the depth."""
         if type(desc) is Element:
-            # a leaf, below every node: only its key's prefix counts
-            return None if (desc.value ^ (vc >> _TAG_BITS)) >> (self.w - v_d) else desc
-        if (desc is None or desc.value & _TAG_MASK < v_d
-                or (desc.value ^ vc) >> (_TAG_BITS + self.w - v_d)):
-            return None
-        return desc
+            return not (desc.value ^ (vc >> _TAG_BITS)) >> (self.w - d)
+        return (desc is not None and desc.value & _TAG_MASK >= d
+                and not (desc.value ^ vc) >> (_TAG_BITS + self.w - d))
 
     def _max_under(self, desc) -> int:
         if type(desc) is Element:
@@ -811,13 +812,15 @@ class RangeReporter:
             left, right = rec.left, rec.right
         else:
             # v does not branch: search the orders for the first, lo, whose
-            # trie maps v to a branching node; up and down keep the entries
-            # of v's order-lo node (None for the root) and order-(lo-1) node
+            # trie maps v to a branching node; up and down keep the verified
+            # descendants of v's order-lo node (None for the root) and
+            # order-(lo-1) node, and up_kc and down_kc their bit depths
             get = self.index.get
             verified = self._verified_descendant
             chunks = self._chunks
             lo, hi = 1, self.top
             up = down = None
+            up_kc = down_kc = -1
             while lo < hi:
                 mid = (lo + hi) // 2
                 ch = chunks[mid]
@@ -825,28 +828,34 @@ class RangeReporter:
                 tb += 1
                 # test_branching on v's order-mid node, which is no leaf as
                 # v_d < w: a root branches, and another node iff its verified
-                # descendant is a node inside its chunk
+                # descendant is a node inside its chunk.  mid lies between
+                # the orders of up and down, so a node probed before is theirs
                 if k:
-                    reads += 1
                     kc = k * ch
-                    desc = verified(depth := get(vc & codes[mid][k]), kc, vc)
+                    if kc == up_kc or kc == down_kc:
+                        desc = up if kc == up_kc else down
+                    else:
+                        reads += 1
+                        desc = verified(get(vc & codes[mid][k]), kc, vc)
                     if (desc is None or type(desc) is Element
                             or desc.value & _TAG_MASK >= kc + ch):
                         lo = mid + 1
-                        down = depth
+                        down, down_kc = desc, kc
                         continue
-                    up = depth
+                    up, up_kc = desc, kc
                 hi = mid
-            # v's lowest branching ancestor is the one of the two entries
-            # that verifies at v; down is read here when lo is 1, as order 0
-            # is never probed.  5a walks on up the order-(lo-1) trie within
-            # the natural subtree of v's node z_d, a walk empty at B=2
-            desc = verified(up, v_d, vc)
-            if desc is None:
-                if lo == 1:
-                    reads += 1
-                    down = get(vc & codes[0][v_d])
-                desc = verified(down, v_d, vc)
+            # v's lowest branching ancestor's child is the descendant inside
+            # v's subtree: an entry that verifies at v but not at kc names a
+            # branching node in kc's chunk, so no failing probe has one.  v's
+            # order-0 node is never probed: it is read when lo is 1.  5a walks
+            # on up the order-(lo-1) trie in v's node z_d's natural subtree
+            if up is not None and self._inside(up, v_d, vc):
+                desc = up
+            elif lo == 1:
+                reads += 1
+                desc = verified(get(vc & codes[0][v_d]), v_d, vc)
+            else:
+                desc = down if down is not None and self._inside(down, v_d, vc) else None
             if desc is None and not self._fast_query:
                 z_d = v_d // chunks[lo - 1]
                 for dd in range(z_d - 1, z_d // self.B * self.B, -1):
@@ -884,8 +893,13 @@ class RangeReporter:
         in both directions from the seed's entry, one nearest-element call
         per step; each step examines a bounded number of buckets and touches
         no predecessor structure.  The structure must not be mutated while
-        iterating.
+        iterating.  a > b raises ValueError at the call; the walk is lazy.
         """
+        if a > b:
+            raise ValueError("empty interval")
+        return self._report(a, b)
+
+    def _report(self, a: int, b: int):
         seed = self.findany(a, b)
         if seed is None:
             return

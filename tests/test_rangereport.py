@@ -96,6 +96,8 @@ def test_empty_and_single_element():
     assert list(rr.report(0, 255)) == [5]
     with pytest.raises(ValueError):
         rr.findany(9, 3)
+    with pytest.raises(ValueError):
+        rr.report(9, 3)
 
 
 def test_two_keys_build_one_branching_node():
@@ -524,6 +526,61 @@ def test_deep_key_short_queries_reach_the_structural_maxima(variant, branch,
     lg_top = math.ceil(math.log2(top_order(64, branch)))
     assert rr.stats.max_test_branching == lg_top
     assert rr.stats.max_index_reads_query == lg_top + resolution_reads
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5a", 8), ("5b", 2),
+                                            ("5b", 4)])
+def test_failing_probe_descendant_resolves_v(variant, branch, backend):
+    # findany's resolution checks a failing probe's descendant, verified
+    # at the probed node's bit depth kc, against v's subtree instead of
+    # verifying the entry again at v.  A failing probe's entry may be any
+    # value, as an unstored key's Bloomier read is: for every value the two
+    # must agree on each non-branching order-t node whose chunk holds v
+    rng = random.Random(97)
+    for width in (16, 64):
+        for keys in ("uniform", "deep"):
+            rr = make(width=width, branch=branch, variant=variant, backend=backend,
+                      audit=False, seed=width)
+            shadow = set()
+            while len(shadow) < 300:
+                shadow.add(rng.getrandbits(width) if keys == "uniform" else deep_key(rng, width))
+            for x in shadow:
+                rr.insert(x)
+            shadow = sorted(shadow)
+            cases = inside = outside = 0
+            for _ in range(150):
+                # a path that leaves a live key's below a random bit depth,
+                # so v's subtree may miss the probed node's keys
+                x = rng.choice(shadow)
+                j = rng.randrange(width)
+                a = (x >> j ^ 1) << j | rng.getrandbits(j)
+                b = min(a + (1 << rng.randrange(j + 1)), (1 << width) - 1)
+                if a == b:
+                    continue
+                v_d = width - (a ^ b).bit_length()
+                vc = rr._leaf_code(a)
+                for t in range(1, rr.top + 1):
+                    ch = rr._chunks[t]
+                    k = v_d // ch
+                    kc = k * ch
+                    # the order-t node branches iff its keys take two
+                    # children at bit depth kc + ch
+                    lo = bisect_left(shadow, a >> (width - kc) << (width - kc))
+                    hi = bisect_left(shadow, ((a >> (width - kc)) + 1) << (width - kc))
+                    cut = width - min(kc + ch, width)
+                    branching = hi - lo > 1 and shadow[lo] >> cut != shadow[hi - 1] >> cut
+                    if not k or branching:
+                        continue
+                    assert not rr.test_branching(t, k, a >> (width - kc))
+                    for d in (None, *range(width + 1)):
+                        at_kc = rr._verified_descendant(d, kc, vc)
+                        want = at_kc if rr._inside(at_kc, v_d, vc) else None
+                        assert rr._verified_descendant(d, v_d, vc) is want, (a, b, t, d)
+                        cases += 1
+                        inside += want is not None
+                        outside += at_kc is not None and want is None
+            assert cases > 300 and inside and outside, (width, keys, cases, inside, outside)
 
 
 def test_exhaustive_all_pairs_small_states():
@@ -1008,12 +1065,14 @@ def test_core_and_5b_at_b2_hold_one_index(width):
 
 @pytest.mark.parametrize("width", [16, 64])
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
-@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5a", 8), ("5b", 2),
-                                            ("5b", 4)])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 2), ("5a", 4), ("5a", 8),
+                                            ("5b", 2), ("5b", 4)])
 def test_index_holds_and_reads_no_leaf_level(variant, branch, backend, width):
     # no order mandates a node at the leaf level, bit depth w, and nothing
     # reads one: findany reads nodes no deeper than v, a delete reads v's
-    # own entry, and v lies above the leaves
+    # own entry, and v lies above the leaves.  Orders whose chunks put v's
+    # node at one bit depth name one node, and a findany reads each node
+    # once: its search reuses a probed node's verified descendant
     rng = random.Random(79)
     for keys in ("uniform", "deep"):
         rr = make(width=width, branch=branch, variant=variant, backend=backend,
@@ -1039,8 +1098,11 @@ def test_index_holds_and_reads_no_leaf_level(variant, branch, backend, width):
                     insort(shadow, x)
             a, b = short_bounds(rng, shadow, width, width - 8)
             want = shadow[bisect_left(shadow, a):bisect_right(shadow, b)]
+            n, reads = len(read), rr.index.reads
             got = rr.findany(a, b)
             assert got in want if want else got is None, (a, b)
+            # distinct keys, and index.reads counts every get
+            assert len(set(read[n:])) == len(read) - n == rr.index.reads - reads, (a, b)
             if i % 8 == 7:
                 assert list(rr.report(a, b)) == want
             if i % 100 == 99:
