@@ -43,6 +43,19 @@ def _fuzz_bound(rng: random.Random, shadow: list[int], universe: int) -> int:
     return rng.randrange(universe)
 
 
+def _fuzz_interval(rng: random.Random, shadow: list[int], universe: int) -> tuple[int, int]:
+    """A query interval: a quarter of the time a short one around a live
+    key, of log-uniform length, whose LCA may sit at any depth and so
+    makes findany search the orders; else two independent bounds."""
+    if shadow and rng.random() < 0.25:
+        x = shadow[rng.randrange(len(shadow))]
+        j = rng.randrange(universe.bit_length() - 1)
+        return max(x - rng.getrandbits(j), 0), min(x + rng.getrandbits(j), universe - 1)
+    a = _fuzz_bound(rng, shadow, universe)
+    b = _fuzz_bound(rng, shadow, universe)
+    return (a, b) if a <= b else (b, a)
+
+
 def _run_fuzz(args) -> int:
     from bisect import bisect_left, bisect_right, insort
 
@@ -69,10 +82,7 @@ def _run_fuzz(args) -> int:
             rr.delete(x)
             shadow.pop(bisect_left(shadow, x))
         for _ in range(args.queries_per_op):
-            a = _fuzz_bound(rng, shadow, universe)
-            b = _fuzz_bound(rng, shadow, universe)
-            if a > b:
-                a, b = b, a
+            a, b = _fuzz_interval(rng, shadow, universe)
             got = rr.findany(a, b)
             i = bisect_left(shadow, a)
             empty = i >= len(shadow) or shadow[i] > b

@@ -7,14 +7,22 @@ binary-search over re-chunked tries (order t summarizes branch**t bits per
 edge) for the first order at which the query node's chunk contains a
 branching node, then resolve the lowest branching ancestor through a
 compressed-pointer index and verify every candidate against the branching
-table before trusting it.  findany runs both as one flat loop that reads
-and verifies each node once: a read is one ``index.get`` call checked by
-``_verified_descendant``, a probe of a node already probed reuses its
-verified descendant, and the resolution takes the last probes' descendant
-that lies inside v's subtree (``_inside``).  ``get`` counts nothing, so
-findany adds its reads to ``index.reads`` once.  The index may be backed
-by an exact dictionary or by a Bloomier filter; arbitrary answers for
-unstored keys are harmless because of the verification step.
+table before trusting it.  Which node each step of that search probes,
+whether the node is a root and whether an earlier step already probed it
+depend only on v's depth and on the outcomes so far, never on the keys.
+So findany follows a plan: for each depth of v a decision tree, built on
+the first search at that depth (``_plan``) and shared by every reporter of
+one width, branch and variant.  A probe is one tuple of the tree: it reads
+and verifies its node's entry, one ``index.get`` call checked by
+``_verified_descendant``, or reuses the verified descendant of the last
+passing or last failing probe, which named the same node.  A leaf holds the
+path's counts and the entries the resolution may still read; the
+resolution takes the last probes' descendant that lies inside v's subtree
+(``_inside``).  ``get`` counts nothing, so findany adds its reads to
+``index.reads`` once.  ``tests/searchloop.py`` keeps the loop the plans
+unroll as the oracle.  The index may be backed by an exact dictionary or
+by a Bloomier filter; arbitrary answers for unstored keys are harmless
+because of the verification step.
 ``report(a, b)`` seeds from findany and walks the navigation list's
 element entries outward from the seed's entry, each step examining a
 bounded number of buckets, so it too touches no predecessor structure.
@@ -108,7 +116,9 @@ over, its Close just after y's last, and x's element just inside the
 parentheses of the node x hangs from.
 
 ``stats`` keeps three per-query maxima (branching tests, navigation
-queries, index reads), which findany updates.  ``pred_queries_during_query``
+queries, index reads), which findany updates, and over the queries that
+search the orders the totals of branching tests and of passing ones, which
+it reads from the plan's leaf.  ``pred_queries_during_query``
 is not counted on the query path: it is read, when asked for, from the
 predecessor sets' own query counters.  An update takes its neighbors from
 the sets' insert and delete, which count nothing, so every counted query
@@ -137,6 +147,17 @@ BACKENDS = (BACKEND_EXACT, BACKEND_BLOOMIER)
 # the tag field of an encoded node name: a bit depth 0..64, or 127 for a leaf
 _TAG_BITS = 7
 _TAG_MASK = (1 << _TAG_BITS) - 1
+
+# how a plan's probe finds its node's verified descendant: it reads the
+# node's entry, or it reuses that of the last passing or last failing probe
+_READ, _REUSE_UP, _REUSE_DOWN = 0, 1, 2
+
+# findany's probe plans, shared by every reporter of one (width, branch,
+# variant): a list indexed by v's depth, each slot filled on the first
+# search there (RangeReporter._plan), and the dict that interns their nodes
+_PLANS: dict[tuple[int, int, str], tuple[list, dict]] = {}
+# what a reporter reads until its first search: no depth has a plan
+_NO_PLANS = (None,) * max(VALID_WIDTHS)
 
 
 @dataclass(frozen=True)
@@ -297,6 +318,10 @@ class OpStats:
     max_test_branching: int = 0
     max_nav_queries: int = 0
     max_index_reads_query: int = 0
+    # over the queries that search the orders: all branching tests, and the
+    # ones that found a branching node
+    total_test_branching: int = 0
+    total_test_branching_true: int = 0
     # the predecessor sets whose counted queries only a query could make
     pred_sets: tuple = field(default=(), repr=False)
 
@@ -347,12 +372,22 @@ class RangeReporter:
         # the index rule visits the orders below the top coarsest first
         self._coarse_first = list(zip(self._chunks, self._codes))[:self.top][::-1]
         self._q_nav = 0
+        self._plans = _NO_PLANS
         # the root's record, both sides empty, lives as long as the reporter
         root_key = self._root_key = self._enc(0, 0)
         root = self.table[root_key] = BranchingRecord(root_key, None, None)
         self._sbar_pred.insert(root_key)
         self.nav.insert_first(root)
         self.nav.insert_after(root, root.close)
+
+    def __getstate__(self) -> dict:
+        # the probe plans are shared, not state: a copy looks them up again
+        # on its first search
+        return {k: v for k, v in self.__dict__.items() if k != "_plans"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plans = _NO_PLANS
 
     # -- encodings ----------------------------------------------------------
 
@@ -499,8 +534,11 @@ class RangeReporter:
         # most updates make no node branching in any order
         if to_a:
             index.add_all(to_a, a_depth)
-        index.add_all(to_v, d_v)
-        index.set_all(a_to_v, d_v)
+        # both lists are empty when v sits right above the leaves
+        if to_v:
+            index.add_all(to_v, d_v)
+        if a_to_v:
+            index.set_all(a_to_v, d_v)
 
     def _index_changes(self, xc: int, d_v: int, y: _Entry | None, a_depth: int,
                        a_real: bool) -> tuple[list[int], list[int], list[int]]:
@@ -723,8 +761,10 @@ class RangeReporter:
         nav.delete(e)
         to_a, to_v, a_to_v = self._index_changes(xc, d_v, y, a_depth, a_real)
         index = self.index
-        index.set_all(a_to_v, a_depth)
-        index.drop_all(to_v)
+        if a_to_v:
+            index.set_all(a_to_v, a_depth)
+        if to_v:
+            index.drop_all(to_v)
         if to_a:
             index.drop_all(to_a)
 
@@ -781,6 +821,65 @@ class RangeReporter:
         self._q_nav += 1
         return self.nav.nearest_element_right(desc).value
 
+    def _plan(self, v_d: int) -> tuple:
+        """findany's search over orders for a non-branching v at depth v_d,
+        as a decision tree: the shared table's, which this builds when no
+        reporter has.
+
+        An inner node is (code, kc, end, reuse, fail, pass): the probe of v's
+        node at bit depth kc, keyed by code and-ed with a's leaf code, which
+        branches iff its verified descendant is a node above end, its chunk's
+        end.  reuse is _READ, or _REUSE_UP or _REUSE_DOWN when the last
+        passing or failing probe named the same node: a probe's order lies
+        between theirs.  fail and pass are the nodes that follow each
+        outcome.  A leaf is (None, tests, passes, reads, lo_is_1, walk): the
+        path's branching tests, the passing ones, the index reads, whether
+        the search ended at order 1, where the resolution reads v's own
+        entry, and the codes of 5a's walk up the order-(lo-1) trie inside v's
+        node's natural subtree.  A root (k == 0) branches, so its test adds
+        a passing test and no node.  Equal nodes are one object.
+        """
+        plans, nodes = _PLANS.setdefault(
+            (self.w, self.B, self.config.variant), ([None] * self.w, {}))
+        self._plans = plans
+        if plans[v_d] is not None:
+            return plans[v_d]
+        chunks, B = self._chunks, self.B
+        # each reporter holds its own code ints: the table keeps one of each
+        node_codes = [nodes.setdefault(code, code) for code in self._codes[0]]
+
+        def build(lo, hi, up_kc, down_kc, tests, passes, reads):
+            while lo < hi:
+                mid = (lo + hi) // 2
+                ch = chunks[mid]
+                k = v_d // ch
+                tests += 1
+                if k:
+                    kc = k * ch
+                    reuse = (_REUSE_UP if kc == up_kc else _REUSE_DOWN if kc == down_kc
+                             else _READ)
+                    reads += reuse == _READ
+                    node = (node_codes[kc], kc, kc + ch, reuse,
+                            build(mid + 1, hi, up_kc, kc, tests, passes, reads),
+                            build(lo, mid, kc, down_kc, tests, passes + 1, reads))
+                    return nodes.setdefault(node, node)
+                passes += 1
+                hi = mid
+            walk = ()
+            if not self._fast_query:
+                ch = chunks[lo - 1]
+                z_d = v_d // ch
+                walk = tuple(node_codes[dd * ch] for dd in range(z_d - 1, z_d // B * B, -1))
+                walk = nodes.setdefault(walk, walk)
+            leaf = (None, tests, passes, reads, lo == 1, walk)
+            return nodes.setdefault(leaf, leaf)
+
+        plan = plans[v_d] = build(1, self.top, -1, -1, 0, 0, 0)
+        if plans.count(None) == 1:
+            # every depth but the root's, which branches, has its plan
+            nodes.clear()
+        return plan
+
     def findany(self, a: int, b: int) -> int | None:
         """Some element of S in [a, b], or None exactly when none exists.
 
@@ -801,69 +900,69 @@ class RangeReporter:
         if not self.leaves:
             return None
         self._q_nav = 0
-        tb = reads = 0
         # the depth of v = LCA(a, b); a's leaf code lies under v, so and-ed
-        # with _codes[t][d] it keys the order-t depth-d node on v's path
+        # with a node code it keys the node at that bit depth on v's path
         v_d = w - (a ^ b).bit_length()
         vc = (a << _TAG_BITS) | _TAG_MASK
-        codes = self._codes
-        rec = self.table.get(vc & codes[0][v_d])
+        v_key = vc & self._codes[0][v_d]
+        rec = self.table.get(v_key)
         if rec is not None:
             left, right = rec.left, rec.right
         else:
-            # v does not branch: search the orders for the first, lo, whose
-            # trie maps v to a branching node; up and down keep the verified
-            # descendants of v's order-lo node (None for the root) and
-            # order-(lo-1) node, and up_kc and down_kc their bit depths
+            # v does not branch: follow v's depth's plan of the search for
+            # the first order, lo, whose trie maps v to a branching node.  A
+            # probe reads and verifies its node's entry or reuses a verified
+            # descendant; up and down keep those of the last passing probe
+            # (None for the root) and the last failing one
+            node = self._plans[v_d] or self._plan(v_d)
             get = self.index.get
             verified = self._verified_descendant
-            chunks = self._chunks
-            lo, hi = 1, self.top
             up = down = None
-            up_kc = down_kc = -1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                ch = chunks[mid]
-                k = v_d // ch
-                tb += 1
-                # test_branching on v's order-mid node, which is no leaf as
-                # v_d < w: a root branches, and another node iff its verified
-                # descendant is a node inside its chunk.  mid lies between
-                # the orders of up and down, so a node probed before is theirs
-                if k:
-                    kc = k * ch
-                    if kc == up_kc or kc == down_kc:
-                        desc = up if kc == up_kc else down
-                    else:
-                        reads += 1
-                        desc = verified(get(vc & codes[mid][k]), kc, vc)
-                    if (desc is None or type(desc) is Element
-                            or desc.value & _TAG_MASK >= kc + ch):
-                        lo = mid + 1
-                        down, down_kc = desc, kc
-                        continue
-                    up, up_kc = desc, kc
-                hi = mid
+            code, kc, end, reuse, fail, pass_ = node
+            while code is not None:
+                if not reuse:
+                    desc = verified(get(vc & code), kc, vc)
+                elif reuse == _REUSE_UP:
+                    desc = up
+                else:
+                    desc = down
+                # the node branches iff its descendant is a node in its chunk
+                if desc is None or type(desc) is Element or desc.value & _TAG_MASK >= end:
+                    down = desc
+                    node = fail
+                else:
+                    up = desc
+                    node = pass_
+                code, kc, end, reuse, fail, pass_ = node
+            _, tests, passes, reads, lo_is_1, walk = node
             # v's lowest branching ancestor's child is the descendant inside
             # v's subtree: an entry that verifies at v but not at kc names a
             # branching node in kc's chunk, so no failing probe has one.  v's
             # order-0 node is never probed: it is read when lo is 1.  5a walks
-            # on up the order-(lo-1) trie in v's node z_d's natural subtree
+            # on up the order-(lo-1) trie in v's node's natural subtree
             if up is not None and self._inside(up, v_d, vc):
                 desc = up
-            elif lo == 1:
+            elif lo_is_1:
                 reads += 1
-                desc = verified(get(vc & codes[0][v_d]), v_d, vc)
+                desc = verified(get(v_key), v_d, vc)
             else:
                 desc = down if down is not None and self._inside(down, v_d, vc) else None
-            if desc is None and not self._fast_query:
-                z_d = v_d // chunks[lo - 1]
-                for dd in range(z_d - 1, z_d // self.B * self.B, -1):
+            if desc is None:
+                for code in walk:
                     reads += 1
-                    desc = verified(get(vc & codes[lo - 1][dd]), v_d, vc)
+                    desc = verified(get(vc & code), v_d, vc)
                     if desc is not None:
                         break
             left = right = desc
+            # a search reads at least once: its first probe or v's entry
+            st = self.stats
+            st.total_test_branching += tests
+            st.total_test_branching_true += passes
+            if tests > st.max_test_branching:
+                st.max_test_branching = tests
+            self.index.reads += reads
+            if reads > st.max_index_reads_query:
+                st.max_index_reads_query = reads
         # the answer is the largest key under left or the smallest under
         # right, whichever lies in [a, b]
         c = None
@@ -875,15 +974,8 @@ class RangeReporter:
             c = self._min_under(right)
             if not a <= c <= b:
                 c = None
-        st = self.stats
-        if tb > st.max_test_branching:
-            st.max_test_branching = tb
-        if self._q_nav > st.max_nav_queries:
-            st.max_nav_queries = self._q_nav
-        if reads:
-            self.index.reads += reads
-            if reads > st.max_index_reads_query:
-                st.max_index_reads_query = reads
+        if self._q_nav > self.stats.max_nav_queries:
+            self.stats.max_nav_queries = self._q_nav
         return c
 
     def report(self, a: int, b: int):

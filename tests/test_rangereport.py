@@ -1256,6 +1256,31 @@ def test_universe_boundary_keys():
             rr.insert(1 << width)
 
 
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 4), ("5b", 4)])
+def test_updates_make_no_empty_index_batch(variant, branch, backend):
+    # a key whose neighbor differs from it only in the last bit puts v
+    # right above the leaves, where no entry takes v's depth: the update
+    # makes no batch call for an empty list, and the audit still finds the
+    # mandated entries after each update
+    rr = make(branch=branch, variant=variant, backend=backend, seed=4)
+    sizes = []
+    for name in ("add_all", "set_all", "drop_all"):
+        def batch(keys, *args, _method=getattr(rr.index, name)):
+            sizes.append(len(keys))
+            return _method(keys, *args)
+
+        setattr(rr.index, name, batch)
+    rr.insert(180)
+    writes = rr.index.writes
+    del sizes[:]
+    rr.insert(181)
+    assert sizes and sum(sizes) == rr.index.writes - writes
+    rr.delete(181)
+    run_fuzz(rr, 150, seed=4, queries_per_op=2)
+    assert min(sizes) > 0
+
+
 def check_index_discipline(backend):
     rr = make(backend=backend, audit=True)
     rr.insert(9)
