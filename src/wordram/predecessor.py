@@ -4,9 +4,10 @@ Keys live in sorted buckets of Theta(width) size with an x-fast-style top
 structure over the bucket representatives: hash tables of key prefixes per
 level, binary-searched for the longest match.  The top stores only the
 levels down to where consecutive representatives stop sharing prefixes,
-so a search probes lg(height + 1) <= lg(width + 1) tables; on uniform keys
-height is about lg of the number of representatives.  Bucket splits and
-merges keep top updates rare.
+and a search starts below the deepest level that holds every prefix, so
+it probes lg(height - full + 1) <= lg(width + 1) tables; on uniform keys
+height is about lg of the number of representatives, and full a few
+levels less.  Bucket splits and merges keep top updates rare.
 
 The buckets are the only ordered copy of the keys.  An update returns the
 key's neighbors from its bucket position; at a bucket edge the neighbor is
@@ -26,8 +27,16 @@ class _XFastTop:
     prefix two consecutive representatives have shared since the top was
     built (1 while none has).  So a height-bit prefix names at most one
     representative, and deeper levels, which would hold one private entry
-    per representative, are never needed.  A search binary-searches levels
-    0..height, which is at most lg(height + 1) <= lg(width + 1) probes.
+    per representative, are never needed.
+
+    full is the deepest level whose table holds all 2**full prefixes (0
+    while the top is empty or level 1 lacks a prefix; the root's level is
+    implied).  Every key's prefix is in that table, so a search
+    binary-searches only levels full..height, which is at most
+    lg(height - full + 1) <= lg(width + 1) probes.  An insert advances full
+    while the next level is complete; a delete that empties a prefix at a
+    level L <= full sets it to L - 1.  Deep keys, which never complete a
+    level, search all of 0..height.
 
     height only grows, and never past width.  The pair a delete joins
     shares the shorter of its two old prefixes, so only an insert can grow
@@ -41,6 +50,7 @@ class _XFastTop:
     def __init__(self, width: int):
         self.width = width
         self.height = 1
+        self.full = 0
         # level L maps the leading L bits of each rep to (min, max) under it;
         # level 0, the root, is implied and its dict stays empty.  Tuples of
         # ints drop out of the cyclic collector's tracking, lists would not.
@@ -77,6 +87,10 @@ class _XFastTop:
                 table[pref] = (rep, entry[1])
             elif rep > entry[1]:
                 table[pref] = (entry[0], rep)
+        full = self.full
+        while full < self.height and len(self._levels[full + 1]) == 2 << full:
+            full += 1
+        self.full = full
         if self.min is None or rep < self.min:
             self.min = rep
         if self.max is None or rep > self.max:
@@ -111,6 +125,10 @@ class _XFastTop:
             entry = table[pref]
             if entry[0] == entry[1]:
                 del table[pref]
+                # the shallowest emptied prefix comes first; deeper ones
+                # lie below full once it drops
+                if level <= self.full:
+                    self.full = level - 1
             elif entry[0] == rep:
                 # the next rep shares the prefix when the entry survives
                 table[pref] = (nxt, entry[1])
@@ -134,8 +152,9 @@ class _XFastTop:
         if x >= self.max:  # type: ignore[operator]
             return self.max
         w = self.width
-        # deepest stored level whose table contains x's prefix
-        lo, hi = 0, self.height
+        # deepest stored level whose table contains x's prefix; every table
+        # down to full contains it
+        lo, hi = self.full, self.height
         levels = self._levels
         while lo < hi:
             mid = (lo + hi + 1) // 2

@@ -48,12 +48,18 @@ delete is the exact inverse of the insert it undoes.  The rule has one
 loop over the orders for 5b and two for core and 5a, the shorter one for
 a lone key y, which has no branching node on its path below v.  Each
 visits the orders coarsest first, and the first order to name a node
-decides its change.  ``tests/indexrule.py`` keeps the per-order loop they
-fold as the oracle.  No order mandates a node at the leaf level, bit depth
-w, which nothing reads: findany reads nodes no deeper than v = LCA(a, b),
-which lies above the leaves as a < b, a delete reads v's own entry, and v
-branches, and ``test_branching`` answers there without a read.  So the
-rule skips the top order, whose trie holds only the root and the leaves.
+decides its change.  For core and 5a, each order's node holding v, the
+node below it and whether that order names them first depend only on v's
+depth, so the loops read them from rows built on the first update at
+that depth (``_rule_rows``) and shared by every reporter of one width and
+branch; only the tests against a and y run per update.
+``tests/indexrule.py`` keeps the per-order loop the rule folds as the
+oracle, and ``tests/ruleloop.py`` the folded loop the rows replace.  No
+order mandates a node at the leaf level, bit depth w, which nothing
+reads: findany reads nodes no deeper than v = LCA(a, b), which lies above
+the leaves as a < b, a delete reads v's own entry, and v branches, and
+``test_branching`` answers there without a read.  So the rule skips the
+top order, whose trie holds only the root and the leaves.
 
 The root's record exists for the reporter's lifetime: ``__init__`` creates
 it with both sides empty, along with its S̄ key, its Open and its Close, and
@@ -158,6 +164,15 @@ _READ, _REUSE_UP, _REUSE_DOWN = 0, 1, 2
 _PLANS: dict[tuple[int, int, str], tuple[list, dict]] = {}
 # what a reporter reads until its first search: no depth has a plan
 _NO_PLANS = (None,) * max(VALID_WIDTHS)
+# the index rule's rows, shared by every reporter of one (width, branch): a
+# list indexed by v's depth, each slot filled on the first update there
+# (RangeReporter._rule_rows), and the dict that interns the rows
+_ROWS: dict[tuple[int, int], tuple[list, dict]] = {}
+
+
+def _shared_rows(width: int, branch: int) -> list:
+    """The rule's row table of (width, branch), made empty when missing."""
+    return _ROWS.setdefault((width, branch), ([None] * width, {}))[0]
 
 
 @dataclass(frozen=True)
@@ -371,6 +386,9 @@ class RangeReporter:
         ]
         # the index rule visits the orders below the top coarsest first
         self._coarse_first = list(zip(self._chunks, self._codes))[:self.top][::-1]
+        self._rows = _shared_rows(self.w, self.B)
+        # a missing key neighbor reads as a key that differs in every bit
+        self._far = (1 << self.w) - 1
         self._q_nav = 0
         self._plans = _NO_PLANS
         # the root's record, both sides empty, lives as long as the reporter
@@ -381,13 +399,14 @@ class RangeReporter:
         self.nav.insert_after(root, root.close)
 
     def __getstate__(self) -> dict:
-        # the probe plans are shared, not state: a copy looks them up again
-        # on its first search
-        return {k: v for k, v in self.__dict__.items() if k != "_plans"}
+        # the probe plans and the rule's rows are shared, not state: a copy
+        # looks the plans up again on its first search, the rows at once
+        return {k: v for k, v in self.__dict__.items() if k not in ("_plans", "_rows")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._plans = _NO_PLANS
+        self._rows = _shared_rows(self.w, self.B)
 
     # -- encodings ----------------------------------------------------------
 
@@ -456,23 +475,22 @@ class RangeReporter:
             self.check()
         return True
 
-    def _v_depth(self, x: int, prev: int | None, nxt: int | None) -> int:
-        """The depth of v, the deeper of x's LCAs with its key neighbors;
-        x ^ key is smaller for the deeper one.  Without neighbors v is the
-        root."""
-        # a missing neighbor reads as a key that differs from x in every bit
-        far = (1 << self.w) - 1
-        lo = far if prev is None else x ^ prev
-        hi = far if nxt is None else x ^ nxt
-        return self.w - (lo if lo < hi else hi).bit_length()
+    def _update_path(self, x: int, prev: int | None,
+                     nxt: int | None) -> tuple[int, int, int, int]:
+        """(d_v, xc, v_key, x_side) for an update of x between its key
+        neighbors: the depth of v, the deeper of x's LCAs with them (x ^ key
+        is smaller for the deeper one, and without neighbors v is the root),
+        x's leaf code, v's key and the side of v that x takes."""
+        w = self.w
+        lo = self._far if prev is None else x ^ prev
+        hi = self._far if nxt is None else x ^ nxt
+        d_v = w - (lo if lo < hi else hi).bit_length()
+        xc = (x << _TAG_BITS) | _TAG_MASK
+        return d_v, xc, xc & self._codes[0][d_v], (x >> (w - 1 - d_v)) & 1
 
     def _insert_key(self, x: int, prev: int | None, nxt: int | None) -> None:
-        w = self.w
-        d_v = self._v_depth(x, prev, nxt)
+        d_v, xc, v_key, x_side = self._update_path(x, prev, nxt)
         nav = self.nav
-        xc = self._leaf_code(x)
-        v_key = xc & self._codes[0][d_v]
-        x_side = (x >> (w - 1 - d_v)) & 1
         e = Element(x)
 
         if not d_v:
@@ -497,7 +515,7 @@ class RangeReporter:
                 raise AssertionError("x's neighbors diverge at a branching node")
             try:
                 a_depth = min(z & _TAG_MASK,
-                              w - ((z ^ v_key) >> _TAG_BITS).bit_length())
+                              self.w - ((z ^ v_key) >> _TAG_BITS).bit_length())
                 a_rec, side_a = self._ancestor(a_depth, xc)
                 y = a_rec.right if side_a else a_rec.left
                 if y is None:
@@ -567,7 +585,8 @@ class RangeReporter:
         (neither it nor its parent branches) is hardest to pass in the
         coarsest order.  So v's node is added only if that order adds it,
         and a node below v already holds an entry if that order or y's own
-        node's order holds one.
+        node's order holds one.  Core and 5a read which order names v's
+        node and the node below it first from v's depth's rows.
         """
         # a branches without x and lies at or below depth m iff a_lim >= m
         a_lim = a_depth if a_real else -1
@@ -587,60 +606,81 @@ class RangeReporter:
         to_a: list[int] = []
         to_v: list[int] = []
         a_to_v: list[int] = []
-        # v's node's bit depth and the code of the node below it, as the
-        # last order visited named them; the orders that name the leaf level
-        # come first, and as no order mandates it, it counts as named
-        last_kc, last_code = -1, self._codes[0][self.w]
+        rows = self._rows[d_v] or self._rule_rows(d_v)
         if y_d0 < 0:
             # y is a lone key: no branching node lies on its path below v,
             # and its one entry per order sits right below v's node
-            for ch, codes in self._coarse_first:
-                k = d_v // ch
-                kc = k * ch
+            for ch, k, kc, v_code, below in rows:
                 # v's node, unless it or its parent branches without x
-                if kc != last_kc:
-                    last_kc = kc
-                    if k > 1 and a_lim + ch < kc:
-                        to_a.append(xc & codes[k])
-                code = codes[k + 1]
-                if code != last_code:
-                    last_code = code
-                    to_v.append(xc & code)
+                if v_code and a_lim + ch < kc:
+                    to_a.append(xc & v_code)
+                if below:
+                    to_v.append(xc & below)
                     if not k or a_lim >= kc:
-                        a_to_v.append(yc & code)
+                        a_to_v.append(yc & below)
                     else:
-                        to_v.append(yc & code)
+                        to_v.append(yc & below)
             return to_a, to_v, a_to_v
+        codes = self._codes[0]
         # the code of y's own node as the last order visited named it
         last_own = -1
-        for ch, codes in self._coarse_first:
-            k = d_v // ch
-            kc = k * ch
+        for ch, k, kc, v_code, below in rows:
             yk = y_d0 // ch
-            if kc != last_kc:
-                last_kc = kc
-                if k > 1 and a_lim + ch < kc and yk != k:
-                    to_a.append(xc & codes[k])
-            code = codes[k + 1]
-            if code != last_code:
-                last_code = code
-                to_v.append(xc & code)
+            if v_code and a_lim + ch < kc and yk != k:
+                to_a.append(xc & v_code)
+            if below:
+                to_v.append(xc & below)
                 if yk == k + 1:
                     # y's own node, branching in this order
-                    last_own = code
-                    a_to_v.append(yc & code)
+                    last_own = below
+                    a_to_v.append(yc & below)
                 elif yk > k:
                     if not k or a_lim >= kc:
-                        a_to_v.append(yc & code)
+                        a_to_v.append(yc & below)
                     else:
-                        to_v.append(yc & code)
+                        to_v.append(yc & below)
             if yk > k + 1:
                 # y's own node, branching in this order too
-                code = codes[yk]
+                code = codes[yk * ch]
                 if code != last_own:
                     last_own = code
                     a_to_v.append(yc & code)
         return to_a, to_v, a_to_v
+
+    def _rule_rows(self, d_v: int) -> tuple:
+        """The index rule's rows for v at depth d_v: the shared table's,
+        which this builds when no reporter has.
+
+        One row per order below the top, coarsest first: (ch, k, kc,
+        v_code, below), the order's chunk, v's node's depth k and bit depth
+        kc, the code of v's node if this order names it first and k > 1
+        (else 0), and the code of the node below it if this order names it
+        first (else 0).  The orders that name the leaf level come first, and
+        as no order mandates it, it counts as named.  Equal rows are one
+        object.
+        """
+        rows, interned = _ROWS[self.w, self.B]
+        if rows[d_v] is not None:
+            return rows[d_v]
+        built = []
+        last_kc, last_code = -1, self._codes[0][self.w]
+        for ch, codes in self._coarse_first:
+            k = d_v // ch
+            kc = k * ch
+            v_code = below = 0
+            if kc != last_kc:
+                last_kc = kc
+                if k > 1:
+                    v_code = codes[k]
+            if codes[k + 1] != last_code:
+                below = last_code = codes[k + 1]
+            row = (ch, k, kc, v_code, below)
+            built.append(interned.setdefault(row, row))
+        rows[d_v] = tuple(built)
+        if None not in rows:
+            # every depth has its rows
+            interned.clear()
+        return rows[d_v]
 
     def _index_changes_5b(self, xc: int, d_v: int, y_d0: int, yc: int,
                           a_lim: int) -> tuple[list[int], list[int], list[int]]:
@@ -716,12 +756,8 @@ class RangeReporter:
         return True
 
     def _delete_key(self, x: int, prev: int | None, nxt: int | None) -> None:
-        w = self.w
-        d_v = self._v_depth(x, prev, nxt)
+        d_v, xc, v_key, x_side = self._update_path(x, prev, nxt)
         nav = self.nav
-        xc = self._leaf_code(x)
-        v_key = xc & self._codes[0][d_v]
-        x_side = (x >> (w - 1 - d_v)) & 1
         e = self.leaves[x]
         rec = self.table.get(v_key)
         if rec is None or (rec.right if x_side else rec.left) is not e:

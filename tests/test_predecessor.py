@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from bisect import bisect_left, bisect_right, insort
 
@@ -226,3 +228,111 @@ def test_clustered_updates_against_sorted_list(width):
         i = bisect_right(ref, q)
         assert ps.pred(q) == (ref[i - 1] if i else None)
     assert list(ps) == ref
+
+
+def brute_full(ps: PredecessorSet) -> int:
+    """The deepest stored level at which the representatives' prefixes
+    take all 2**level values (0 when there are none)."""
+    top = ps._top
+    w = top.width
+    reps = ps._buckets
+    return max((level for level in range(top.height + 1)
+                if len({r >> (w - level) for r in reps}) == 1 << level), default=0)
+
+
+def clustered(width: int):
+    """Keys near a few fixed centres, each run filling and emptying one
+    neighbourhood, and a quarter uniform."""
+    rng = random.Random(width + 1)
+    centres = [rng.getrandbits(width) for _ in range(4)]
+
+    def draw(rng: random.Random, i: int, ref: list[int]) -> int:
+        if rng.random() < 0.25:
+            return rng.randrange(1 << width)
+        spread = 1 << max(width // 2, 4)
+        return min(rng.choice(centres) + rng.randrange(spread), (1 << width) - 1)
+    return draw
+
+
+class CountingTable(dict):
+    """A level table that counts membership tests, a search's probes."""
+    probes = 0
+
+    def __contains__(self, key):
+        CountingTable.probes += 1
+        return dict.__contains__(self, key)
+
+
+@pytest.mark.parametrize("width", [8, 16, 64])
+@pytest.mark.parametrize("keys", ["uniform", "clustered", "deep"])
+def test_full_level_follows_the_representatives(width, keys):
+    # the set grows for half the run and shrinks for the other half; after
+    # every op full equals a recount from the representatives and the top
+    # is still exact.  The run crosses grows, splits, merges and relabels of
+    # a bucket, and full both rises and falls
+    ops = {8: 6000, 16: 6000, 64: 4000}[width]
+    draw = {"uniform": lambda rng, i, ref: rng.getrandbits(width),
+            "clustered": clustered(width), "deep": deepening(width, ops)}[keys]
+    ps = PredecessorSet(width)
+    ref: list[int] = []
+    rng = random.Random(width + len(keys))
+    fulls = []
+    events = dict.fromkeys(("grow", "split", "merge", "relabel"), 0)
+    reps, height = set(), 1
+    for step in range(ops):
+        if not ref or rng.random() < (0.7 if step < ops // 2 else 0.3):
+            x = draw(rng, step, ref)
+            if ps.insert(x)[2]:
+                insort(ref, x)
+        else:
+            i = rng.randrange(len(ref))
+            assert ps.delete(ref[i]) == delete_answer(ref, i)
+            ref.pop(i)
+        check_top(ps)
+        assert ps._top.full == brute_full(ps), step
+        fulls.append(ps._top.full)
+        new_reps = set(ps._buckets)
+        events["grow"] += ps._top.height > height
+        events["split"] += len(new_reps) > len(reps) and bool(reps)
+        events["merge"] += len(new_reps) < len(reps)
+        events["relabel"] += len(new_reps) == len(reps) and new_reps != reps
+        reps, height = new_reps, ps._top.height
+    assert list(ps) == ref
+    # at w=64 a few crowded neighbourhoods complete no level past the first
+    assert max(fulls) >= (2 if keys == "uniform" or width < 64 else 1), keys
+    assert any(a > b for a, b in zip(fulls, fulls[1:])), keys
+    assert all(events.values()), events
+
+
+def test_full_level_cuts_the_search():
+    # on 2^14 uniform keys the top's first levels are complete, and no
+    # search probes more than ceil(lg(height - full + 1)) tables
+    ps = PredecessorSet(64)
+    rng = random.Random(33)
+    for _ in range(1 << 14):
+        ps.insert(rng.getrandbits(64))
+    top = ps._top
+    assert top.full == brute_full(ps) and top.full >= 4
+    top._levels = [CountingTable(table) for table in top._levels]
+    bound = (top.height - top.full).bit_length()
+    for _ in range(2000):
+        CountingTable.probes = 0
+        ps.pred(rng.getrandbits(64))
+        assert CountingTable.probes <= bound
+
+
+def test_full_level_survives_copies():
+    # full is state: a deep copy or a pickle keeps it, and goes on keeping
+    # it right through further updates
+    ps = PredecessorSet(16)
+    rng = random.Random(35)
+    keys = [rng.randrange(1 << 16) for _ in range(3000)]
+    for x in keys:
+        ps.insert(x)
+    assert ps._top.full >= 2
+    for c in (copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
+        assert c._top.full == ps._top.full
+        for x in keys[:2500]:
+            c.delete(x)
+            assert c._top.full == brute_full(c)
+        assert list(c) == sorted(set(keys[2500:]) - set(keys[:2500]))
