@@ -89,7 +89,7 @@ def _run_fuzz(args) -> int:
             if got is None:
                 if not empty:
                     mismatches += 1
-            elif not (a <= got <= b) or got not in rr.leaves:
+            elif not (a <= got <= b) or got not in rr:
                 mismatches += 1
             queries += 1
             if queries % 8 == 0:

@@ -32,20 +32,23 @@ the bucket floor to base/2 would let a superbucket hold width/2 entries and
 raise that bound to 8.)  Calling the walk again from the element it returns
 walks the elements in list order.
 
-An entry is its own handle: the caller builds it, inserts it, and holds it,
-and it stays valid across splits and merges until it is deleted.  An entry
-holds only its value and its bucket; its kind is its class's, ``Element``,
-``Open`` or ``Close``, so a caller may subclass ``Open`` or ``Close`` to
-keep its own fields on the entry itself.  An insert reads the new entry's
-kind once; deletes and walks read only the buckets' summary bits.
+An entry is its own handle, and it stays valid across splits and merges
+until it is deleted.  An element is its key, an exact int, which the list
+maps to its bucket in one dict, ``elements``; a list holds each key at most
+once.  Any other entry is an object the caller builds, inserts and holds,
+an ``Open`` with its value or a ``Close``, which hold their bucket
+themselves; a caller may subclass either to keep its own fields on the
+entry itself.  An insert reads the new entry's type once; deletes and walks
+read only the buckets' summary bits.
 
 A deep copy or a pickle of the list is flat: an entry's state leaves out
-its bucket, and the list's state holds, per superbucket, its buckets'
-entry lists and summary words, from which a load rebuilds the buckets and
-the superbuckets' links.  So neither follows the superbucket chain or an
-entry's bucket link by link, and the copy's depth of recursion does not
-grow with the list's length.  A shallow copy raises TypeError: it would
-share the entries, and an entry belongs to one list.
+its bucket, and the list's state leaves out ``elements`` and holds, per
+superbucket, its buckets' entry lists and summary words, from which a load
+rebuilds the buckets, ``elements`` and the superbuckets' links.  So neither
+follows the superbucket chain or an entry's bucket link by link, and the
+copy's depth of recursion does not grow with the list's length.  A shallow
+copy raises TypeError: it would share the entries, and an entry belongs to
+one list.
 """
 
 from __future__ import annotations
@@ -54,19 +57,13 @@ import math
 
 from .wordops import ensure
 
-ELEMENT = 1
-OPEN = 2
-CLOSE = 3
-
 
 class _Entry:
-    """One list entry; its place is its slot in its bucket's entries."""
+    """A parenthesis entry; its place is its slot in its bucket's entries."""
 
-    __slots__ = ("value", "bucket")
-    kind: int
+    __slots__ = ("bucket",)
 
-    def __init__(self, value: int | None):
-        self.value = value  # an element's key, or a parenthesis's owner key
+    def __init__(self):
         self.bucket: _Bucket | None = None  # None while not listed
 
     def __getstate__(self) -> dict:
@@ -82,25 +79,22 @@ class _Entry:
             setattr(self, name, value)
 
 
-class Element(_Entry):
-    __slots__ = ()
-    kind = ELEMENT
-
-
 class Open(_Entry):
-    __slots__ = ()
-    kind = OPEN
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | None):
+        self.value = value  # the owner's key
+        self.bucket = None
 
 
 class Close(_Entry):
     __slots__ = ()
-    kind = CLOSE
 
 
 class _Bucket:
     __slots__ = ("entries", "summary", "sup")
 
-    def __init__(self, sup: _Super, entries: list[_Entry], summary: int):
+    def __init__(self, sup: _Super, entries: list, summary: int):
         self.entries = entries  # in list order
         self.summary = summary  # bit i set iff entries[i] is an element
         self.sup = sup
@@ -133,6 +127,8 @@ class NavList:
             self.base += 1
         self.cap = 3 * self.base  # split threshold; the merge floor is base
         self._head: _Super | None = None
+        # each element, a key, mapped to its bucket
+        self.elements: dict[int, _Bucket] = {}
         self.max_examined = 0
 
     def __len__(self) -> int:
@@ -142,8 +138,9 @@ class NavList:
     def __getstate__(self) -> dict:
         # flat: per superbucket its summary and its buckets' entry lists and
         # summaries, so that neither pickle nor deepcopy recurses along the
-        # superbucket chain; buckets and links are rebuilt on load
+        # superbucket chain; buckets, links and elements are rebuilt on load
         state = self.__dict__.copy()
+        del state["elements"]
         sups = []
         sup = state.pop("_head")
         while sup is not None:
@@ -160,14 +157,14 @@ class NavList:
     def __setstate__(self, state: dict) -> None:
         sups = state.pop("_sups")
         self.__dict__.update(state)
+        self.elements = {}
         self._head = prev = None
         for summary, buckets in sups:
             sup = _Super()
             sup.summary = summary
             for entries, b_summary in buckets:
                 bucket = _Bucket(sup, entries, b_summary)
-                for e in entries:
-                    e.bucket = bucket
+                self._place(entries, bucket)
                 sup.buckets.append(bucket)
             if prev is None:
                 self._head = sup
@@ -175,9 +172,18 @@ class NavList:
                 prev.next, sup.prev = sup, prev
             prev = sup
 
+    def _place(self, entries: list, bucket: _Bucket) -> None:
+        """Point each of entries, all listed, at bucket."""
+        elements = self.elements
+        for e in entries:
+            if type(e) is int:
+                elements[e] = bucket
+            else:
+                e.bucket = bucket
+
     # -- insertion ----------------------------------------------------------
 
-    def insert_first(self, e: _Entry) -> None:
+    def insert_first(self, e: int | _Entry) -> None:
         """Put the new entry e first in the list."""
         if self._head is not None:
             self._insert(self._head.buckets[0], 0, e)
@@ -187,36 +193,40 @@ class NavList:
         sup.buckets.append(bucket)
         self._insert(bucket, 0, e)
 
-    def insert_after(self, after: _Entry, e: _Entry) -> None:
+    def insert_after(self, after: int | _Entry, e: int | _Entry) -> None:
         """Put the new entry e just after the listed entry `after`."""
-        bucket = after.bucket
+        bucket = self.elements.get(after) if type(after) is int else after.bucket
         if bucket is None:
             raise KeyError("insert after an unlisted entry")
         self._insert(bucket, bucket.entries.index(after) + 1, e)
 
-    def insert_before(self, before: _Entry, e: _Entry) -> None:
+    def insert_before(self, before: int | _Entry, e: int | _Entry) -> None:
         """Put the new entry e just before the listed entry `before`."""
-        bucket = before.bucket
+        bucket = self.elements.get(before) if type(before) is int else before.bucket
         if bucket is None:
             raise KeyError("insert before an unlisted entry")
         self._insert(bucket, bucket.entries.index(before), e)
 
-    def _insert(self, bucket: _Bucket, pos: int, e: _Entry) -> None:
-        """Put e, which no list holds, at position pos of bucket."""
-        if e.bucket is not None:
-            raise KeyError("insert of a listed entry")
-        e.bucket = bucket
+    def _insert(self, bucket: _Bucket, pos: int, e: int | _Entry) -> None:
+        """Put e, which this list does not hold, at position pos of bucket."""
         entries = bucket.entries
-        entries.insert(pos, e)
         summary = bucket.summary
         # adding the bits at and above pos to the word shifts them up by one
         # and leaves bit pos clear
         shifted = summary + (summary >> pos << pos)
-        if e.kind == ELEMENT:
+        if type(e) is int:
+            if e in self.elements:
+                raise KeyError("insert of a listed entry")
+            self.elements[e] = bucket
+            entries.insert(pos, e)
             bucket.summary = shifted | (1 << pos)
             if not summary:
                 self._refresh_sup_bit(bucket)
         else:
+            if e.bucket is not None:
+                raise KeyError("insert of a listed entry")
+            e.bucket = bucket
+            entries.insert(pos, e)
             bucket.summary = shifted
         if len(entries) > self.cap:
             self._split_bucket(bucket)
@@ -237,8 +247,7 @@ class NavList:
         right = _Bucket(sup, entries[half:], bucket.summary >> half)
         del entries[half:]
         bucket.summary &= (1 << half) - 1
-        for e in right.entries:
-            e.bucket = right
+        self._place(right.entries, right)
         sup.buckets.insert(b_pos + 1, right)
         # shift the bits above b_pos up by one, leaving bit b_pos + 1 clear
         sup.summary += sup.summary >> (b_pos + 1) << (b_pos + 1)
@@ -263,11 +272,14 @@ class NavList:
 
     # -- deletion -----------------------------------------------------------
 
-    def delete(self, e: _Entry) -> None:
-        bucket = e.bucket
+    def delete(self, e: int | _Entry) -> None:
+        if type(e) is int:
+            bucket = self.elements.pop(e, None)
+        else:
+            bucket = e.bucket
+            e.bucket = None
         if bucket is None:
             raise KeyError("delete of an unlisted entry")
-        e.bucket = None
         entries = bucket.entries
         pos = entries.index(e)
         del entries[pos]
@@ -299,8 +311,7 @@ class NavList:
         l_pos = min(b_pos, o_pos)
         left, right = sup.buckets[l_pos], sup.buckets.pop(l_pos + 1)
         sup.summary = _bit_remove(sup.summary, l_pos + 1)
-        for e in right.entries:
-            e.bucket = left
+        self._place(right.entries, left)
         left.summary |= right.summary << len(left.entries)
         left.entries += right.entries
         self._refresh_sup_bit(left)
@@ -337,9 +348,9 @@ class NavList:
 
     # -- navigation ----------------------------------------------------------
 
-    def nearest_element_left(self, e: _Entry) -> _Entry | None:
+    def nearest_element_left(self, e: int | _Entry) -> int | None:
         """Nearest element entry strictly before `e` in list order."""
-        bucket = e.bucket
+        bucket = self.elements.get(e) if type(e) is int else e.bucket
         try:
             pos = bucket.entries.index(e)
         except AttributeError:
@@ -368,9 +379,9 @@ class NavList:
         self._note(examined)
         return None
 
-    def nearest_element_right(self, e: _Entry) -> _Entry | None:
+    def nearest_element_right(self, e: int | _Entry) -> int | None:
         """Nearest element entry strictly after `e` in list order."""
-        bucket = e.bucket
+        bucket = self.elements.get(e) if type(e) is int else e.bucket
         try:
             pos = bucket.entries.index(e)
         except AttributeError:
@@ -418,6 +429,9 @@ class NavList:
         a breach raises AssertionError, also under ``python -O``."""
         order = list(self)
         ensure(len(set(order)) == len(order), "entry listed twice")
+        elements = self.elements
+        ensure(len(elements) == sum(type(e) is int for e in order),
+               "element map holds an unlisted key")
 
         sups = []
         sup = self._head
@@ -437,9 +451,9 @@ class NavList:
                 ensure(1 <= len(entries) <= self.cap, "bucket size out of bounds")
                 if n_buckets > 1:
                     ensure(len(entries) >= self.base, "undersized bucket with siblings")
-                ensure(all(e.bucket is bucket for e in entries),
-                       "entry points at another bucket")
-                summary = sum(1 << pos for pos, e in enumerate(entries) if e.kind == ELEMENT)
+                ensure(all((elements.get(e) if type(e) is int else e.bucket) is bucket
+                           for e in entries), "entry points at another bucket")
+                summary = sum(1 << pos for pos, e in enumerate(entries) if type(e) is int)
                 ensure(bucket.summary == summary, "bucket summary word is wrong")
                 ensure(((sup.summary >> b_pos) & 1) == (summary != 0),
                        "superbucket summary bit is wrong")

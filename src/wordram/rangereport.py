@@ -89,17 +89,19 @@ findany probe calls the encoder.
 
 A branching record, stored under its node's key, keeps no depth or
 prefix.  Its slots ``left`` and ``right`` hold its two children's own
-navigation entries: a lone key's element (``leaves[x]``) or the branching
-child's record; None marks an empty side of the root.  No tag integer is
-stored.  An update places v's parentheses around y, the child it takes
-over, from the object itself, overwrites the side it changes in place,
-after every consistency check has passed, and hands y itself to the index
-rule.  The rule and ``_verified_descendant``, which checks every index
-answer a query uses, read a child's place from its value: an element,
-whose class says it is a leaf below every node, holds its key, and a
-record holds its node's key, with the prefix left-aligned above the depth
-field.  Only the audit's brute force names children by tag (a leaf code
-or a node key), and the audit reads a tag back as the entry it names.
+navigation entries: a lone key, whose element entry is the key int itself,
+the object its bucket slot holds (a pickle makes the two equal ints), or
+the branching child's record; None marks an empty side of the root.  No
+tag integer is stored.  An update places v's parentheses around y, the
+child it takes over, from the entry itself, overwrites the side it changes
+in place, after every consistency check has passed, and hands y itself to
+the index rule.  The rule and
+``_verified_descendant``, which checks every index answer a query uses,
+read a child's place from the child: a key, an int, is a leaf below every
+node, and a record holds its node's key, with the prefix left-aligned
+above the depth field.  Only the audit's brute force names children by tag
+(a leaf code or a node key), and the audit reads a tag back as the entry
+it names.
 
 A record keeps no link to its lowest branching ancestor a.  A delete reads
 a's depth from v's own index entry, which every branching node has.  An
@@ -110,11 +112,14 @@ key z just before v's is a itself or the last branching node in a's left
 subtree, whose path parts from v's at a.  Either way a's depth is the
 smaller of z's depth and the length of the prefix z's key shares with v's.
 Navigation-list entries, which are their own handles, live only with their
-owners and the records that hold them as children.  ``leaves[x]`` holds
-x's element entry.  A branching record is
-itself v's Open entry, one object with v's key as its value, so
+owners and the records that hold them as children.  x's element is x, and
+the list's one dict from each key to its bucket, ``nav.elements``, is also
+the reporter's membership table: the reporter keeps no second one that a
+copy could split from it.  A key that is not an exact int is turned into
+one (``operator.index``) before an update changes anything.  A branching
+record is itself v's Open entry, one object with v's key as its value, so
 ``table[v_key]`` is the listed entry; its slot ``close`` holds v's Close,
-whose value is the same key.  Entries keep no links; the list's buckets
+which holds only its bucket.  Entries keep no links; the list's buckets
 alone hold their order, which is the tree's: Open(v), v's left subtree,
 v's right subtree, Close(v).  So the tree places every entry: v's record
 goes just before the first entry of y, the one old child subtree v takes
@@ -135,9 +140,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import index as _as_key
 
 from .bloomier import BloomierConfig, BloomierFilter
-from .navlist import CLOSE, ELEMENT, OPEN, Close, Element, NavList, Open, _Entry
+from .navlist import Close, NavList, Open, _Entry
 from .predecessor import PredecessorSet
 from .wordops import VALID_WIDTHS, ensure, lca_depth, top_order, trie_depth
 
@@ -316,14 +322,14 @@ class BranchingRecord(Open):
 
     __slots__ = ("left", "right", "close")
 
-    def __init__(self, key: int, left: _Entry | None, right: _Entry | None):
+    def __init__(self, key: int, left: int | _Entry | None, right: int | _Entry | None):
         self.value = key
         self.bucket = None
-        # the children on the two sides: None, a lone key's Element or a
-        # branching child's record
+        # the children on the two sides: None, a lone key or a branching
+        # child's record
         self.left = left
         self.right = right
-        self.close = Close(key)
+        self.close = Close()
 
 
 @dataclass
@@ -364,7 +370,6 @@ class RangeReporter:
         self._sbar_pred = PredecessorSet(self.w + _TAG_BITS)
         self.nav = NavList(self.w)
         self.table: dict[int, BranchingRecord] = {}
-        self.leaves: dict[int, Element] = {}
         index_cap = 4 * config.capacity * (self.top + 2)
         if config.variant == VARIANT_FAST_QUERY:
             index_cap *= self.B
@@ -441,10 +446,10 @@ class RangeReporter:
     # -- element access -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.leaves)
+        return len(self.nav.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.leaves
+        return x in self.nav.elements
 
     def sorted_elements(self) -> list[int]:
         return list(self.pred)
@@ -452,11 +457,15 @@ class RangeReporter:
     # -- updates ---------------------------------------------------------------
 
     def insert(self, x: int) -> bool:
+        # an exact int, which the list's element dispatch needs; a key that
+        # is no integer raises TypeError before any change
+        x = _as_key(x)
         if x >> self.w:
             raise ValueError(f"key {x} does not fit in {self.w} bits")
-        if x in self.leaves:
+        elements = self.nav.elements
+        if x in elements:
             return False
-        if len(self.leaves) >= self.config.capacity:
+        if len(elements) >= self.config.capacity:
             raise ValueError("capacity exceeded")
         writes_before = self.index.writes
         prev, nxt, _ = self.pred.insert(x)
@@ -491,7 +500,6 @@ class RangeReporter:
     def _insert_key(self, x: int, prev: int | None, nxt: int | None) -> None:
         d_v, xc, v_key, x_side = self._update_path(x, prev, nxt)
         nav = self.nav
-        e = Element(x)
 
         if not d_v:
             # the new divergence point is the root: x fills its empty side,
@@ -502,9 +510,9 @@ class RangeReporter:
                     or (y is None) != (prev is None and nxt is None)):
                 raise AssertionError("the root's sides disagree with x's neighbors")
             if x_side:
-                rec.right = e
+                rec.right = x
             else:
-                rec.left = e
+                rec.left = x
             a_depth, a_real = 0, False
         else:
             # z, the branching node before v in preorder, is a itself or the
@@ -520,19 +528,21 @@ class RangeReporter:
                 y = a_rec.right if side_a else a_rec.left
                 if y is None:
                     raise AssertionError("the new branching node's ancestor has an empty side")
-                if y.bucket is None:
-                    raise AssertionError("v's old child subtree has no navigation entry")
+                if x_side:
+                    rec = BranchingRecord(v_key, y, x)
+                else:
+                    rec = BranchingRecord(v_key, x, y)
+                # v's parentheses enclose y, its one old child subtree: a lone
+                # key's element, or a node's Open to its Close.  An unlisted y
+                # makes the first insert raise before it changes the list
+                try:
+                    nav.insert_before(y, rec)
+                except KeyError:
+                    raise AssertionError("v's old child subtree has no navigation entry") from None
             except AssertionError:
                 self._sbar_pred.delete(v_key)
                 raise
-            if x_side:
-                rec = BranchingRecord(v_key, y, e)
-            else:
-                rec = BranchingRecord(v_key, e, y)
-            # v's parentheses enclose y, its one old child subtree: a lone
-            # key's element, or a node's Open to its Close
-            nav.insert_before(y, rec)
-            nav.insert_after(y if type(y) is Element else y.close, rec.close)
+            nav.insert_after(y if type(y) is int else y.close, rec.close)
             if side_a:
                 a_rec.right = rec
             else:
@@ -540,13 +550,12 @@ class RangeReporter:
             self.table[v_key] = rec
             a_real = a_rec.left is not None and a_rec.right is not None
 
-        # x's element goes just inside the parentheses of the node it hangs
-        # from, on x's side
-        self.leaves[x] = e
+        # x's element, x itself, goes just inside the parentheses of the node
+        # it hangs from, on x's side
         if x_side:
-            nav.insert_before(rec.close, e)
+            nav.insert_before(rec.close, x)
         else:
-            nav.insert_after(rec, e)
+            nav.insert_after(rec, x)
         to_a, to_v, a_to_v = self._index_changes(xc, d_v, y, a_depth, a_real)
         index = self.index
         # most updates make no node branching in any order
@@ -558,15 +567,15 @@ class RangeReporter:
         if a_to_v:
             index.set_all(a_to_v, d_v)
 
-    def _index_changes(self, xc: int, d_v: int, y: _Entry | None, a_depth: int,
+    def _index_changes(self, xc: int, d_v: int, y: int | _Entry | None, a_depth: int,
                        a_real: bool) -> tuple[list[int], list[int], list[int]]:
         """The index entries that x's presence changes, as three lists of
         node keys that name each node once.
 
         xc is x's leaf code, v = LCA(x, its nearer key neighbor) sits at
         depth d_v, y is v's child other than x as v's record side holds it
-        (None when x is alone under the root, a lone key's element or a
-        branching child's record), and a is v's lowest branching ancestor
+        (None when x is alone under the root, a lone key or a branching
+        child's record), and a is v's lowest branching ancestor
         at depth a_depth (0 when v is the root); a_real says whether a
         branches without x (it then branches with x too), so an insert and
         the delete that undoes it pass the same arguments.
@@ -596,8 +605,8 @@ class RangeReporter:
             # depth, 0, the nodes on y's side hold already: either way only
             # x's nodes change, as if the surviving path ended at v
             y_d0, yc = d_v, 0
-        elif type(y) is Element:
-            y_d0, yc = -1, (y.value << _TAG_BITS) | _TAG_MASK
+        elif type(y) is int:
+            y_d0, yc = -1, (y << _TAG_BITS) | _TAG_MASK
         else:
             yc = y.value
             y_d0, yc = yc & _TAG_MASK, yc | _TAG_MASK
@@ -737,7 +746,9 @@ class RangeReporter:
         return to_a, to_v, a_to_v
 
     def delete(self, x: int) -> bool:
-        if x not in self.leaves:
+        # as in insert: a key that is no integer changes nothing
+        x = _as_key(x)
+        if x not in self.nav.elements:
             return False
         writes_before = self.index.writes
         prev, nxt, _ = self.pred.delete(x)
@@ -758,9 +769,8 @@ class RangeReporter:
     def _delete_key(self, x: int, prev: int | None, nxt: int | None) -> None:
         d_v, xc, v_key, x_side = self._update_path(x, prev, nxt)
         nav = self.nav
-        e = self.leaves[x]
         rec = self.table.get(v_key)
-        if rec is None or (rec.right if x_side else rec.left) is not e:
+        if rec is None or (rec.right if x_side else rec.left) != x:
             raise AssertionError("v's descendant on x's side is not x")
         y = rec.left if x_side else rec.right
 
@@ -793,8 +803,7 @@ class RangeReporter:
             nav.delete(rec.close)
             a_real = a_rec.left is not None and a_rec.right is not None
 
-        del self.leaves[x]
-        nav.delete(e)
+        nav.delete(x)
         to_a, to_v, a_to_v = self._index_changes(xc, d_v, y, a_depth, a_real)
         index = self.index
         if a_to_v:
@@ -817,7 +826,7 @@ class RangeReporter:
         self.index.reads += 1
         desc = self._verified_descendant(self.index.get(key), d * ch, key | _TAG_MASK)
         # the node branches iff that descendant is a node inside its chunk
-        return (desc is not None and type(desc) is not Element
+        return (desc is not None and type(desc) is not int
                 and desc.value & _TAG_MASK < (d + 1) * ch)
 
     def _verified_descendant(self, depth: int | None, v_d: int, vc: int):
@@ -837,25 +846,25 @@ class RangeReporter:
 
     def _inside(self, desc, d: int, vc: int) -> bool:
         """Whether desc, a record side's child or None, lies inside the
-        subtree of the depth-d node on the path of vc, read from its value:
-        a lone key's Element holds the key, a leaf below every node, and a
-        record holds its node's key, prefix left-aligned above the depth."""
-        if type(desc) is Element:
-            return not (desc.value ^ (vc >> _TAG_BITS)) >> (self.w - d)
+        subtree of the depth-d node on the path of vc: a lone key is a leaf
+        below every node, and a record holds its node's key, prefix
+        left-aligned above the depth."""
+        if type(desc) is int:
+            return not (desc ^ (vc >> _TAG_BITS)) >> (self.w - d)
         return (desc is not None and desc.value & _TAG_MASK >= d
                 and not (desc.value ^ vc) >> (_TAG_BITS + self.w - d))
 
     def _max_under(self, desc) -> int:
-        if type(desc) is Element:
-            return desc.value
+        if type(desc) is int:
+            return desc
         self._q_nav += 1
-        return self.nav.nearest_element_left(desc.close).value
+        return self.nav.nearest_element_left(desc.close)
 
     def _min_under(self, desc) -> int:
-        if type(desc) is Element:
-            return desc.value
+        if type(desc) is int:
+            return desc
         self._q_nav += 1
-        return self.nav.nearest_element_right(desc).value
+        return self.nav.nearest_element_right(desc)
 
     def _plan(self, v_d: int) -> tuple:
         """findany's search over orders for a non-branching v at depth v_d,
@@ -931,9 +940,11 @@ class RangeReporter:
             b = min(b, (1 << w) - 1)
             if a > b:
                 return None
+        elements = self.nav.elements
         if a == b:
-            return a if a in self.leaves else None
-        if not self.leaves:
+            # an exact int, like every other answer
+            return _as_key(a) if a in elements else None
+        if not elements:
             return None
         self._q_nav = 0
         # the depth of v = LCA(a, b); a's leaf code lies under v, so and-ed
@@ -963,7 +974,7 @@ class RangeReporter:
                 else:
                     desc = down
                 # the node branches iff its descendant is a node in its chunk
-                if desc is None or type(desc) is Element or desc.value & _TAG_MASK >= end:
+                if desc is None or type(desc) is int or desc.value & _TAG_MASK >= end:
                     down = desc
                     node = fail
                 else:
@@ -1032,17 +1043,16 @@ class RangeReporter:
         if seed is None:
             return
         nav = self.nav
-        start = self.leaves[seed]
         left = []
-        e = nav.nearest_element_left(start)
-        while e is not None and e.value >= a:
-            left.append(e.value)
+        e = nav.nearest_element_left(seed)
+        while e is not None and e >= a:
+            left.append(e)
             e = nav.nearest_element_left(e)
         yield from reversed(left)
         yield seed
-        e = nav.nearest_element_right(start)
-        while e is not None and e.value <= b:
-            yield e.value
+        e = nav.nearest_element_right(seed)
+        while e is not None and e <= b:
+            yield e
             e = nav.nearest_element_right(e)
 
     # -- audit -----------------------------------------------------------------
@@ -1050,8 +1060,8 @@ class RangeReporter:
     def check(self) -> None:
         """Full structural audit against brute-force recomputation; a breach
         raises AssertionError, also under ``python -O``."""
-        elems = sorted(self.leaves)
-        ensure(list(self.pred) == elems, "predecessor set disagrees with leaf table")
+        elems = sorted(self.nav.elements)
+        ensure(list(self.pred) == elems, "predecessor set disagrees with the element map")
 
         expected = self._expected_records(elems)
         if set(self.table) != set(expected):
@@ -1106,39 +1116,43 @@ class RangeReporter:
         every pair but an empty root's encloses an element, and an
         element-free run is at most one path's Closes and another's Opens.
         """
-        want: list[tuple[int, int, _Entry]] = []
+        want: list = []
 
         def child(tag):
-            # the entry a descendant tag names: a lone key's element or a record
+            # the entry a descendant tag names: a lone key or a record
             if tag is None:
                 return None
             if (tag & _TAG_MASK) == _TAG_MASK:
-                return self.leaves[tag >> _TAG_BITS]
+                return tag >> _TAG_BITS
             return self.table[tag]
 
+        def same(entry, owned) -> bool:
+            # a record or a parenthesis is its owner's own object; a key, which
+            # a pickle copies, is an equal exact int
+            return entry is owned or type(entry) is int and entry == owned
+
         def walk(tag, entry) -> None:
-            if type(entry) is Element:
-                want.append((ELEMENT, tag >> _TAG_BITS, entry))
+            if type(entry) is int:
+                want.append(entry)
                 return
             left, right = expected[tag]
-            # a side holds the child's own entry, not an equal one
-            if entry.left is not child(left) or entry.right is not child(right):
+            if entry.value != tag:
+                raise AssertionError(f"the record of {self._name(tag)} holds another key")
+            if not (same(entry.left, child(left)) and same(entry.right, child(right))):
                 raise AssertionError(
                     f"descendant mismatch at {self._name(tag)}: left={self._label(entry.left)} "
                     f"right={self._label(entry.right)}, expected the owners' own "
                     f"{self._label(child(left))} and {self._label(child(right))}")
-            want.append((OPEN, tag, entry))
+            want.append(entry)
             if left is not None:
                 walk(left, entry.left)
             if right is not None:
                 walk(right, entry.right)
-            want.append((CLOSE, tag, entry.close))
+            want.append(entry.close)
 
         walk(self._root_key, self.table[self._root_key])
         entries = list(self.nav)
-        ensure(len(entries) == len(want)
-               and all(e is h and e.kind == kind and e.value == value
-                       for e, (kind, value, h) in zip(entries, want)),
+        ensure(len(entries) == len(want) and all(map(same, entries, want)),
                "the navigation list is not the walk of the tree")
         ensure(list(self._sbar_pred) == sorted(self.table),
                "S̄ keys differ from the branching table")
@@ -1228,7 +1242,7 @@ class RangeReporter:
         # a record's ancestor is the record that holds it as a child
         anc_depth = {desc.value: self._dec(key)[0] for key, rec in self.table.items()
                      for desc in (rec.left, rec.right)
-                     if desc is not None and type(desc) is not Element}
+                     if desc is not None and type(desc) is not int}
         lines = []
         for key in sorted(self.table):
             rec = self.table[key]
@@ -1244,10 +1258,10 @@ class RangeReporter:
         d, p = self._dec(key)
         return f"{d}/{p:0{max(1, d)}b}"
 
-    def _label(self, desc: _Entry | None) -> str:
+    def _label(self, desc: int | _Entry | None) -> str:
         """A record side's child in ``dump()``."""
         if desc is None:
             return "-"
-        if type(desc) is Element:
-            return f"leaf:{desc.value}"
+        if type(desc) is int:
+            return f"leaf:{desc}"
         return f"node:{self._name(desc.value)}"

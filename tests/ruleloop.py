@@ -13,7 +13,6 @@ of a recorded run and on every shape.
 
 from __future__ import annotations
 
-from wordram.navlist import Element
 from wordram.rangereport import _TAG_BITS, _TAG_MASK, RangeReporter
 
 
@@ -27,8 +26,8 @@ def index_changes(rr: RangeReporter, xc: int, d_v: int, y, a_depth: int,
     a_lim = a_depth if a_real else -1
     if y is None or not d_v:
         y_d0, yc = d_v, 0
-    elif type(y) is Element:
-        y_d0, yc = -1, (y.value << _TAG_BITS) | _TAG_MASK
+    elif type(y) is int:
+        y_d0, yc = -1, (y << _TAG_BITS) | _TAG_MASK
     else:
         y_d0, yc = y.value & _TAG_MASK, y.value | _TAG_MASK
     to_a: list[int] = []

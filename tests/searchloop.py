@@ -13,7 +13,8 @@ reporter, with the counters findany keeps, so a test can compare answers,
 
 from __future__ import annotations
 
-from wordram.navlist import Element
+import operator
+
 from wordram.rangereport import _TAG_BITS, _TAG_MASK, RangeReporter
 
 
@@ -78,8 +79,8 @@ def findany(rr: RangeReporter, a: int, b: int) -> int | None:
         if a > b:
             return None
     if a == b:
-        return a if a in rr.leaves else None
-    if not rr.leaves:
+        return operator.index(a) if a in rr else None
+    if not len(rr):
         return None
     rr._q_nav = 0
     tests = reads = 0
@@ -97,7 +98,7 @@ def findany(rr: RangeReporter, a: int, b: int) -> int | None:
             return verified(get(vc & codes[t][k]), k * rr._chunks[t], vc)
 
         def branches(desc, kc, end):
-            return not (desc is None or type(desc) is Element or desc.value & _TAG_MASK >= end)
+            return not (desc is None or type(desc) is int or desc.value & _TAG_MASK >= end)
 
         lo, up, down, tests, _, reads = search(rr, v_d, probe, branches)
         if up is not None and rr._inside(up, v_d, vc):

@@ -79,7 +79,7 @@ def _audited_small_run(width, branch, variant, backend, seed, ops,
             if got is None:
                 mismatches += not _oracle_empty(shadow, a, b)
             else:
-                mismatches += not (a <= got <= b and got in rr.leaves)
+                mismatches += not (a <= got <= b and got in rr)
         if all_pairs_every and step % all_pairs_every == 0:
             nxt = _next_table(shadow, universe)
             findany = rr.findany
@@ -142,7 +142,7 @@ class _Criterion2Run:
                 if got is None:
                     mismatches += not _oracle_empty(shadow, a, b)
                 else:
-                    mismatches += not (a <= got <= b and got in rr.leaves)
+                    mismatches += not (a <= got <= b and got in rr)
             cls.result = (rr, mismatches, time.monotonic() - start)
         return cls.result
 
@@ -205,7 +205,7 @@ def test_criterion_5_tradeoff_variants():
                 if got is None:
                     mismatches += not _oracle_empty(shadow, a, b)
                 else:
-                    mismatches += not (a <= got <= b and got in rr.leaves)
+                    mismatches += not (a <= got <= b and got in rr)
             assert mismatches == 0, (variant, branch)
             top = top_order(64, branch)
             if variant == "5a":

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from wordram.navlist import Element
 from wordram.rangereport import (
     BACKEND_BLOOMIER,
     BACKEND_EXACT,
@@ -30,6 +29,14 @@ def make(width=8, branch=2, variant="core", backend=BACKEND_EXACT, audit=True,
         width=width, branch=branch, variant=variant, backend=backend,
         audit=audit, capacity=capacity, seed=seed, **kw,
     ))
+
+
+def nav_sequence(rr):
+    """The navigation list in values: each key, and each record's Open and
+    Close as ("(", key) and (")", key) of the record's node key."""
+    owner = {id(rec.close): rec.value for rec in rr.table.values()}
+    return [e if type(e) is int else ("(", e.value) if type(e) is BranchingRecord
+            else (")", owner[id(e)]) for e in rr.nav]
 
 
 def oracle_empty(shadow, a, b):
@@ -59,7 +66,7 @@ def run_fuzz(rr, ops, seed, queries_per_op=20, exhaustive_every=0):
             if got is None:
                 assert oracle_empty(shadow, a, b), (step, a, b)
             else:
-                assert a <= got <= b and got in rr.leaves
+                assert a <= got <= b and got in rr
         if exhaustive_every and step % exhaustive_every == 0:
             check_all_pairs(rr, shadow)
     return shadow
@@ -81,7 +88,7 @@ def check_all_pairs(rr, shadow):
         for b in range(a, universe):
             got = rr.findany(a, b)
             if first <= b:
-                assert got is not None and a <= got <= b and got in rr.leaves
+                assert got is not None and a <= got <= b and got in rr
             else:
                 assert got is None, (a, b, got)
 
@@ -111,7 +118,7 @@ def test_two_keys_build_one_branching_node():
     entries = list(rr.nav)
     # the record is the node's Open entry
     inner = entries[entries.index(rec) + 1]
-    assert inner.kind == 1 and inner.value == 10
+    assert type(inner) is int and inner == 10
     assert rr.findany(9, 11) == 10
     assert rr.findany(11, 13) == 12
     assert rr.findany(13, 255) is None
@@ -139,7 +146,7 @@ def test_delete_returns_structure_to_empty_shape():
     assert rr.findany(0, 255) == 3
 
     def shape(rr):
-        return (list(rr.table), list(rr._sbar_pred), [(e.kind, e.value) for e in rr.nav],
+        return (list(rr.table), list(rr._sbar_pred), nav_sequence(rr),
                 rr.index.snapshot(), rr.dump())
 
     # a reporter filled and emptied again equals a fresh one
@@ -172,7 +179,7 @@ def test_failed_delete_leaves_structure_unchanged():
     assert list(rr.pred) == [3, 100, 200]
     assert rr.table[key] is rec
     assert rr.dump() == dump
-    assert 100 in rr.leaves
+    assert 100 in rr
     rec.left, rec.right = rec.right, rec.left
     rr.check()
 
@@ -194,7 +201,7 @@ def test_failed_insert_leaves_structure_unchanged():
     assert list(rr._sbar_pred) == sbar_keys
     assert list(rr.nav) == entries
     assert rr.dump() == dump and rr.index.snapshot() == snapshot
-    assert 2 not in rr.leaves
+    assert 2 not in rr
     rec.left = left
     rr.check()
     # the same insert finds no record at all for v's lowest branching
@@ -206,14 +213,14 @@ def test_failed_insert_leaves_structure_unchanged():
     assert list(rr._sbar_pred) == sbar_keys
     assert list(rr.nav) == entries
     assert rr.index.snapshot() == snapshot
-    assert 2 not in rr.leaves
+    assert 2 not in rr
     rr.table[key] = rec
     rr.check()
-    # x's new sibling subtree, the lone key 3, is held by an element that
-    # the list does not hold; the audit compares sides by identity, and the
-    # insert checks that y is listed, before any list change
-    leaf, rec.left = rec.left, Element(3)
-    with pytest.raises(AssertionError, match="descendant mismatch at 1/0: left=leaf:3 "):
+    # x's new sibling subtree, the lone key 3, is held as a key that the
+    # list does not hold; the audit compares sides with the tree's keys,
+    # and the insert checks that y is listed, before any list change
+    leaf, rec.left = rec.left, 4
+    with pytest.raises(AssertionError, match="descendant mismatch at 1/0: left=leaf:4 "):
         rr.check()
     with pytest.raises(AssertionError, match="no navigation entry"):
         rr.insert(2)
@@ -221,7 +228,7 @@ def test_failed_insert_leaves_structure_unchanged():
     assert list(rr._sbar_pred) == sbar_keys
     assert list(rr.nav) == entries
     assert rr.index.snapshot() == snapshot
-    assert 2 not in rr.leaves
+    assert 2 not in rr
     rec.left = leaf
     rr.check()
     assert rr.insert(2)
@@ -273,11 +280,10 @@ def test_failed_root_side_delete_leaves_structure_unchanged(keys, corrupt, x):
         rr.insert(key)
     root = rr.table[rr._root_key]
     desc = root.left, root.right
-    # a stored key's side holds its own element, any other key an unlisted one
-    root.left, root.right = (None if k is None else rr.leaves.get(k) or Element(k)
-                             for k in corrupt)
+    # a side holds a key, a stored one or one the list does not hold
+    root.left, root.right = corrupt
     entries, snapshot, dump = list(rr.nav), rr.index.snapshot(), rr.dump()
-    table, leaves = dict(rr.table), dict(rr.leaves)
+    table, elements = dict(rr.table), dict(rr.nav.elements)
     with pytest.raises(AssertionError):
         rr.delete(x)
     assert list(rr.pred) == list(keys)
@@ -285,7 +291,7 @@ def test_failed_root_side_delete_leaves_structure_unchanged(keys, corrupt, x):
     assert rr.index.snapshot() == snapshot
     # the table holds the same records either way: the dump shows their
     # descendant slots, which a failed delete must leave as they were
-    assert rr.table == table and rr.leaves == leaves
+    assert rr.table == table and rr.nav.elements == elements
     assert rr.dump() == dump
     root.left, root.right = desc
     rr.check()
@@ -414,7 +420,7 @@ def test_copies_of_a_large_w64_reporter(keys):
     rr = make(width=64, audit=False, capacity=1 << 14, seed=83)
     while len(rr) < 1 << 14:
         rr.insert(rng.getrandbits(64) if keys == "uniform" else deep_key(rng))
-    elems = sorted(rr.leaves)
+    elems = sorted(rr.nav.elements)
     queries = [short_bounds(rng, elems, 64, 56) for _ in range(400)]
     want = [rr.findany(a, b) for a, b in queries]
     reports = [list(rr.report(a, b)) for a, b in queries[::8]]
@@ -425,7 +431,7 @@ def test_copies_of_a_large_w64_reporter(keys):
         # the copy owns its entries: deleting from it leaves the original
         for x in elems[::64]:
             assert c.delete(x)
-    assert sorted(rr.leaves) == elems
+    assert sorted(rr.nav.elements) == elems
     assert [rr.findany(a, b) for a, b in queries] == want
 
 
@@ -704,8 +710,8 @@ def test_verified_ancestor_rejects_non_ancestors():
     for x in (0b00000001, 0b00000011, 0b11000000):
         rr.insert(x)
     # the node covering {1, 3} is branching at depth 6; on the side of the
-    # depth-7 node holding 2 and 3 its child is the leaf 3's element
-    assert rr._verified_descendant(6, 7, rr._leaf_code(0b0000001 << 1)) is rr.leaves[3]
+    # depth-7 node holding 2 and 3 its child is the leaf 3's element, 3
+    assert rr._verified_descendant(6, 7, rr._leaf_code(0b0000001 << 1)) == 3
     # a depth that does not truncate to a branching node fails
     assert rr._verified_descendant(3, 7, rr._leaf_code(0b0000001 << 1)) is None
     # the root is an ancestor, but its child on this side, the depth-6
@@ -716,7 +722,7 @@ def test_verified_ancestor_rejects_non_ancestors():
     # the root's right child, the leaf 11000000, verifies under the
     # depth-2 node 11 but not under its empty sibling 10, which only the
     # child's prefix tells
-    assert rr._verified_descendant(0, 2, rr._leaf_code(0b11 << 6)) is rr.leaves[0b11000000]
+    assert rr._verified_descendant(0, 2, rr._leaf_code(0b11 << 6)) == 0b11000000
     assert rr._verified_descendant(0, 2, rr._leaf_code(0b10 << 6)) is None
     # a depth whose node on v's path is not branching at all
     assert rr._verified_descendant(6, 7, rr._leaf_code(0b1100000 << 1)) is None
@@ -838,7 +844,7 @@ def rule_args(rr, x, d_v, y_tag, a_depth, a_real):
     if y_tag is None:
         y = None
     elif rr._leaf_code(y_tag >> _TAG_BITS) == y_tag:
-        y = Element(y_tag >> _TAG_BITS)
+        y = y_tag >> _TAG_BITS
     else:
         y = BranchingRecord(y_tag, None, None)
     return rr._leaf_code(x), d_v, y, a_depth, a_real
@@ -847,16 +853,17 @@ def rule_args(rr, x, d_v, y_tag, a_depth, a_real):
 def record_rule(rr):
     """Wrap rr's index rule; returns the list of its calls, each in the tag
     form of change_shapes.  Each y must be the child's own entry, the one
-    its owner holds (rr.leaves or rr.table), not an equal copy."""
+    its owner holds: the very key object in its bucket's slot, or the record
+    in rr.table, not an equal copy."""
     seen = []
     rule = rr._index_changes
 
     def recording(xc, d_v, y, a_depth, a_real):
         if y is None:
             y_tag = None
-        elif type(y) is Element:
-            assert y is rr.leaves[y.value]
-            y_tag = rr._leaf_code(y.value)
+        elif type(y) is int:
+            assert any(e is y for e in rr.nav.elements[y].entries)
+            y_tag = rr._leaf_code(y)
         else:
             assert y is rr.table[y.value]
             y_tag = y.value
@@ -946,12 +953,12 @@ def test_index_rule_is_the_brute_force_diff(variant, branch):
             rr = make(width=width, branch=branch, variant=variant, audit=False)
             for key in shape_keys(rng, rr, *shape):
                 rr.insert(key)
-            before = rr._mandated_entries(sorted(rr.leaves))
+            before = rr._mandated_entries(sorted(rr.nav.elements))
             assert rr.index.snapshot() == before, shape
             seen = record_rule(rr)
             rr.insert(x)
             assert seen == [shape]  # the update took the intended shape
-            after = rr._mandated_entries(sorted(rr.leaves))
+            after = rr._mandated_entries(sorted(rr.nav.elements))
             assert rr.index.snapshot() == after, shape
             to_a, to_v, a_to_v = probe._index_changes(*rule_args(probe, *shape))
             assert after.keys() >= before.keys()
@@ -1051,7 +1058,7 @@ def test_core_and_5b_at_b2_hold_one_index(width):
             if backend == BACKEND_EXACT:
                 assert rr.index.snapshot() == core.index.snapshot()
             assert rr.index.writes == core.index.writes
-        shadow = sorted(core.leaves)
+        shadow = sorted(core.nav.elements)
         for _ in range(10000):
             x = rng.choice(shadow) if rng.random() < 0.5 else deep_key(rng, width)
             d = int(2.0 ** rng.uniform(0, 8))
@@ -1200,7 +1207,7 @@ def test_bloomier_backend_capacity_accounting():
     rng = random.Random(11)
     for _ in range(1000):
         x = rng.randrange(256)
-        if x in rr.leaves:
+        if x in rr:
             rr.delete(x)
         elif len(rr) < 64:
             rr.insert(x)
@@ -1316,7 +1323,8 @@ def wipe_index(rr):
     rr.check()
 
 def misdirect_leaf(rr):
-    rr.leaves[3] = rr.leaves[100]
+    # the element map points key 3 at a bucket that does not hold it
+    rr.nav.elements[3] = type(rr.nav.elements[3])(None, [], 0)
     rr.check()
 
 def swap_desc(rr):

@@ -9,7 +9,6 @@ import pytest
 import ruleloop
 from test_rangereport import change_shapes, deep_key, rule_args
 from test_rangereport_plan import heap_size
-from wordram.navlist import Element
 from wordram.rangereport import _ROWS, RangeConfig, RangeReporter
 from wordram.wordops import VALID_WIDTHS
 
@@ -33,7 +32,7 @@ def checked_rule(rr):
         assert got == ruleloop.index_changes(rr, xc, d_v, y, a_depth, a_real), (
             xc, d_v, a_depth, a_real)
         if y is not None and d_v:
-            calls["lone" if type(y) is Element else "node"] += 1
+            calls["lone" if type(y) is int else "node"] += 1
         return got
 
     rr._index_changes = checked

@@ -1,10 +1,11 @@
 """Source-wide rules that no single module test can see."""
 
 import ast
+import gc
 import random
 from pathlib import Path
 
-from wordram.navlist import CLOSE, OPEN, Close, Element, Open, _Entry
+from wordram.navlist import Close, Open, _Entry
 from wordram.perfecthash import PerfectHash, PerfectHashConfig
 from wordram.rangereport import BACKEND_BLOOMIER, BranchingRecord, RangeConfig, RangeReporter
 
@@ -73,22 +74,29 @@ def test_traced_instances_accept_method_shadows():
 
 
 def test_navigation_entries_hold_one_object_per_node():
-    # every navigation entry, the branching record among them, is one
-    # slotted object: its kind is its class's, and it compares by identity,
-    # because list.index finds an entry by == and a field-wise __eq__ could
-    # return another entry's slot.  A new per-key field shows up here.
+    # an element is its key, an int; every other navigation entry, the
+    # branching record among them, is one slotted object that compares by
+    # identity, because list.index finds an entry by == and a field-wise
+    # __eq__ could return another entry's slot.  A Close holds only its
+    # bucket.  A new per-key or per-node field shows up here.
     classes, todo = [], [_Entry]
     while todo:
         cls = todo.pop()
         classes.append(cls)
         todo += cls.__subclasses__()
-    assert {Element, Open, Close, BranchingRecord} <= set(classes)
+    assert {Open, Close, BranchingRecord} <= set(classes)
     for cls in classes:
         for klass in cls.__mro__[:-1]:
             assert "__slots__" in vars(klass), klass
-            assert "kind" not in vars(klass)["__slots__"], klass
             assert "__eq__" not in vars(klass), klass
-    for e in (Element(1), Open(2), Close(3), BranchingRecord(4, None, None)):
+
+    def slots(cls):
+        return {name for klass in cls.__mro__[:-1] for name in vars(klass)["__slots__"]}
+
+    assert slots(Close) == {"bucket"}
+    assert slots(Open) == {"bucket", "value"}
+    assert slots(BranchingRecord) == {"bucket", "value", "left", "right", "close"}
+    for e in (Open(2), Close(), BranchingRecord(4, None, None)):
         assert not hasattr(e, "__dict__"), e
 
     # on a filled w=64 reporter, every table value is a live Open entry of
@@ -98,15 +106,44 @@ def test_navigation_entries_hold_one_object_per_node():
     for _ in range(600):
         rr.insert(rng.getrandbits(64))
     listed = {id(e) for e in rr.nav}
+    elements = rr.nav.elements
     assert len(rr.table) > 500
+    lone = 0
     for key, rec in rr.table.items():
-        assert rec.bucket is not None and rec.kind == OPEN and rec.value == key
+        assert type(rec) is BranchingRecord and rec.bucket is not None and rec.value == key
         assert id(rec) in listed
-        assert rec.close.kind == CLOSE and id(rec.close) in listed
-        # a side holds its child's own entry, a lone key's element or a
-        # branching child's record, and never a tag integer
+        assert type(rec.close) is Close and rec.close.bucket is not None
+        assert id(rec.close) in listed
+        # a side holds its child's own entry, never a tag integer: a lone
+        # key is the very int object in its bucket's slot, and a branching
+        # child is its record
         for side in (rec.left, rec.right):
-            assert not isinstance(side, int) and side.bucket is not None
-            assert id(side) in listed
-            assert side is (rr.leaves[side.value] if type(side) is Element
-                            else rr.table[side.value])
+            if type(side) is int:
+                lone += 1
+                assert side in rr and any(e is side for e in elements[side].entries)
+            else:
+                assert side is rr.table[side.value] and id(side) in listed
+    assert lone == len(rr)
+
+
+def test_a_reporter_tracks_few_objects_per_key():
+    # the collector's tracked objects per live key of a 4,096-key w=64 core
+    # reporter on the Bloomier backend: a branching record and its Close per
+    # key, and the buckets and the predecessor sets' share.  A per-key
+    # object, such as an entry object for each key, adds 1
+    def fill(seed):
+        rng = random.Random(seed)
+        keys = [rng.getrandbits(64) for _ in range(4096)]
+        gc.collect()
+        before = len(gc.get_objects())
+        rr = RangeReporter(RangeConfig(width=64, backend=BACKEND_BLOOMIER,
+                                       capacity=1 << 13, seed=seed))
+        for key in keys:
+            rr.insert(key)
+        gc.collect()
+        return rr, len(gc.get_objects()) - before
+
+    fill(1)  # the rule's shared rows are built once per (width, branch)
+    rr, tracked = fill(2)
+    assert len(rr) == 4096
+    assert tracked / len(rr) <= 2.5, tracked / len(rr)

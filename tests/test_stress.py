@@ -14,7 +14,7 @@ from bisect import bisect_left, insort
 import pytest
 
 from wordram.gtgame import STRATEGIES, sweep
-from wordram.navlist import CLOSE, ELEMENT, OPEN, Close, Element, NavList, Open
+from wordram.navlist import Close, NavList, Open
 from wordram.predecessor import PredecessorSet
 from wordram.rangereport import RangeConfig, RangeReporter
 
@@ -47,8 +47,10 @@ def test_predecessor_hundred_thousand_ops(width):
     assert list(ps) == ref
 
 
-# an entry of each kind, built by the caller
-ENTRY = {ELEMENT: Element, OPEN: Open, CLOSE: Close}
+# an entry of each kind, built by the caller from a value: an element is
+# its key, and a Close holds no value
+ELEMENT, OPEN, CLOSE = 1, 2, 3
+ENTRY = {ELEMENT: int, OPEN: Open, CLOSE: lambda _: Close()}
 
 
 def test_navlist_hundred_thousand_insertions():
@@ -136,7 +138,7 @@ def _audited_pattern_run(width, keys, deletions, variant="core", branch=2,
             empty = i >= len(shadow) or shadow[i] > b
             assert (got is None) == empty
             if got is not None:
-                assert a <= got <= b and got in rr.leaves
+                assert a <= got <= b and got in rr
     for x in deletions:
         if rr.delete(x):
             shadow.pop(bisect_left(shadow, x))
