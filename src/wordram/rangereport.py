@@ -44,17 +44,17 @@ depth without x and v's depth with it.  ``_index_changes`` alone computes
 the three, for every key, as lists of node keys in a fixed order that
 name each node once; an insert applies them forwards and a delete
 backwards, each non-empty list with one batch call into the index, so a
-delete is the exact inverse of the insert it undoes.  The rule has one
-loop over the orders for 5b and two for core and 5a, the shorter one for
-a lone key y, which has no branching node on its path below v.  Each
-visits the orders coarsest first, and the first order to name a node
-decides its change.  For core and 5a, each order's node holding v, the
-node below it and whether that order names them first depend only on v's
-depth, so the loops read them from rows built on the first update at
-that depth (``_rule_rows``) and shared by every reporter of one width and
-branch; only the tests against a and y run per update.
+delete is the exact inverse of the insert it undoes.  One rule serves
+every variant: the nodes each order names around v, the ancestor depth
+that decides whether each is mandated without x, and whether that order
+names it first depend only on v's depth, so the rule reads them from rows
+built on the first update at that depth (``_rule_rows``) and shared by
+every reporter of one width, branch and mandate; a variant is its rows.
+Of the rule's two loops over them, the shorter serves a lone key y, which
+has no branching node on its path below v; each runs only the tests
+against a and y per update.
 ``tests/indexrule.py`` keeps the per-order loop the rule folds as the
-oracle, and ``tests/ruleloop.py`` the folded loop the rows replace.  No
+oracle, and ``tests/ruleloop.py`` the folded loops the rows replace.  No
 order mandates a node at the leaf level, bit depth w, which nothing
 reads: findany reads nodes no deeper than v = LCA(a, b), which lies above
 the leaves as a < b, a delete reads v's own entry, and v branches, and
@@ -170,15 +170,16 @@ _READ, _REUSE_UP, _REUSE_DOWN = 0, 1, 2
 _PLANS: dict[tuple[int, int, str], tuple[list, dict]] = {}
 # what a reporter reads until its first search: no depth has a plan
 _NO_PLANS = (None,) * max(VALID_WIDTHS)
-# the index rule's rows, shared by every reporter of one (width, branch): a
-# list indexed by v's depth, each slot filled on the first update there
+# the index rule's rows, shared by every reporter of one (width, branch,
+# whether the variant is 5b), as core and 5a mandate the same nodes: a list
+# indexed by v's depth, each slot filled on the first update there
 # (RangeReporter._rule_rows), and the dict that interns the rows
-_ROWS: dict[tuple[int, int], tuple[list, dict]] = {}
+_ROWS: dict[tuple[int, int, bool], tuple[list, dict]] = {}
 
 
-def _shared_rows(width: int, branch: int) -> list:
-    """The rule's row table of (width, branch), made empty when missing."""
-    return _ROWS.setdefault((width, branch), ([None] * width, {}))[0]
+def _shared_rows(width: int, branch: int, fast_query: bool) -> list:
+    """The rule's row table of one key of _ROWS, made empty when missing."""
+    return _ROWS.setdefault((width, branch, fast_query), ([None] * width, {}))[0]
 
 
 @dataclass(frozen=True)
@@ -267,42 +268,45 @@ class AncestorIndex:
 
     def add_all(self, keys, depth: int) -> None:
         """Map each of `keys`, all absent, to depth."""
-        self.writes += len(keys)
         known = self._known
         if known is not None:
+            # write while checking: a key found present was so before the batch
+            # or is repeated in it, and the keys written so far are taken out
+            start = len(known)
             for key in keys:
                 if key in known:
-                    raise KeyError(f"add of a present key {key}")
-            for key in keys:
+                    for written in keys[:len(known) - start]:
+                        del known[written]
+                    raise KeyError(f"add of a present or repeated key {key}")
                 known[key] = depth
         if self._filter is not None:
             self._filter.insert_all(keys, depth + 1)
+        self.writes += len(keys)
 
     def set_all(self, keys, depth: int) -> None:
         """Map each of `keys`, all present, to depth."""
-        self.writes += len(keys)
         known = self._known
         if known is not None:
-            for key in keys:
-                if key not in known:
-                    raise KeyError(f"set of an absent key {key}")
+            # the batch's distinct present keys are all of it
+            if len(known.keys() & keys) != len(keys):
+                raise KeyError(f"set of an absent or repeated key in {list(keys)}")
             for key in keys:
                 known[key] = depth
         if self._filter is not None:
             self._filter.replace_all(keys, depth + 1)
+        self.writes += len(keys)
 
     def drop_all(self, keys) -> None:
         """Remove each of `keys`, all present."""
-        self.writes += len(keys)
         known = self._known
         if known is not None:
-            for key in keys:
-                if key not in known:
-                    raise KeyError(f"drop of an absent key {key}")
+            if len(known.keys() & keys) != len(keys):
+                raise KeyError(f"drop of an absent or repeated key in {list(keys)}")
             for key in keys:
                 del known[key]
         if self._filter is not None:
             self._filter.delete_all(keys)
+        self.writes += len(keys)
 
     def snapshot(self) -> dict[int, int]:
         if self._known is None:
@@ -391,7 +395,7 @@ class RangeReporter:
         ]
         # the index rule visits the orders below the top coarsest first
         self._coarse_first = list(zip(self._chunks, self._codes))[:self.top][::-1]
-        self._rows = _shared_rows(self.w, self.B)
+        self._rows = _shared_rows(self.w, self.B, self._fast_query)
         # a missing key neighbor reads as a key that differs in every bit
         self._far = (1 << self.w) - 1
         self._q_nav = 0
@@ -411,7 +415,7 @@ class RangeReporter:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._plans = _NO_PLANS
-        self._rows = _shared_rows(self.w, self.B)
+        self._rows = _shared_rows(self.w, self.B, self._fast_query)
 
     # -- encodings ----------------------------------------------------------
 
@@ -584,18 +588,17 @@ class RangeReporter:
         nodes that no order mandates without x and that hold d_v with it,
         and the nodes that hold a_depth without x and d_v with it.
 
-        Each order names nodes of its own trie.  In each order, v's order-k
-        node covers the bit depths [k*ch, (k+1)*ch); it branches without x
-        iff it is the root, or a branching a or y's node lies in that
-        chunk.  Orders whose chunks share a bit depth name the same node,
-        and the orders that name one node in the same role are consecutive.
-        The loops visit the orders coarsest first and let the first visit
-        decide: every test that keeps a node out of an order without x
-        (neither it nor its parent branches) is hardest to pass in the
-        coarsest order.  So v's node is added only if that order adds it,
-        and a node below v already holds an entry if that order or y's own
-        node's order holds one.  Core and 5a read which order names v's
-        node and the node below it first from v's depth's rows.
+        Each order names v's node, which covers the bit depths [k*ch,
+        (k+1)*ch), and the nodes of v's window below it on x's and y's
+        paths.  Without x, one is mandated iff a branching node lies at or
+        below an ancestor of it that its row gives by bit depth: a is the
+        deepest candidate on v's path, and y's own node, which branches,
+        lies in v's node or below.  The loops visit the orders coarsest
+        first and the first order to name a node decides its change: every
+        test that keeps a node out of an order without x is hardest to pass
+        in the coarsest order.  Which order names which node first depends
+        only on v's depth, so the loops read it from that depth's rows
+        (``_rule_rows``).
         """
         # a branches without x and lies at or below depth m iff a_lim >= m
         a_lim = a_depth if a_real else -1
@@ -610,22 +613,20 @@ class RangeReporter:
         else:
             yc = y.value
             y_d0, yc = yc & _TAG_MASK, yc | _TAG_MASK
-        if self._fast_query:
-            return self._index_changes_5b(xc, d_v, y_d0, yc, a_lim)
         to_a: list[int] = []
         to_v: list[int] = []
         a_to_v: list[int] = []
         rows = self._rows[d_v] or self._rule_rows(d_v)
         if y_d0 < 0:
             # y is a lone key: no branching node lies on its path below v,
-            # and its one entry per order sits right below v's node
-            for ch, k, kc, v_code, below in rows:
-                # v's node, unless it or its parent branches without x
-                if v_code and a_lim + ch < kc:
+            # so each window node on it is as mandated as it was without x
+            for ch, v_code, v_thr, bk, below, b_thr in rows:
+                # v's node, unless a branching node lies at or below v_thr
+                if v_code and a_lim < v_thr:
                     to_a.append(xc & v_code)
                 if below:
                     to_v.append(xc & below)
-                    if not k or a_lim >= kc:
+                    if a_lim >= b_thr:
                         a_to_v.append(yc & below)
                     else:
                         to_v.append(yc & below)
@@ -633,23 +634,22 @@ class RangeReporter:
         codes = self._codes[0]
         # the code of y's own node as the last order visited named it
         last_own = -1
-        for ch, k, kc, v_code, below in rows:
+        for ch, v_code, v_thr, bk, below, b_thr in rows:
+            # y's own node in this order, at order depth yk >= k, branches
             yk = y_d0 // ch
-            if v_code and a_lim + ch < kc and yk != k:
+            if v_code and a_lim < v_thr and yk >= bk:
                 to_a.append(xc & v_code)
             if below:
                 to_v.append(xc & below)
-                if yk == k + 1:
-                    # y's own node, branching in this order
-                    last_own = below
-                    a_to_v.append(yc & below)
-                elif yk > k:
-                    if not k or a_lim >= kc:
+                # a window node above y's own node
+                if yk > bk:
+                    if a_lim >= b_thr:
                         a_to_v.append(yc & below)
                     else:
                         to_v.append(yc & below)
-            if yk > k + 1:
-                # y's own node, branching in this order too
+            if yk >= bk:
+                # y's own node, at or below this row's node: the first row
+                # to reach it names it, and later rows that reach it skip it
                 code = codes[yk * ch]
                 if code != last_own:
                     last_own = code
@@ -660,90 +660,59 @@ class RangeReporter:
         """The index rule's rows for v at depth d_v: the shared table's,
         which this builds when no reporter has.
 
-        One row per order below the top, coarsest first: (ch, k, kc,
-        v_code, below), the order's chunk, v's node's depth k and bit depth
-        kc, the code of v's node if this order names it first and k > 1
-        (else 0), and the code of the node below it if this order names it
-        first (else 0).  The orders that name the leaf level come first, and
-        as no order mandates it, it counts as named.  Equal rows are one
+        In an order of chunk ch, v's node lies at order depth k.  Without
+        x, the order mandates v's node iff a branching node lies at or below
+        its order-depth v_anc ancestor, and each node of v's window iff one
+        lies at or below the b_anc one; a trie root counts as branching.
+        Core and 5a mandate a node whose parent branches, and every
+        branching node: v_anc is k - 1, b_anc is k, and the window is the
+        node right below v's.  5b mandates a node whose natural depth-B
+        subtree holds a branching node above it: v_anc and b_anc are that
+        subtree's root, k // B * B, and the window runs from k + 1 to the
+        subtree's last depth or the level above the leaves.
+
+        Coarsest order first, each order gives one row per window node it
+        names first, or one row naming none: (ch, v_code, v_thr, bk, below,
+        b_thr).  v_code is the code of v's node where this order names it
+        first and v_anc > 0, on its first row only (else 0), and v_thr the
+        bit depth of v_anc; bk is the window node's order depth (k + 1 on a
+        row naming none), below its code and b_thr the bit depth of b_anc,
+        -1 for the root (both 0 on a row naming none).  The leaf level
+        counts as named, as no order mandates it.  Equal rows are one
         object.
         """
-        rows, interned = _ROWS[self.w, self.B]
+        rows, interned = _ROWS[self.w, self.B, self._fast_query]
         if rows[d_v] is not None:
             return rows[d_v]
+        B = self.B
         built = []
         last_kc, last_code = -1, self._codes[0][self.w]
         for ch, codes in self._coarse_first:
             k = d_v // ch
-            kc = k * ch
-            v_code = below = 0
-            if kc != last_kc:
-                last_kc = kc
-                if k > 1:
-                    v_code = codes[k]
-            if codes[k + 1] != last_code:
-                below = last_code = codes[k + 1]
-            row = (ch, k, kc, v_code, below)
-            built.append(interned.setdefault(row, row))
+            if self._fast_query:
+                v_anc = b_anc = k // B * B
+                border = min(v_anc + B - 1, len(codes) - 2)
+            else:
+                v_anc, b_anc, border = k - 1, k, k + 1
+            v_code = v_thr = 0
+            if k * ch != last_kc:
+                last_kc = k * ch
+                if v_anc > 0:
+                    v_code, v_thr = codes[k], v_anc * ch
+            b_thr = b_anc * ch if b_anc else -1
+            named = [bk for bk in range(k + 1, border + 1) if codes[bk] != last_code]
+            if named:
+                last_code = codes[named[-1]]
+            for bk in named or [k + 1]:
+                below = codes[bk] if named else 0
+                row = (ch, v_code, v_thr, bk, below, b_thr if below else 0)
+                built.append(interned.setdefault(row, row))
+                v_code = v_thr = 0
         rows[d_v] = tuple(built)
         if None not in rows:
             # every depth has its rows
             interned.clear()
         return rows[d_v]
-
-    def _index_changes_5b(self, xc: int, d_v: int, y_d0: int, yc: int,
-                          a_lim: int) -> tuple[list[int], list[int], list[int]]:
-        """``_index_changes`` for variant 5b, where an active node is
-        stored when a branching node sits between its natural depth-B
-        subtree's root and it; y_d0 is -1 for a lone key y.
-
-        An order names the nodes below v's down to the border of v's
-        natural subtree or the level above the leaves, all above the first
-        node below v that the next coarser order names.  So the orders share
-        only v's node and y's own node.
-        """
-        B = self.B
-        y_real = y_d0 >= 0
-        to_a: list[int] = []
-        to_v: list[int] = []
-        a_to_v: list[int] = []
-        last_kc = last_own = -1
-        for ch, codes in self._coarse_first:
-            k = d_v // ch
-            kc = k * ch
-            yk = y_d0 // ch
-            ns_root = (k // B) * B
-            # a surviving-path node inside this natural subtree is stored
-            # without x iff some branching node sits between the subtree
-            # root and it: the deepest candidate is a
-            had_ns_anc = not ns_root or a_lim >= ns_root * ch
-            # v's node, unless it branches without x or is stored already;
-            # with no branching node in its natural subtree above it, k > 0
-            # and a lies above v's chunk
-            if kc != last_kc:
-                last_kc = kc
-                if not had_ns_anc and yk != k:
-                    to_a.append(xc & codes[k])
-            # the leaf level, at depth len(codes) - 1, holds no entry
-            border = min(ns_root + B - 1, len(codes) - 2)
-            for dd in range(k + 1, border + 1):
-                to_v.append(xc & codes[dd])
-            for dd in range(k + 1, border + 1):
-                if y_real and dd >= yk:
-                    if dd == yk:
-                        last_own = codes[dd]
-                        a_to_v.append(yc & last_own)
-                    break
-                if had_ns_anc:
-                    a_to_v.append(yc & codes[dd])
-                else:
-                    to_v.append(yc & codes[dd])
-            if y_real and yk > border:
-                code = codes[yk]
-                if code != last_own:
-                    last_own = code
-                    a_to_v.append(yc & code)
-        return to_a, to_v, a_to_v
 
     def delete(self, x: int) -> bool:
         # as in insert: a key that is no integer changes nothing

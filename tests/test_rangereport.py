@@ -1315,6 +1315,39 @@ def test_index_discipline_checked_by_the_audit_mirror():
     check_index_discipline(BACKEND_BLOOMIER)
 
 
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_BLOOMIER])
+@pytest.mark.parametrize("method", ["add_all", "set_all", "drop_all"])
+def test_index_batch_rejects_a_repeated_key(method, backend):
+    # a batch names each key once: a key named twice raises before the
+    # batch writes anything, though each of its keys alone would pass.  A
+    # filter that stored a key twice would still answer for it after one
+    # drop
+    rr = make(backend=backend, audit=True)
+    rr.insert(9)
+    index = rr.index
+    snapshot = index.snapshot()
+    present = sorted(snapshot)
+    fresh = [1 << 40, 1 << 41]  # far outside the 8-bit name space
+    batches = {
+        # the add writes its first two keys before it meets the repeat
+        "add_all": ([fresh[0], fresh[0]], [fresh[1], fresh[0], fresh[0]]),
+        "set_all": ([present[0], present[0]], [present[1], present[0], present[0]]),
+        "drop_all": ([present[0], present[0]], [present[1], present[0], present[0]]),
+    }[method]
+    args = () if method == "drop_all" else (3,)
+    filt = index._filter
+    contents = filt and (dict(filt._exact), dict(filt._hashed))
+    writes = index.writes
+    for keys in batches:
+        with pytest.raises(KeyError, match="repeated"):
+            getattr(index, method)(keys, *args)
+        assert index.snapshot() == snapshot and index.writes == writes
+        assert (filt and (filt._exact, filt._hashed)) == contents
+    # the same keys named once each pass, and count as written
+    getattr(index, method)(list(dict.fromkeys(batches[1])), *args)
+    assert index.writes == writes + 2
+
+
 _CORRUPT_AND_CHECK = """
 from wordram.rangereport import RangeConfig, RangeReporter
 

@@ -12,8 +12,8 @@ from test_rangereport_plan import heap_size
 from wordram.rangereport import _ROWS, RangeConfig, RangeReporter
 from wordram.wordops import VALID_WIDTHS
 
-# core and 5a read the rows; 5b keeps its own loop
-CONFIGS = [("core", 2), ("5a", 2), ("5a", 4), ("5a", 8)]
+# every variant reads the rows
+CONFIGS = [("core", 2), ("5a", 2), ("5a", 4), ("5a", 8), ("5b", 2), ("5b", 4), ("5b", 8)]
 
 
 def reporter(width, variant, branch, **kw):
@@ -79,12 +79,15 @@ def test_rows_give_the_loops_lists_on_every_shape(width, variant, branch):
 
 
 def test_rows_are_shared_per_width_and_branch():
-    # core and 5a at one branch read one table, whichever reporter fills it
+    # core and 5a at one branch read one table, whichever reporter fills
+    # it; 5b, which mandates other nodes, reads its own
     core = reporter(64, "core", 2, capacity=4)
     fast = reporter(64, "5a", 2, capacity=4)
     other = reporter(64, "5a", 8, capacity=4)
-    assert core._rows is fast._rows is _ROWS[64, 2][0]
-    assert other._rows is not core._rows
+    windowed = reporter(64, "5b", 2, capacity=4)
+    assert core._rows is fast._rows is _ROWS[64, 2, False][0]
+    assert windowed._rows is _ROWS[64, 2, True][0]
+    assert other._rows is not core._rows and windowed._rows is not core._rows
     for d_v in range(64):
         assert fast._rule_rows(d_v) is core._rule_rows(d_v)
 
@@ -92,21 +95,27 @@ def test_rows_are_shared_per_width_and_branch():
 @pytest.mark.parametrize("width", VALID_WIDTHS)
 def test_rows_are_interned_and_small(width):
     # with every depth built the interning dict is empty, equal rows are
-    # one object, and a table holds at most 20 KB
-    for branch in (2, 4, 8, 16):
-        if branch > width:
-            continue
-        rr = reporter(width, "5a", branch, capacity=4)
-        rows = [rr._rule_rows(d_v) for d_v in range(width)]
-        table, interned = _ROWS[width, branch]
-        assert table is rr._rows and table == rows and not interned
-        distinct = {id(row) for depth in rows for row in depth}
-        assert len(distinct) == len({row for depth in rows for row in depth})
-        assert all(len(depth) == rr.top for depth in rows)
-        assert heap_size(table) <= 20 * 1024, (width, branch, heap_size(table))
+    # one object, an order gives one row, or one per node of its window
+    # that it names, and a table holds at most 20 KB, 28 KB for 5b, whose
+    # windows run to the natural subtree's border
+    for variant in ("5a", "5b"):
+        for branch in (2, 4, 8, 16, 32, 64):
+            if branch > width:
+                continue
+            rr = reporter(width, variant, branch, capacity=4)
+            rows = [rr._rule_rows(d_v) for d_v in range(width)]
+            table, interned = _ROWS[width, branch, variant == "5b"]
+            assert table is rr._rows and table == rows and not interned
+            distinct = {id(row) for depth in rows for row in depth}
+            assert len(distinct) == len({row for depth in rows for row in depth})
+            window = branch - 1 if variant == "5b" else 1
+            assert all(rr.top <= len(depth) <= rr.top * window for depth in rows)
+            assert all(len(row) == 6 for depth in rows for row in depth)
+            bound = 28 * 1024 if variant == "5b" else 20 * 1024
+            assert heap_size(table) <= bound, (variant, branch, heap_size(table))
 
 
-@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8)])
+@pytest.mark.parametrize("variant,branch", [("core", 2), ("5a", 8), ("5b", 4)])
 def test_copies_carry_no_rows(variant, branch):
     # the rows are shared, not state: a copy or a pickle binds the shared
     # table again and goes on updating as the reporter it copies would
